@@ -5,8 +5,12 @@ coefficient function, and optionally analytic Christoffel symbols.  Parallel
 transport integrates the first-order transport ODE with classical RK4 for
 every coordinate basis vector at once, then expresses the transport matrix
 in g-orthonormal frames at the endpoints, where it is orthogonal up to the
-integration defect.  Holonomy is sampled by transporting families of closed
-loops and optionally closing the sample under products and inverses.
+integration defect.  RK4 reuses stages: an n-step segment evaluates the
+Christoffels 2n + 1 times, not 4n, with the same result bit for bit.
+Holonomy is sampled by transporting families of closed loops and optionally
+closing the sample under products and inverses.  The catalog charts have
+closed-form metrics and Christoffels without Python loops; Fubini-Study's
+come from its complex connection realified through a constant basis.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .acs import canonical_j
 from .errors import (
     LoopEscapesDomain,
     MetricNotInvertible,
@@ -174,7 +179,10 @@ def orthonormal_frame(chart: ManifoldChart, x) -> np.ndarray:
 # -- parallel transport -------------------------------------------------------
 
 def _transport_coordinate(chart: ManifoldChart, path: SmoothPath, steps: int) -> np.ndarray:
-    """Coordinate-frame transport matrix by segment-wise RK4 on V' = -M(t) V."""
+    """Coordinate-frame transport matrix by segment-wise RK4 on V' = -M(t) V.
+
+    M(t) is evaluated once per distinct stage time: k2 and k3 share
+    M(t + h/2), and k4's M(t + h) is the next step's k1 within a segment."""
     d = chart.dim
 
     def M(t):
@@ -194,13 +202,17 @@ def _transport_coordinate(chart: ManifoldChart, path: SmoothPath, steps: int) ->
         nudge = 1e-9 * (t1 - t0)
         Ms = lambda t: M(min(max(t, t0 + nudge), t1 - nudge))
         t = t0
+        M_start = Ms(t)
         for _ in range(n):
-            k1 = -Ms(t) @ V
-            k2 = -Ms(t + 0.5 * h) @ (V + 0.5 * h * k1)
-            k3 = -Ms(t + 0.5 * h) @ (V + 0.5 * h * k2)
-            k4 = -Ms(t + h) @ (V + h * k3)
+            M_mid = Ms(t + 0.5 * h)
+            M_end = Ms(t + h)
+            k1 = -M_start @ V
+            k2 = -M_mid @ (V + 0.5 * h * k1)
+            k3 = -M_mid @ (V + 0.5 * h * k2)
+            k4 = -M_end @ (V + h * k3)
             V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h
+            M_start = M_end
     return V
 
 
@@ -218,11 +230,17 @@ def transport_with_defect(chart: ManifoldChart, path: SmoothPath, steps: int):
     return A, defect
 
 
+def _check_defect(defect: float) -> None:
+    """Reject a transport unless its defect is finite and below the limit."""
+    if not defect < DEFECT_LIMIT:
+        kind = "orthogonality" if math.isfinite(defect) else "non-finite orthogonality"
+        raise StepTooCoarse(f"{kind} defect {defect:.3e} >= {DEFECT_LIMIT}; raise steps")
+
+
 def parallel_transport(chart: ManifoldChart, path: SmoothPath, steps: int) -> np.ndarray:
     """Orthonormal-frame parallel transport along the path."""
     A, defect = transport_with_defect(chart, path, steps)
-    if defect > DEFECT_LIMIT:
-        raise StepTooCoarse(f"orthogonality defect {defect:.3e}; raise steps")
+    _check_defect(defect)
     return A
 
 
@@ -338,9 +356,7 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
         if np.max(np.abs(np.asarray(loop.map(0.0)) - p)) > 1e-9:
             raise ValueError("loop is not based at p")
         A, defect = transport_with_defect(chart, loop, steps)
-        if defect >= DEFECT_LIMIT:
-            raise StepTooCoarse(
-                f"orthogonality defect {defect:.3e} >= {DEFECT_LIMIT}; raise steps")
+        _check_defect(defect)
         base.append(HolonomySample(p, loop, nearest_orthogonal(A), steps,
                                    defect, word=(i + 1,)))
     if word_length <= 1:
@@ -393,72 +409,55 @@ def _conformal_sphere_metric(d):
 def _conformal_sphere_christoffel(d):
     # g = e^{2f} delta with f = log 2 - log(1+|x|^2):
     # Gamma^k_ij = delta_ki w_j + delta_kj w_i - delta_ij w_k, w = grad f
+    I = np.eye(d)
+
     def gamma(x):
         w = -2.0 * x / (1.0 + float(np.dot(x, x)))
         G = np.zeros((d, d, d))
-        I = np.eye(d)
-        G += np.einsum("ki,j->kij", I, w)
-        G += np.einsum("kj,i->kij", I, w)
-        G -= np.einsum("ij,k->kij", I, w)
+        G += I[:, :, None] * w
+        G += I[:, None, :] * w[:, None]
+        G -= I * w[:, None, None]
         return G
     return gamma
 
 
-def _fs_complexify(u):
-    return np.array([u[0] + 1j * u[1], u[2] + 1j * u[3]])
+# Fubini-Study chart: coordinates (x1, y1, x2, y2), z_a = x_a + i y_a, and
+# J0 = multiplication by i
+_FS_J0 = canonical_j(2).mat
 
 
-def _fs_realify_vec(v):
-    return np.array([v[0].real, v[0].imag, v[1].real, v[1].imag])
+def _fs_connection_basis() -> np.ndarray:
+    """Constant E with Gamma[k, i, j] = (E @ x)[k, i, j] / (1 + |x|^2): the
+    complex connection Gamma^c_ab = -(delta^c_a zbar_b + delta^c_b zbar_a) /
+    (1 + |z|^2), taken on real axes u_i = 1 or i of z_a(i) and realified."""
+    A = np.repeat(np.eye(2), 2, axis=1)        # A[a, i] = 1 iff a(i) = a
+    u = np.tile([1.0, 1j], 2)
+    Z = (A.T @ A) * u.conj()                   # Z[i, l]: d zbar_{a(i)} / d x_l
+    N = -(np.einsum("ci,jl->cijl", A, Z) + np.einsum("cj,il->cijl", A, Z)) \
+        * np.outer(u, u)[None, :, :, None]
+    return np.stack([N.real, N.imag], axis=1).reshape(4, 4, 4, 4)
+
+
+_FS_E = _fs_connection_basis()
 
 
 def fubini_study_metric(x):
     """Real form of the Fubini-Study metric in the affine chart, normalized
-    to the identity at the origin.  Coordinates are (x1, y1, x2, y2) with
-    z_a = x_a + i y_a."""
-    z = _fs_complexify(x)
-    r2 = float(np.dot(x, x))
-    H = ((1.0 + r2) * np.eye(2) - np.outer(z, z.conj())) / (1.0 + r2) ** 2
-    return _fs_realify_mat(H)
-
-
-def _fs_realify_mat(Hc):
-    # real form of a Hermitian coefficient matrix; the block sign is fixed
-    # so that multiplication by i (the canonical block structure) is
-    # parallel for the resulting metric
-    g = np.empty((4, 4))
-    for a in range(2):
-        for b in range(2):
-            A = Hc[a, b].real
-            B = Hc[a, b].imag
-            g[2 * a:2 * a + 2, 2 * b:2 * b + 2] = [[A, -B], [B, A]]
-    return g
+    to the identity at the origin:
+    g = ((1 + r^2) I - x x^T - (J0 x)(J0 x)^T) / (1 + r^2)^2."""
+    x = np.asarray(x, dtype=float)
+    D = 1.0 + float(np.dot(x, x))
+    Jx = _FS_J0 @ x
+    return (D * np.eye(4) - np.outer(x, x) - np.outer(Jx, Jx)) / (D * D)
 
 
 def fubini_study_christoffel(x):
-    """Analytic Christoffels of the Fubini-Study chart, from exact real
-    derivatives of the Hermitian coefficient matrix H = ((1+r2) I -
-    z zbar^T) / (1+r2)^2."""
-    z = _fs_complexify(x)
-    r2 = float(np.dot(x, x))
-    D = 1.0 + r2
-    zz = np.outer(z, z.conj())
-    dg = np.empty((4, 4, 4))  # dg[l, i, j] = d g_ij / d x_l
-    I2 = np.eye(2)
-    for l in range(4):
-        a, part = divmod(l, 2)
-        e = np.zeros(2, dtype=complex)
-        e[a] = 1.0
-        dz = e if part == 0 else 1j * e       # dz/dx_l resp. dz/dy_l
-        dr2 = 2.0 * x[l]
-        dH = (-dr2 / D**2 * I2
-              - (np.outer(dz, z.conj()) + np.outer(z, np.conj(dz))) / D**2
-              + 2.0 * dr2 * zz / D**3)
-        dg[l] = _fs_realify_mat(dH)
-    g = fubini_study_metric(x)
-    ginv = np.linalg.inv(g)
-    term = dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, 2)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, term)
+    """Closed-form Christoffels of the Fubini-Study chart."""
+    x = np.asarray(x, dtype=float)
+    return (_FS_E @ x) / (1.0 + float(np.dot(x, x)))
+
+
+_S2_CHRISTOFFEL = _conformal_sphere_christoffel(2)
 
 
 def _product_s2_metric(x):
@@ -472,10 +471,9 @@ def _product_s2_metric(x):
 
 def _product_s2_christoffel(x):
     G = np.zeros((4, 4, 4))
-    g2 = _conformal_sphere_christoffel(2)
     for blk in range(2):
         sl = slice(2 * blk, 2 * blk + 2)
-        G[sl, sl, sl] = g2(x[sl])
+        G[sl, sl, sl] = _S2_CHRISTOFFEL(x[sl])
     return G
 
 

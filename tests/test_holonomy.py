@@ -43,6 +43,8 @@ def test_christoffel_symmetric_in_lower_indices(name):
 
 @pytest.mark.parametrize("name", holonomy.CATALOG_NAMES)
 def test_analytic_christoffels_match_finite_differences(name):
+    """The closed-form catalog Christoffels agree with the central-difference
+    fallback on the same metric (FD error ~ FD_STEP^2, measured <= 2e-10)."""
     chart = holonomy.catalog(name)
     assert chart.christoffel is not None
     fd_chart = holonomy.ManifoldChart(chart.dim, chart.metric, chart.domain,
@@ -50,7 +52,27 @@ def test_analytic_christoffels_match_finite_differences(name):
     for x in random_interior_points(chart, 50, seed=2):
         Ga = holonomy.christoffel(chart, x)
         Gf = holonomy.christoffel(fd_chart, x)
-        assert maxabs(Ga - Gf) < 1e-5
+        assert maxabs(Ga - Gf) < 1e-7
+
+
+def _fs_hermitian_reference(x):
+    """Fubini-Study metric from its Hermitian coefficient matrix
+    H = ((1 + r^2) I - z zbar^T) / (1 + r^2)^2, realified block by block."""
+    z = np.array([x[0] + 1j * x[1], x[2] + 1j * x[3]])
+    r2 = float(np.dot(x, x))
+    H = ((1.0 + r2) * np.eye(2) - np.outer(z, z.conj())) / (1.0 + r2) ** 2
+    g = np.empty((4, 4))
+    for a in range(2):
+        for b in range(2):
+            A, B = H[a, b].real, H[a, b].imag
+            g[2 * a:2 * a + 2, 2 * b:2 * b + 2] = [[A, -B], [B, A]]
+    return g
+
+
+def test_fubini_study_metric_matches_hermitian_form():
+    chart = holonomy.catalog("fubini_study_cp2")
+    for x in random_interior_points(chart, 50, seed=7, margin=0.0):
+        assert maxabs(chart.metric(x) - _fs_hermitian_reference(x)) < 1e-15
 
 
 def test_christoffel_spherical_chart_closed_form():
@@ -115,6 +137,38 @@ def test_transport_flat_torus_loop_is_identity():
     loop = holonomy.rectangle_loop([0.4] * 4, 0, 2, 0.3)
     A = holonomy.parallel_transport(chart, loop, 200)
     assert maxabs(A - np.eye(4)) < 1e-10
+
+
+def test_transport_reuses_stage_evaluations():
+    """n RK4 steps evaluate the Christoffels 2n + 1 times per segment: k2 and
+    k3 share t + h/2, and each step's t + h is the next step's k1."""
+    base = holonomy.catalog("round_sphere_4")
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return base.christoffel(x)
+
+    chart = holonomy.ManifoldChart(base.dim, base.metric, base.domain,
+                                   christoffel=counting, name="counted")
+    loop = holonomy.rectangle_loop(np.zeros(4), 0, 1, 0.5)
+    A = holonomy.parallel_transport(chart, loop, 400)
+    assert len(calls) == 4 * (2 * 100 + 1)
+    assert np.array_equal(A, holonomy.parallel_transport(base, loop, 400))
+
+
+def test_transport_rejects_non_finite_defect():
+    base = holonomy.catalog("round_sphere_4")
+    chart = holonomy.ManifoldChart(base.dim, base.metric, base.domain,
+                                   christoffel=lambda x: np.full((4, 4, 4), np.nan),
+                                   name="nan_christoffels")
+    loop = holonomy.rectangle_loop(np.zeros(4), 0, 1, 0.5)
+    _, defect = holonomy.transport_with_defect(chart, loop, 200)
+    assert math.isnan(defect)
+    with pytest.raises(StepTooCoarse, match="non-finite"):
+        holonomy.parallel_transport(chart, loop, 200)
+    with pytest.raises(StepTooCoarse, match="non-finite"):
+        holonomy.holonomy_samples(chart, np.zeros(4), [loop], 200)
 
 
 def test_transport_requires_enough_steps():

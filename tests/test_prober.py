@@ -237,6 +237,19 @@ def test_probe_inconclusive_outside_domain(delta4):
     assert v.failing_stage == "holonomy_samples"
 
 
+def test_probe_inconclusive_on_non_finite_transport(delta4):
+    """NaN Christoffels give a NaN transport defect, which is rejected at the
+    sampling stage instead of reaching the SVD of the polar correction."""
+    base = holonomy.catalog("round_sphere_4")
+    chart = holonomy.ManifoldChart(base.dim, base.metric, base.domain,
+                                   christoffel=lambda x: np.full((4, 4, 4), np.nan),
+                                   name="nan_christoffels")
+    v = prober.probe(chart, [0.0] * 4, delta=delta4)
+    assert v.kind == "Inconclusive"
+    assert v.failing_stage == "holonomy_samples"
+    assert "non-finite" in v.detail
+
+
 def test_probe_mutual_exclusion(delta4):
     """An obstruction verdict carries a witness and no certificates."""
     chart = holonomy.catalog("round_sphere_4")
