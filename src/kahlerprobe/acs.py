@@ -18,6 +18,7 @@ raise ComponentMismatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,9 @@ TOL_LOG = 1e-8    # log-map round-trip verification
 
 
 def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    """Max-abs entry; inf when any entry is NaN, so every `> tol` check rejects it."""
+    m = float(np.max(np.abs(a))) if a.size else 0.0
+    return math.inf if math.isnan(m) else m
 
 
 @dataclass(frozen=True)
@@ -82,32 +85,6 @@ class TangentPhi:
 
     def scaled(self, c: float) -> "TangentPhi":
         return TangentPhi(self.base, c * self.mat)
-
-    def __add__(self, other: "TangentPhi") -> "TangentPhi":
-        if not self.base.same_point(other.base):
-            raise BasePointMismatch("tangent vectors at different base points")
-        return TangentPhi(self.base, self.mat + other.mat)
-
-    def __neg__(self) -> "TangentPhi":
-        return TangentPhi(self.base, -self.mat)
-
-
-@dataclass(frozen=True)
-class LieDirection:
-    """The skew generator X of the geodesic conjugation orbit.
-
-    Related to a tangent vector by phi = 2 X J, i.e. X = -phi J / 2.
-    """
-
-    base: OrthoComplexStructure
-    mat: np.ndarray
-
-    def to_tangent(self) -> TangentPhi:
-        return TangentPhi(self.base, 2.0 * self.mat @ self.base.mat)
-
-    @staticmethod
-    def from_tangent(phi: TangentPhi) -> "LieDirection":
-        return LieDirection(phi.base, -0.5 * phi.mat @ phi.base.mat)
 
 
 def canonical_j(n: int) -> OrthoComplexStructure:
@@ -219,6 +196,15 @@ def distance(J1: OrthoComplexStructure, J2: OrthoComplexStructure) -> float:
     if J1.same_point(J2):
         return 0.0
     return log_map(J1, J2).norm()
+
+
+def distance_or_inf(J1: OrthoComplexStructure, J2: OrthoComplexStructure) -> float:
+    """distance, or +inf past the cut locus or across components: such a
+    pair is certainly farther apart than any radius below injectivity."""
+    try:
+        return distance(J1, J2)
+    except (CutLocusError, ComponentMismatch):
+        return math.inf
 
 
 def conjugate(Q: np.ndarray, J: OrthoComplexStructure) -> OrthoComplexStructure:

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import acs, holonomy, io, karcher, prober
+from . import holonomy, io, karcher, prober
 from .constants import compute_delta
 from .errors import KahlerProbeError
 
@@ -42,9 +42,6 @@ def _add_common(sub):
     sub.add_argument("--out", help="write the output JSON here instead of stdout")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp field (byte-stable output)")
-    sub.add_argument("--threads", type=int, default=0,
-                     help="worker cap (0 = available parallelism); "
-                          "output is independent of this value")
     sub.add_argument("--seed", type=int, default=0)
 
 

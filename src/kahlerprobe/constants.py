@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from . import acs
 from .errors import (
     ComponentMismatch,
     CutLocusError,
+    DegeneratePlane,
     DimensionMismatch,
     DimensionTooSmall,
 )
@@ -122,7 +123,7 @@ def estimate_epsilon(n: int, num_samples: int = 300, seed: int = 0,
                     b = acs.TangentPhi(J, cur_plane[1].mat + dpsi.mat)
                     try:
                         k = acs.sectional_curvature(J, a, b)
-                    except Exception:
+                    except DegeneratePlane:
                         continue
                     if k > cur + 1e-10:
                         cur, cur_plane = k, (a, b)
@@ -180,7 +181,7 @@ def cache_path() -> str:
     return os.environ.get("KAHLER_PROBE_CACHE", DEFAULT_CACHE)
 
 
-def compute_delta(n: int, num_samples: int = 300, num_directions: int = 8,
+def compute_delta(n: int, num_samples: int = 300,
                   resolution: float = 0.01, seed: int = 0,
                   epsilon_override: float | None = None,
                   use_cache: bool = True) -> DeltaConstant:
@@ -206,8 +207,7 @@ def compute_delta(n: int, num_samples: int = 300, num_directions: int = 8,
                              samples=0)
     else:
         eps = estimate_epsilon(n, num_samples=num_samples, seed=seed)
-    inj = estimate_injectivity(n, num_directions=num_directions,
-                               resolution=resolution, seed=seed)
+    inj = estimate_injectivity(n, resolution=resolution, seed=seed)
     delta = delta_2n(n, eps, inj)
     if use_cache:
         cache[key] = {"epsilon": delta.epsilon_used, "inj_lower": delta.inj_used,

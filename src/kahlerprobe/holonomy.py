@@ -53,9 +53,6 @@ class ManifoldChart:
         return bool(np.all(x >= self.domain[:, 0] + margin)
                     and np.all(x <= self.domain[:, 1] - margin))
 
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.domain[:, 0] + self.domain[:, 1])
-
 
 @dataclass(frozen=True)
 class SmoothPath:
@@ -140,6 +137,17 @@ def _metric_at(chart: ManifoldChart, x) -> np.ndarray:
     return g
 
 
+def central_difference(f, x, h) -> np.ndarray:
+    """Stack over axes k of (f(x + h_k e_k) - f(x - h_k e_k)) / (2 h_k)."""
+    x = np.asarray(x, dtype=float)
+    out = []
+    for k in range(x.size):
+        e = np.zeros(x.size)
+        e[k] = h[k]
+        out.append((f(x + e) - f(x - e)) / (2.0 * e[k]))
+    return np.stack(out)
+
+
 def christoffel(chart: ManifoldChart, x) -> np.ndarray:
     """Gamma[k, i, j] at x, analytic when available, else central differences."""
     x = np.asarray(x, dtype=float)
@@ -148,12 +156,8 @@ def christoffel(chart: ManifoldChart, x) -> np.ndarray:
     h = FD_STEP
     if not chart.contains(x, margin=2.0 * h):
         raise OutsideDomain(f"{x} too close to the domain boundary for step {h}")
-    d = chart.dim
-    dg = np.empty((d, d, d))  # dg[l, i, j] = d g_ij / d x_l
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = h
-        dg[l] = (_metric_at(chart, x + e) - _metric_at(chart, x - e)) / (2.0 * h)
+    # dg[l, i, j] = d g_ij / d x_l
+    dg = central_difference(lambda y: _metric_at(chart, y), x, np.full(chart.dim, h))
     g = _metric_at(chart, x)
     try:
         ginv = np.linalg.inv(g)

@@ -11,7 +11,7 @@ discretizes the Haar measure)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,10 +142,7 @@ def check_convexity(s: WeightedSampleSet, delta: DeltaConstant) -> ConvexityRepo
     dmat = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            try:
-                dmat[i, j] = dmat[j, i] = acs.distance(pts[i], pts[j])
-            except ComponentMismatch:
-                dmat[i, j] = dmat[j, i] = math.inf
+            dmat[i, j] = dmat[j, i] = acs.distance_or_inf(pts[i], pts[j])
     radius = float(np.min(np.max(dmat, axis=1))) if m > 1 else 0.0
     diameter = float(np.max(dmat))
     bound = math.pi / (2.0 * math.sqrt(delta.epsilon_used))

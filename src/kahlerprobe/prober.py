@@ -22,8 +22,6 @@ from . import acs, holonomy
 from .acs import OrthoComplexStructure
 from .constants import DeltaConstant, compute_delta
 from .errors import (
-    ComponentMismatch,
-    CutLocusError,
     DeterminantAnomaly,
     DimensionMismatch,
     GridTooCoarse,
@@ -63,7 +61,6 @@ class GlobalJField:
     base_point: np.ndarray
     base_J: OrthoComplexStructure       # orthonormal-frame expression at base
     grid: tuple                          # probe points (interior)
-    grid_res: int
     h: np.ndarray                        # per-axis stencil step
     steps: int
     path_independence_residual: float = math.nan
@@ -120,10 +117,7 @@ def orbit(J_p: OrthoComplexStructure, samples) -> OrbitReport:
                 "connected manifold cannot produce this")
         Jq = acs.conjugate(s.matrix, J_p)
         pts.append(Jq)
-        try:
-            dists.append(acs.distance(J_p, Jq))
-        except (CutLocusError, ComponentMismatch):
-            dists.append(math.inf)
+        dists.append(acs.distance_or_inf(J_p, Jq))
     max_d = max(dists) if dists else 0.0
     return OrbitReport(base_J=J_p, samples=tuple(samples), orbit=tuple(pts),
                        distances=tuple(dists), max_distance=float(max_d),
@@ -167,10 +161,7 @@ def fixedness_check(J_prime: OrthoComplexStructure, samples) -> float:
     """Max distance between J' and its conjugates by the samples."""
     worst = 0.0
     for s in samples:
-        try:
-            worst = max(worst, acs.distance(J_prime, acs.conjugate(s.matrix, J_prime)))
-        except (CutLocusError, ComponentMismatch):
-            worst = math.inf
+        worst = max(worst, acs.distance_or_inf(J_prime, acs.conjugate(s.matrix, J_prime)))
     return worst
 
 
@@ -209,8 +200,7 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
         if len(probes) == probe_points:
             break
     field_ = GlobalJField(chart=chart, base_point=p, base_J=J_prime,
-                          grid=tuple(probes), grid_res=grid_res, h=h,
-                          steps=steps)
+                          grid=tuple(probes), h=h, steps=steps)
     reversed_order = list(range(chart.dim))[::-1]
     worst = 0.0
     for x in probes:
@@ -224,14 +214,8 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
 
 def _field_derivatives(field_: GlobalJField, x, scale: float = 1.0):
     """J_coord at x and its central-difference gradient dJ[k, i, j]."""
-    d = field_.chart.dim
-    J = field_.coordinate_j(x)
-    dJ = np.empty((d, d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = scale * field_.h[k]
-        dJ[k] = (field_.coordinate_j(x + e) - field_.coordinate_j(x - e)) / (2.0 * e[k])
-    return J, dJ
+    return (field_.coordinate_j(x),
+            holonomy.central_difference(field_.coordinate_j, x, scale * field_.h))
 
 
 def covariant_constancy_check(field_: GlobalJField, scale: float = 1.0) -> float:
@@ -263,7 +247,6 @@ def nijenhuis_check(field_: GlobalJField, scale: float = 1.0) -> float:
 def kahler_form_check(field_: GlobalJField, scale: float = 1.0) -> float:
     """Antisymmetry of omega = g J and max-abs component of d omega."""
     worst = 0.0
-    d = field_.chart.dim
 
     def omega(x):
         return holonomy._metric_at(field_.chart, x) @ field_.coordinate_j(x)
@@ -273,11 +256,7 @@ def kahler_form_check(field_: GlobalJField, scale: float = 1.0) -> float:
         if float(np.max(np.abs(w + w.T))) > 1e-8:
             raise FormNotAntisymmetric(
                 "fundamental 2-form is not antisymmetric at a probe point")
-        dw = np.empty((d, d, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = scale * field_.h[k]
-            dw[k] = (omega(x + e) - omega(x - e)) / (2.0 * e[k])
+        dw = holonomy.central_difference(omega, x, scale * field_.h)
         ext = dw + np.einsum("jki->ijk", dw) + np.einsum("kij->ijk", dw)
         worst = max(worst, float(np.max(np.abs(ext))))
     return worst
@@ -295,7 +274,6 @@ class ProbeConfig:
     probe_points: int = 10
     seed: int = 0
     mean_tol: float = 1e-10
-    refine: bool = True
 
 
 @dataclass
@@ -391,7 +369,7 @@ def probe(chart: holonomy.ManifoldChart, p, J_p=None,
                     mean_result=mean, global_field=field_, certificates=certs,
                     failing_stage=name,
                     detail=f"residual {coarse:.3e} >= {TOL_CERT}")
-            if config.refine and coarse > CERT_FLOOR:
+            if coarse > CERT_FLOOR:
                 fine = check(field_, scale=0.5)
                 certs[name + "_refined"] = fine
                 if fine * MIN_DECAY > coarse:

@@ -95,11 +95,12 @@ def test_mean_matches_midpoint_fixture(capsys, tmp_path):
 
 def test_mean_rejects_invalid_structure(capsys, tmp_path):
     src = tmp_path / "bad.json"
-    src.write_text(io.dump_json([io.matrix_to_json(np.eye(4))]))
-    code, out, err = run_cli(capsys, "mean", "--input", str(src))
-    assert code == 2
-    payload = json.loads(err)
-    assert payload["error"] == "not_a_complex_structure"
+    for mat in (np.eye(4), np.full((4, 4), np.nan)):
+        src.write_text(io.dump_json([io.matrix_to_json(mat)]))
+        code, out, err = run_cli(capsys, "mean", "--input", str(src))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "not_a_complex_structure"
 
 
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):
@@ -127,6 +128,35 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["transport", "--manifold", "flat_torus_4"])  # missing --point
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["delta", "--threads", "2"])  # no such flag
+    assert exc.value.code == 1
+
+
+def test_config_header_keys(capsys, tmp_path):
+    """Each subcommand echoes exactly its own resolved flags."""
+    common = {"subcommand", "no_timestamp", "seed"}
+    loop = {"manifold", "point", "loop_kind", "loops", "loop_scale",
+            "ode_steps", "word_length"}
+    src = tmp_path / "points.json"
+    src.write_text(io.dump_json([io.structure_to_json(acs.canonical_j(2))]))
+    small = ["--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5",
+             "--loops", "2", "--word-length", "1", "--ode-steps", "100"]
+    cases = {
+        "delta": ([], {"dim", "samples", "resolution", "epsilon_override",
+                       "no_cache"}),
+        "mean": (["--input", str(src)], {"input", "tol", "max_iter"}),
+        "transport": (small, loop),
+        "orbit": (small, loop | {"j", "csv"}),
+        "probe": (small + ["--grid", "9", "--field-steps", "100",
+                           "--probe-points", "1"],
+                  loop | {"j", "delta_dim", "grid", "field_steps",
+                          "probe_points", "mean_tol"}),
+    }
+    for name, (argv, keys) in cases.items():
+        code, out, _ = run_cli(capsys, name, *argv, "--no-timestamp")
+        assert code == 0
+        assert set(json.loads(out)["config"]) == common | keys
 
 
 def test_transport_output_roundtrips(capsys):

@@ -188,6 +188,12 @@ def test_convexity_violated_by_spread_points(delta4):
     assert not report.diameter_ok
     with pytest.raises(ConvexityViolation):
         karcher_mean_checked(WeightedSampleSet.uniform([J1, J2]), delta4)
+    # J and -J lie in one component for n = 2 but on each other's cut locus:
+    # the pair counts as infinitely far apart instead of raising
+    cut = WeightedSampleSet.uniform([J1, acs.OrthoComplexStructure(-J1.mat)])
+    assert check_convexity(cut, delta4).diameter == math.inf
+    with pytest.raises(ConvexityViolation):
+        karcher_mean_checked(cut, delta4)
 
 
 def test_convexity_ok_inside_delta_ball(delta4):

@@ -175,7 +175,7 @@ def make_twisted_field(grid_points):
     chart = holonomy.catalog("flat_torus_4")
     return _TwistedField(chart=chart, base_point=np.full(4, 0.5),
                          base_J=acs.canonical_j(2), grid=tuple(grid_points),
-                         grid_res=9, h=np.full(4, 0.002), steps=150)
+                         h=np.full(4, 0.002), steps=150)
 
 
 def test_twisted_field_fails_all_certificates():
