@@ -2,18 +2,21 @@
 
 ``eps`` is an upper bound on the sectional curvature of the structure space,
 estimated by sampling 2-planes at the canonical base point (homogeneity makes
-one point sufficient) and optionally refining the best candidates by local
-ascent.  The injectivity radius is lower-bounded by marching along random
-unit-speed geodesics until the geodesic stops minimizing or the log map
-fails.  Both estimators are conservative in the direction that keeps the
-dichotomy sound: a too-large eps or too-small inj only shrinks delta.
+one point sufficient) and refining the best candidates by local ascent.
+The injectivity radius is lower-bounded by marching along random unit-speed
+geodesics until the geodesic stops minimizing or the log map fails.  Both
+estimators are conservative in the direction that keeps the dichotomy
+sound: a too-large eps or too-small inj only shrinks delta.  The cache file
+is replaced atomically, so a failed or concurrent write never leaves it torn.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,7 @@ DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".kahlerprobe_delta_cache.
 class CurvatureBound:
     n: int
     epsilon: float
-    method: str  # "sampled" | "refined" | "user_override"
+    method: str  # "refined" (estimate_epsilon) | "user_override"
     samples: int
     max_sampled: float = 0.0
 
@@ -90,9 +93,9 @@ def _random_plane(J, seed):
     return phi, psi.scaled(1.0 / nrm)
 
 
-def estimate_epsilon(n: int, num_samples: int = 300, seed: int = 0,
-                     refine: bool = True) -> CurvatureBound:
-    """Sampled (optionally refined) upper bound on sectional curvature."""
+def estimate_epsilon(n: int, num_samples: int = 300, seed: int = 0) -> CurvatureBound:
+    """Sampled upper bound on sectional curvature, refined by local ascent
+    from the ten best sampled planes."""
     if n < 2:
         raise DimensionTooSmall("no 2-planes for n = 1")
     if num_samples < 100:
@@ -108,30 +111,27 @@ def estimate_epsilon(n: int, num_samples: int = 300, seed: int = 0,
         found.append((acs.sectional_curvature(J, *plane), plane))
     found.sort(key=lambda kv: -kv[0])
     best = found[0][0]
-    method = "sampled"
-    if refine:
-        method = "refined"
-        for k0, (phi, psi) in found[:10]:
-            cur, cur_plane = k0, (phi, psi)
-            step = 0.2
-            while step > 1e-6:
-                improved = False
-                for _ in range(20):
-                    dphi = acs.random_tangent(J, int(rng.integers(0, 2**31 - 1)), step)
-                    dpsi = acs.random_tangent(J, int(rng.integers(0, 2**31 - 1)), step)
-                    a = acs.TangentPhi(J, cur_plane[0].mat + dphi.mat)
-                    b = acs.TangentPhi(J, cur_plane[1].mat + dpsi.mat)
-                    try:
-                        k = acs.sectional_curvature(J, a, b)
-                    except DegeneratePlane:
-                        continue
-                    if k > cur + 1e-10:
-                        cur, cur_plane = k, (a, b)
-                        improved = True
-                if not improved:
-                    step *= 0.5
-            best = max(best, cur)
-    return CurvatureBound(n=n, epsilon=SAFETY_FACTOR * best, method=method,
+    for k0, (phi, psi) in found[:10]:
+        cur, cur_plane = k0, (phi, psi)
+        step = 0.2
+        while step > 1e-6:
+            improved = False
+            for _ in range(20):
+                dphi = acs.random_tangent(J, int(rng.integers(0, 2**31 - 1)), step)
+                dpsi = acs.random_tangent(J, int(rng.integers(0, 2**31 - 1)), step)
+                a = acs.TangentPhi(J, cur_plane[0].mat + dphi.mat)
+                b = acs.TangentPhi(J, cur_plane[1].mat + dpsi.mat)
+                try:
+                    k = acs.sectional_curvature(J, a, b)
+                except DegeneratePlane:
+                    continue
+                if k > cur + 1e-10:
+                    cur, cur_plane = k, (a, b)
+                    improved = True
+            if not improved:
+                step *= 0.5
+        best = max(best, cur)
+    return CurvatureBound(n=n, epsilon=SAFETY_FACTOR * best, method="refined",
                           samples=num_samples, max_sampled=best)
 
 
@@ -212,9 +212,26 @@ def compute_delta(n: int, num_samples: int = 300,
     if use_cache:
         cache[key] = {"epsilon": delta.epsilon_used, "inj_lower": delta.inj_used,
                       "delta": delta.delta}
-        try:
-            with open(path, "w") as fh:
-                json.dump(cache, fh, indent=1, sort_keys=True)
-        except OSError:
-            pass
+        _write_cache(path, cache)
     return delta
+
+
+def _write_cache(path: str, cache: dict) -> None:
+    """Replace the cache file atomically: dump to a temp file in the same
+    directory, then rename it over the cache.  A failed write leaves the
+    previous file as it was and no temp file behind; an OSError is ignored,
+    since the cache is only an optimization."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".delta_cache_", suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(cache, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)

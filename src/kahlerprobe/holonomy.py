@@ -8,9 +8,12 @@ in g-orthonormal frames at the endpoints, where it is orthogonal up to the
 integration defect.  RK4 reuses stages: an n-step segment evaluates the
 Christoffels 2n + 1 times, not 4n, with the same result bit for bit.
 Holonomy is sampled by transporting families of closed loops and optionally
-closing the sample under products and inverses.  The catalog charts have
-closed-form metrics and Christoffels without Python loops; Fubini-Study's
-come from its complex connection realified through a constant basis.
+closing the sample under products and inverses; the closure keeps its
+matrices in one (N, d, d) stack and drops a product within 1e-9 of a kept
+one by a single vectorized max-abs test against that stack.  The catalog
+charts have closed-form metrics and Christoffels without Python loops;
+Fubini-Study's come from its complex connection realified through a
+constant basis.
 """
 
 from __future__ import annotations
@@ -223,7 +226,7 @@ def _transport_coordinate(chart: ManifoldChart, path: SmoothPath, steps: int) ->
 def transport_with_defect(chart: ManifoldChart, path: SmoothPath, steps: int):
     """Orthonormal-frame transport matrix and its raw orthogonality defect."""
     if steps < 100:
-        raise ValueError("steps must be >= 100")
+        raise StepTooCoarse(f"{steps} ODE steps; at least 100 are needed")
     P = _transport_coordinate(chart, path, steps)
     p = np.asarray(path.map(0.0), dtype=float)
     q = np.asarray(path.map(1.0), dtype=float)
@@ -350,10 +353,17 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
 
     Products are formed on the polar-corrected matrices; their loops are the
     corresponding path concatenations, so every sample stays independently
-    replayable.
+    replayable.  Kept matrices live in one (N, d, d) stack that grows by
+    doubling.  A candidate is a duplicate when some kept matrix is within
+    1e-9 of it in every entry, found by one vectorized max-abs test against
+    the filled part of the stack; a NaN candidate is never a duplicate.
+    Candidates are tested and kept one at a time in word order, so a product
+    kept earlier in a level hides a later duplicate.  Each sample's matrix
+    is a read-only view into the stack.
     """
     p = np.asarray(p, dtype=float)
-    base = []
+    # generators +-(i+1): loop i and its reverse, as (matrix, loop, defect)
+    gens = {}
     for i, loop in enumerate(loops):
         if not loop.closed:
             raise ValueError("holonomy sampling needs closed loops")
@@ -361,44 +371,55 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
             raise ValueError("loop is not based at p")
         A, defect = transport_with_defect(chart, loop, steps)
         _check_defect(defect)
-        base.append(HolonomySample(p, loop, nearest_orthogonal(A), steps,
-                                   defect, word=(i + 1,)))
-    if word_length <= 1:
-        return base
+        Q = nearest_orthogonal(A)
+        gens[i + 1] = (Q, loop, defect)
+        gens[-(i + 1)] = (Q.T, loop.reversed(), defect)
+    k = len(gens) // 2
 
-    def seen(mat, pool):
-        return any(np.max(np.abs(mat - s.matrix)) < 1e-9 for s in pool)
+    stack = np.empty((max(2 * k, 1), p.size, p.size))
+    kept = []  # (word, loop, defect) of stack[i]
 
-    # generators and their inverses, indexed +-(i+1)
-    gens = {}
-    for i, s in enumerate(base):
-        gens[i + 1] = s
-        gens[-(i + 1)] = HolonomySample(p, s.loop.reversed(), s.matrix.T,
-                                        steps, s.orthogonality_defect,
-                                        word=(-(i + 1),))
-    out = list(base)
-    frontier = [((i + 1,), s) for i, s in enumerate(base)]
-    frontier += [((-(i + 1),), gens[-(i + 1)]) for i in range(len(base))]
-    for s in (gens[-(i + 1)] for i in range(len(base))):
-        if not seen(s.matrix, out):
-            out.append(s)
+    def seen(mat) -> bool:
+        diff = np.max(np.abs(stack[:len(kept)] - mat), axis=(1, 2))
+        return bool(np.any(diff < 1e-9))
+
+    def keep(word, mat, loop, defect) -> np.ndarray:
+        nonlocal stack
+        i = len(kept)
+        if i == len(stack):
+            stack = np.concatenate([stack, np.empty_like(stack)])
+        stack[i] = mat
+        kept.append((word, loop, defect))
+        return stack[i]
+
+    order = [g for g in gens if g > 0] + [g for g in gens if g < 0]
+    for g in order[:k]:
+        keep((g,), *gens[g])
+    if word_length > 1:
+        for g in order[k:]:
+            if not seen(gens[g][0]):
+                keep((g,), *gens[g])
+    frontier = [((g,), *gens[g]) for g in order]
     for _ in range(word_length - 1):
         new_frontier = []
-        for word, s in frontier:
-            for g_idx, g in gens.items():
+        for word, mat_s, loop_s, defect_s in frontier:
+            for g_idx, (mat_g, loop_g, defect_g) in gens.items():
                 if g_idx == -word[-1]:
                     continue  # immediate cancellation
-                mat = s.matrix @ g.matrix
-                if seen(mat, out):
+                mat = mat_s @ mat_g
+                if seen(mat):
                     continue
-                sample = HolonomySample(
-                    p, concatenate_paths([g.loop, s.loop]), mat, steps,
-                    max(s.orthogonality_defect, g.orthogonality_defect),
-                    word=word + (g_idx,))
-                out.append(sample)
-                new_frontier.append((sample.word, sample))
+                word_g = word + (g_idx,)
+                loop = concatenate_paths([loop_g, loop_s])
+                defect = max(defect_s, defect_g)
+                new_frontier.append(
+                    (word_g, keep(word_g, mat, loop, defect), loop, defect))
         frontier = new_frontier
-    return out
+
+    stack = stack[:len(kept)].copy()  # drop the doubling slack
+    stack.setflags(write=False)
+    return [HolonomySample(p, loop, stack[i], steps, defect, word=word)
+            for i, (word, loop, defect) in enumerate(kept)]
 
 
 # -- catalog charts -----------------------------------------------------------

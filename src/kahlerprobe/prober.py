@@ -323,8 +323,12 @@ def probe(chart: holonomy.ManifoldChart, p, J_p=None,
     except KahlerProbeError as exc:
         return inconclusive("holonomy_samples", exc)
 
-    report = orbit(J_p, samples)
-    if not near_preservation_test(report, delta):
+    try:
+        report = orbit(J_p, samples)
+        preserved = near_preservation_test(report, delta)
+    except KahlerProbeError as exc:
+        return inconclusive("orbit", exc)
+    if not preserved:
         i = report.argmax_loop
         return DichotomyVerdict(kind="HolonomyObstruction", delta_used=delta,
                                 orbit_report=report, witness_loop_index=i,
@@ -338,7 +342,10 @@ def probe(chart: holonomy.ManifoldChart, p, J_p=None,
         return inconclusive("average_to_fixed", exc)
     J_prime = mean.mean
 
-    fix_res = fixedness_check(J_prime, samples)
+    try:
+        fix_res = fixedness_check(J_prime, samples)
+    except KahlerProbeError as exc:
+        return inconclusive("fixedness_check", exc)
     if fix_res >= TOL_FIX:
         return inconclusive("fixedness_check",
                             f"fixedness residual {fix_res:.3e} >= {TOL_FIX}")

@@ -173,6 +173,14 @@ def test_transport_output_roundtrips(capsys):
         assert s["orthogonality_defect"] < 1e-4
 
 
+def test_transport_too_few_ode_steps(capsys):
+    code, out, err = run_cli(capsys, "transport", "--manifold", "round_sphere_4",
+                             "--point", "0,0,0,0", "--ode-steps", "50")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "step_too_coarse"
+
+
 def test_orbit_csv_export(capsys, tmp_path):
     csv_path = tmp_path / "distances.csv"
     code, out, _ = run_cli(capsys, "orbit", "--manifold", "round_sphere_4",

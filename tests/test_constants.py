@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from kahlerprobe import acs
+from kahlerprobe import acs, constants
 from kahlerprobe.constants import (
     CurvatureBound,
     DeltaConstant,
@@ -72,20 +72,20 @@ def test_estimators_reject_n1():
 
 
 def test_epsilon_covers_every_sample():
-    eps = estimate_epsilon(2, num_samples=100, seed=3, refine=False)
+    eps = estimate_epsilon(2, num_samples=100, seed=3)
     assert eps.epsilon >= eps.max_sampled
     assert eps.epsilon == pytest.approx(1.05 * eps.max_sampled, rel=1e-12)
 
 
 def test_epsilon_positive_and_finite_for_n3():
-    eps = estimate_epsilon(3, num_samples=100, seed=0, refine=False)
+    eps = estimate_epsilon(3, num_samples=100, seed=0)
     assert 0.0 < eps.epsilon < math.inf
 
 
 def test_epsilon_matches_constant_curvature_for_n2():
     """n = 2 has constant sectional curvature 1/4; the sampled maximum must
     land on it and the 1.05 safety factor on top."""
-    eps = estimate_epsilon(2, num_samples=100, seed=1, refine=False)
+    eps = estimate_epsilon(2, num_samples=100, seed=1)
     assert eps.max_sampled == pytest.approx(0.25, abs=1e-9)
     assert eps.epsilon == pytest.approx(0.2625, abs=1e-9)
 
@@ -129,3 +129,22 @@ def test_epsilon_override():
     d = compute_delta(2, epsilon_override=1.0, use_cache=False)
     assert d.epsilon_used == 1.0
     assert d.delta == pytest.approx(math.pi / 4.0, abs=1e-12)
+
+
+def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
+    """The cache is replaced atomically: a write that dies half way leaves
+    the previous file intact and no temp file behind."""
+    path = tmp_path / "delta_cache.json"
+    previous = json.dumps({"n=2;seed=9;ns=300;res=0.01": {"delta": 1.0}})
+    path.write_text(previous)
+    monkeypatch.setenv("KAHLER_PROBE_CACHE", str(path))
+
+    def broken_dump(obj, fh, **kw):
+        fh.write('{"n=2;')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(constants.json, "dump", broken_dump)
+    d = compute_delta(2, epsilon_override=1.0)
+    assert d.epsilon_used == 1.0
+    assert path.read_text() == previous
+    assert os.listdir(tmp_path) == [path.name]

@@ -174,7 +174,7 @@ def test_transport_rejects_non_finite_defect():
 def test_transport_requires_enough_steps():
     chart = holonomy.catalog("flat_torus_4")
     loop = holonomy.rectangle_loop([0.4] * 4, 0, 1, 0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(StepTooCoarse):
         holonomy.parallel_transport(chart, loop, 50)
 
 
@@ -281,10 +281,14 @@ def test_loop_family_unknown_kind():
 # -- holonomy sampling --------------------------------------------------------
 
 def test_flat_torus_samples_are_identity():
+    """Every product and inverse is a duplicate: only the base is kept."""
     chart = holonomy.catalog("flat_torus_4")
     loops = holonomy.loop_family(chart, [0.5] * 4, "coordinate_rectangles",
                                  6, 0.3)
-    for s in holonomy.holonomy_samples(chart, [0.5] * 4, loops, 200):
+    samples = holonomy.holonomy_samples(chart, [0.5] * 4, loops, 200,
+                                        word_length=3)
+    assert [s.word for s in samples] == [(i,) for i in range(1, 7)]
+    for s in samples:
         assert maxabs(s.matrix - np.eye(4)) < 1e-10
         assert s.orthogonality_defect < 1e-10
 
@@ -315,6 +319,66 @@ def test_word_closure_contains_inverses():
     samples = holonomy.holonomy_samples(chart, p, loops, 600, word_length=2)
     words = {s.word for s in samples}
     assert (-1,) in words
+
+
+def _pairwise_closure(base, word_length):
+    """The word closure with a pairwise duplicate scan: each candidate is
+    compared with every kept matrix in turn, any(max|a - b| < 1e-9)."""
+    k = len(base)
+    gens = {}
+    for i, s in enumerate(base):
+        gens[i + 1] = s.matrix
+        gens[-(i + 1)] = s.matrix.T
+    out = [(s.word, s.matrix) for s in base]
+
+    def seen(mat):
+        return any(np.max(np.abs(mat - m)) < 1e-9 for _, m in out)
+
+    frontier = [((i + 1,), gens[i + 1]) for i in range(k)]
+    frontier += [((-(i + 1),), gens[-(i + 1)]) for i in range(k)]
+    for i in range(k):
+        if not seen(gens[-(i + 1)]):
+            out.append(((-(i + 1),), gens[-(i + 1)]))
+    for _ in range(word_length - 1):
+        new_frontier = []
+        for word, m in frontier:
+            for g_idx, g in gens.items():
+                if g_idx == -word[-1]:
+                    continue
+                mat = m @ g
+                if seen(mat):
+                    continue
+                out.append((word + (g_idx,), mat))
+                new_frontier.append((word + (g_idx,), mat))
+        frontier = new_frontier
+    return out
+
+
+@pytest.mark.parametrize("name,loops,scale,word_length", [
+    ("round_sphere_4", 5, 0.5, 3),
+    ("fubini_study_cp2", 6, 0.45, 2),
+])
+def test_word_closure_matches_pairwise_scan(name, loops, scale, word_length):
+    """The stacked, vectorized duplicate test keeps the same words in the
+    same order, with bit-identical matrices, as the pairwise scan."""
+    chart = holonomy.catalog(name)
+    p = np.zeros(4)
+    family = holonomy.loop_family(chart, p, "coordinate_rectangles", loops, scale)
+    base = holonomy.holonomy_samples(chart, p, family, 400)
+    samples = holonomy.holonomy_samples(chart, p, family, 400,
+                                        word_length=word_length)
+    expected = _pairwise_closure(base, word_length)
+    assert [s.word for s in samples] == [w for w, _ in expected]
+    for s, (_, mat) in zip(samples, expected):
+        assert np.array_equal(s.matrix, mat)
+        assert not s.matrix.flags.writeable
+    assert len({len(s.word) for s in samples}) == word_length
+
+
+def test_word_closure_of_no_loops_is_empty():
+    chart = holonomy.catalog("round_sphere_4")
+    assert holonomy.holonomy_samples(chart, np.zeros(4), [], 400,
+                                     word_length=3) == []
 
 
 def test_samples_reject_open_loops():

@@ -250,6 +250,25 @@ def test_probe_inconclusive_on_non_finite_transport(delta4):
     assert "non-finite" in v.detail
 
 
+def test_probe_inconclusive_on_too_few_ode_steps(delta4):
+    chart = holonomy.catalog("round_sphere_4")
+    v = prober.probe(chart, [0.0] * 4, config=prober.ProbeConfig(ode_steps=50),
+                     delta=delta4)
+    assert v.kind == "Inconclusive"
+    assert v.failing_stage == "holonomy_samples"
+
+
+def test_probe_inconclusive_on_orbit_error(delta4, monkeypatch):
+    """A determinant -1 sample makes orbit() raise; probe() names the stage."""
+    p = [0.0] * 4
+    monkeypatch.setattr(holonomy, "holonomy_samples",
+                        lambda *a, **kw: [make_sample(p, np.diag([-1.0, 1.0, 1.0, 1.0]))])
+    v = prober.probe(holonomy.catalog("round_sphere_4"), p, delta=delta4)
+    assert v.kind == "Inconclusive"
+    assert v.failing_stage == "orbit"
+    assert "determinant" in v.detail
+
+
 def test_probe_mutual_exclusion(delta4):
     """An obstruction verdict carries a witness and no certificates."""
     chart = holonomy.catalog("round_sphere_4")
