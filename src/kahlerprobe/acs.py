@@ -18,6 +18,7 @@ raise ComponentMismatch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,8 @@ from .errors import (
 
 TOL_ALG = 1e-10   # algebraic invariants (J^2 = -I, orthogonality, skewness)
 TOL_LOG = 1e-8    # log-map round-trip verification
+TOL_CUT = 1e-8    # rotation angle this close to pi: on the cut locus
+TOL_BLOCK = 1e-12 # Schur subdiagonal entry that opens a 2x2 rotation block
 
 
 def _maxabs(a: np.ndarray) -> float:
@@ -130,65 +133,178 @@ def project_tangent(J: OrthoComplexStructure, A: np.ndarray) -> TangentPhi:
     return TangentPhi(J, phi)
 
 
-def exp_map(J: OrthoComplexStructure, phi: TangentPhi, t: float = 1.0) -> OrthoComplexStructure:
-    """Geodesic e^{tX} J e^{-tX} with X = -phi J / 2."""
+def exp_maps(J: OrthoComplexStructure, phi: TangentPhi, ts) -> np.ndarray:
+    """Stacked exp_map: the geodesic e^{tX} J e^{-tX}, X = -phi J / 2, at
+    every time in ``ts``, as an (N, d, d) array (slice k is exp_map(J, phi, ts[k]))."""
     if not phi.base.same_point(J):
         raise BasePointMismatch("tangent is not based at J")
     X = -0.5 * phi.mat @ J.mat
-    E = scipy.linalg.expm(t * X)
-    return OrthoComplexStructure(E @ J.mat @ E.T)
+    E = scipy.linalg.expm(np.asarray(ts, dtype=float)[:, None, None] * X)
+    return E @ J.mat @ E.transpose(0, 2, 1)
 
 
-def _principal_orthogonal_log(R: np.ndarray, tol_cut: float = 1e-8) -> np.ndarray:
-    """Principal logarithm of a (special) orthogonal matrix via real Schur.
+def exp_map(J: OrthoComplexStructure, phi: TangentPhi, t: float = 1.0) -> OrthoComplexStructure:
+    """Geodesic e^{tX} J e^{-tX} with X = -phi J / 2."""
+    return OrthoComplexStructure(exp_maps(J, phi, (t,))[0])
 
-    The real Schur form of an orthogonal matrix is block diagonal with 1x1
-    blocks +-1 and 2x2 rotation blocks.  A rotation angle at pi (eigenvalue
-    -1) has no principal log and raises CutLocusError.
-    """
-    T, Q = scipy.linalg.schur(R, output="real")
-    d = R.shape[0]
-    L = np.zeros((d, d))
+
+def _maxabs_each(a: np.ndarray) -> np.ndarray:
+    """Per-slice _maxabs of an (N, d, d) stack."""
+    m = np.max(np.abs(a), axis=(1, 2))
+    m[np.isnan(m)] = math.inf
+    return m
+
+
+def _pair_stacks(J1s, J2s):
+    """Two (d, d) or (N, d, d) arrays as (N, d, d) stacks of one shape."""
+    A = np.asarray(J1s, dtype=float)
+    B = np.asarray(J2s, dtype=float)
+    if A.shape[-2:] != B.shape[-2:]:
+        raise OddDimension("dimension mismatch")
+    A = A[None] if A.ndim == 2 else A
+    B = B[None] if B.ndim == 2 else B
+    if A.shape != B.shape:
+        A, B = np.broadcast_arrays(A, B)
+    return A, B
+
+
+def _no_sort(x, y=None):
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _gees(d: int):
+    """LAPACK real Schur routine for d x d matrices and its workspace size,
+    queried as scipy.linalg.schur queries it."""
+    a = np.zeros((d, d))
+    gees, = scipy.linalg.lapack.get_lapack_funcs(("gees",), (a,))
+    return gees, gees(_no_sort, a, lwork=-1)[-2][0].real.astype(np.int_)
+
+
+def _principal_angles(T, L):
+    """Write the principal log of the real Schur form T (of an orthogonal
+    matrix) into L: T is block diagonal with 1x1 blocks +-1 and 2x2 rotation
+    blocks.  Returns the CutLocusError of a rotation angle at pi (eigenvalue
+    -1, no principal log), else None."""
+    t = T.tolist()
+    d = len(t)
     i = 0
     while i < d:
-        if i + 1 < d and abs(T[i + 1, i]) > 1e-12:
-            c = 0.5 * (T[i, i] + T[i + 1, i + 1])
-            s = 0.5 * (T[i + 1, i] - T[i, i + 1])
+        if i + 1 < d and abs(t[i + 1][i]) > TOL_BLOCK:
+            c = 0.5 * (t[i][i] + t[i + 1][i + 1])
+            s = 0.5 * (t[i + 1][i] - t[i][i + 1])
             theta = np.arctan2(s, c)
-            if np.pi - abs(theta) < tol_cut:
-                raise CutLocusError("rotation angle at pi: principal log undefined")
+            if np.pi - abs(theta) < TOL_CUT:
+                return CutLocusError("rotation angle at pi: principal log undefined")
             L[i, i + 1] = -theta
             L[i + 1, i] = theta
             i += 2
         else:
-            if T[i, i] < 0.0:
-                raise CutLocusError("eigenvalue -1: principal log undefined")
+            if t[i][i] < 0.0:
+                return CutLocusError("eigenvalue -1: principal log undefined")
             i += 1
-    return Q @ L @ Q.T
+    return None
+
+
+def _log_stack(A: np.ndarray, B: np.ndarray):
+    """The log map of every slice pair (A[k], B[k]) of two (N, d, d) stacks.
+
+    X = (1/2) log(B A^{-1}) is the principal logarithm of the orthogonal
+    matrix R = B A^{-1}; a rotation angle of R at pi has none
+    (CutLocusError).  X must then be skew, anticommute with A and reproduce
+    B; otherwise the two structures lie in different components
+    (ComponentMismatch).  Each slice runs these checks in this order and
+    keeps its first error.  The real Schur form of R is computed per slice
+    with LAPACK gees, as scipy.linalg.schur computes it (non-finite input is
+    a ValueError, non-convergence a LinAlgError); the rest runs on the stack.
+
+    Returns the (N, d, d) tangents 2 X A (NaN where a slice failed) and a
+    list of N entries, each None or the error of that slice.
+    """
+    N, d = A.shape[0], A.shape[-1]
+    errors = [None] * N
+    R = -B @ A  # B A^{-1}, using A^{-1} = -A
+    finite = np.isfinite(R).all(axis=(1, 2))
+    gees, lwork = _gees(d)
+    Q = np.zeros((N, d, d))
+    L = np.zeros((N, d, d))
+    for k in range(N):
+        if not finite[k]:
+            errors[k] = ValueError("array must not contain infs or NaNs")
+            continue
+        res = gees(_no_sort, R[k], lwork=lwork)  # (T, sdim, wr, wi, Z, work, info)
+        Q[k] = res[-3]
+        if res[-1] > 0:
+            errors[k] = np.linalg.LinAlgError(
+                "Schur form not found. Possibly ill-conditioned.")
+        else:
+            errors[k] = _principal_angles(res[0], L[k])
+    X = 0.5 * (Q @ L @ Q.transpose(0, 2, 1))
+
+    anti = X @ A + A @ X
+    skew = X + X.transpose(0, 2, 1)
+    for k in np.flatnonzero((_maxabs_each(anti) > TOL_LOG) | (_maxabs_each(skew) > TOL_LOG)):
+        if errors[k] is None:
+            errors[k] = ComponentMismatch(
+                "log generator does not anticommute with the base structure; "
+                "the two structures lie in different components")
+    live = np.array([k for k in range(N) if errors[k] is None], dtype=int)
+    if live.size:
+        E = scipy.linalg.expm(X[live])
+        back = E @ A[live] @ E.transpose(0, 2, 1) - B[live]
+        for k in live[_maxabs_each(back) > TOL_LOG]:
+            errors[k] = ComponentMismatch("log round-trip failed to reproduce the target")
+    tangents = 2.0 * X @ A
+    tangents[[k for k in range(N) if errors[k] is not None]] = math.nan
+    return tangents, errors
+
+
+def _first_error(errors, tolerated=()):
+    """Raise the first error in slice order that is not of a tolerated type."""
+    for exc in errors:
+        if exc is not None and not isinstance(exc, tolerated):
+            raise exc
+
+
+def log_maps(J1s, J2s) -> np.ndarray:
+    """Stacked log map: slice k is log_map(J1s[k], J2s[k]).mat.
+
+    ``J1s`` and ``J2s`` are (d, d) or (N, d, d) matrix stacks that broadcast
+    together.  Raises the error of the first failing pair.
+    """
+    tangents, errors = _log_stack(*_pair_stacks(J1s, J2s))
+    _first_error(errors)
+    return tangents
 
 
 def log_map(J1: OrthoComplexStructure, J2: OrthoComplexStructure) -> TangentPhi:
-    """Inverse of exp_map: the tangent phi at J1 with exp_map(J1, phi, 1) = J2.
+    """Inverse of exp_map: the tangent phi at J1 with exp_map(J1, phi, 1) = J2
+    (the single-pair case of log_maps)."""
+    return TangentPhi(J1, log_maps(J1.mat, J2.mat)[0])
 
-    Computes X = (1/2) log(J2 J1^{-1}) and verifies that X is skew,
-    anticommutes with J1, and reproduces J2; failures of the verification
-    mean J1 and J2 lie in different connected components.
-    """
-    if J1.dim != J2.dim:
-        raise OddDimension("dimension mismatch")
-    R = -J2.mat @ J1.mat  # J2 @ J1^{-1}, using J1^{-1} = -J1
-    X = 0.5 * _principal_orthogonal_log(R)
-    anti = X @ J1.mat + J1.mat @ X
-    skew = X + X.T
-    if _maxabs(anti) > TOL_LOG or _maxabs(skew) > TOL_LOG:
-        raise ComponentMismatch(
-            "log generator does not anticommute with the base structure; "
-            "the two structures lie in different components"
-        )
-    E = scipy.linalg.expm(X)
-    if _maxabs(E @ J1.mat @ E.T - J2.mat) > TOL_LOG:
-        raise ComponentMismatch("log round-trip failed to reproduce the target")
-    return TangentPhi(J1, 2.0 * X @ J1.mat)
+
+def _distances(J1s, J2s, tolerated) -> np.ndarray:
+    A, B = _pair_stacks(J1s, J2s)
+    out = np.zeros(len(A))
+    far = np.flatnonzero(~(np.max(np.abs(A - B), axis=(1, 2)) <= TOL_ALG))
+    tangents, errors = _log_stack(A[far], B[far])
+    _first_error(errors, tolerated)
+    for k, t, exc in zip(far, tangents, errors):
+        out[k] = math.inf if exc is not None else float(np.linalg.norm(t))
+    return out
+
+
+def distances(J1s, J2s) -> np.ndarray:
+    """Stacked distance: slice k is distance(J1s[k], J2s[k]); pairs that are
+    the same point read 0 without a log map.  Raises the error of the first
+    failing pair."""
+    return _distances(J1s, J2s, ())
+
+
+def distances_or_inf(J1s, J2s) -> np.ndarray:
+    """Stacked distance_or_inf: +inf for every pair past the cut locus or
+    across components; any other error of the first failing pair is raised."""
+    return _distances(J1s, J2s, (CutLocusError, ComponentMismatch))
 
 
 def distance(J1: OrthoComplexStructure, J2: OrthoComplexStructure) -> float:
@@ -207,15 +323,24 @@ def distance_or_inf(J1: OrthoComplexStructure, J2: OrthoComplexStructure) -> flo
         return math.inf
 
 
+def conjugates(Qs, J: OrthoComplexStructure) -> np.ndarray:
+    """Stacked conjugate: Q^{-1} J Q for every slice of an (N, d, d) stack,
+    each slice checked for orthogonality; raises for the first that is not."""
+    Qs = np.asarray(Qs, dtype=float)
+    if Qs.shape[1:] != J.mat.shape:
+        raise OddDimension(f"shape mismatch: {Qs.shape[1:]} vs {J.mat.shape}")
+    Qt = Qs.transpose(0, 2, 1)
+    defect = _maxabs_each(Qt @ Qs - np.eye(J.dim))
+    bad = np.flatnonzero(defect > TOL_ALG)
+    if bad.size:
+        raise NotOrthogonalGroupElement(
+            f"Q^T Q - I has max-abs entry {defect[bad[0]]:.3e}")
+    return Qt @ J.mat @ Qs
+
+
 def conjugate(Q: np.ndarray, J: OrthoComplexStructure) -> OrthoComplexStructure:
     """Action of an orthogonal matrix: Q^{-1} J Q."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != J.mat.shape:
-        raise OddDimension(f"shape mismatch: {Q.shape} vs {J.mat.shape}")
-    defect = _maxabs(Q.T @ Q - np.eye(J.dim))
-    if defect > TOL_ALG:
-        raise NotOrthogonalGroupElement(f"Q^T Q - I has max-abs entry {defect:.3e}")
-    return OrthoComplexStructure(Q.T @ J.mat @ Q)
+    return OrthoComplexStructure(conjugates(np.asarray(Q, dtype=float)[None], J)[0])
 
 
 def sectional_curvature(J: OrthoComplexStructure, phi: TangentPhi, psi: TangentPhi) -> float:

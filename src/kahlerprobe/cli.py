@@ -51,7 +51,7 @@ def _add_loop_flags(sub):
     sub.add_argument("--point", required=True, type=_csv_floats,
                      help="base point, comma-separated coordinates")
     sub.add_argument("--loop-kind", default="coordinate_rectangles",
-                     choices=("coordinate_rectangles", "fourier_random"))
+                     choices=holonomy.LOOP_KINDS)
     sub.add_argument("--loops", type=int, default=6)
     sub.add_argument("--loop-scale", type=float, default=0.5)
     sub.add_argument("--ode-steps", type=int, default=400)
@@ -198,6 +198,7 @@ def _cmd_probe(args) -> dict:
     chart = holonomy.catalog(args.manifold)
     p = np.asarray(args.point, dtype=float)
     J_p = None if args.j == "auto" else io.structure_from_json(io.load_json(args.j))
+    holonomy.check_loop_family(args.loop_kind, args.loops)
     delta = None
     if args.delta_dim is not None:
         delta = compute_delta(args.delta_dim // 2, seed=args.seed)

@@ -23,14 +23,13 @@ import numpy as np
 
 from . import acs
 from .errors import (
-    ComponentMismatch,
-    CutLocusError,
     DegeneratePlane,
     DimensionMismatch,
     DimensionTooSmall,
 )
 
 SAFETY_FACTOR = 1.05
+MARCH_CHUNK = 32  # geodesic times evaluated per stacked step of the injectivity march
 DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".kahlerprobe_delta_cache.json")
 
 
@@ -149,16 +148,17 @@ def estimate_injectivity(n: int, num_directions: int = 8, resolution: float = 0.
         phi = acs.random_tangent(J, int(rng.integers(0, 2**31 - 1)))
         t = resolution
         while t < first_break:  # later breaks cannot lower the minimum
-            Jt = acs.exp_map(J, phi, t)
-            try:
-                d = acs.distance(J, Jt)
-            except (CutLocusError, ComponentMismatch):
-                first_break = min(first_break, t)
+            ts = []
+            while t < first_break and len(ts) < MARCH_CHUNK:
+                ts.append(t)
+                t += resolution
+            dists = acs.distances_or_inf(J.mat, acs.exp_maps(J, phi, ts))
+            # past the cut locus (inf) or no longer minimizing
+            broken = [tk for tk, d in zip(ts, dists.tolist())
+                      if d == math.inf or d < tk - 2.0 * resolution]
+            if broken:
+                first_break = min(first_break, broken[0])
                 break
-            if d < t - 2.0 * resolution:
-                first_break = min(first_break, t)
-                break
-            t += resolution
     return InjectivityEstimate(n=n, inj_lower=first_break - resolution,
                                directions_sampled=num_directions,
                                resolution=resolution)

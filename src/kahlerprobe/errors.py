@@ -81,6 +81,12 @@ class LoopEscapesDomain(KahlerProbeError):
     code = "loop_escapes_domain"
 
 
+class InvalidLoopFamily(KahlerProbeError):
+    """Fewer than one loop requested, or an unknown loop family kind."""
+
+    code = "invalid_loop_family"
+
+
 class UnknownManifold(KahlerProbeError):
     code = "unknown_manifold"
 

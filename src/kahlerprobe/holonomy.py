@@ -26,6 +26,7 @@ import numpy as np
 
 from .acs import canonical_j
 from .errors import (
+    InvalidLoopFamily,
     LoopEscapesDomain,
     MetricNotInvertible,
     OutsideDomain,
@@ -316,6 +317,17 @@ def fourier_loop(p, coeffs_a: np.ndarray, coeffs_b: np.ndarray) -> SmoothPath:
                                    "a": a.tolist(), "b": b.tolist()})
 
 
+LOOP_KINDS = ("coordinate_rectangles", "fourier_random")
+
+
+def check_loop_family(kind: str, count: int) -> None:
+    """Reject a loop family request that cannot yield a loop."""
+    if kind not in LOOP_KINDS:
+        raise InvalidLoopFamily(f"unknown loop family kind {kind!r}")
+    if count < 1:
+        raise InvalidLoopFamily(f"{count} loops requested; at least 1 is needed")
+
+
 def loop_family(chart: ManifoldChart, p, kind: str, count: int, scale: float,
                 seed: int = 0) -> list:
     """Generate closed loops based at p.
@@ -324,6 +336,7 @@ def loop_family(chart: ManifoldChart, p, kind: str, count: int, scale: float,
     beyond the number of pairs times repeats with alternating orientation).
     ``fourier_random``: seeded closed Fourier curves through p.
     """
+    check_loop_family(kind, count)
     p = np.asarray(p, dtype=float)
     if not chart.contains(p):
         raise OutsideDomain(f"base point {p} outside {chart.name}")
@@ -334,14 +347,12 @@ def loop_family(chart: ManifoldChart, p, kind: str, count: int, scale: float,
             i, j = pairs[idx % len(pairs)]
             s = scale if (idx // len(pairs)) % 2 == 0 else -scale
             loops.append(rectangle_loop(p, i, j, s))
-    elif kind == "fourier_random":
+    else:  # fourier_random
         rng = np.random.default_rng(seed)
         for _ in range(count):
             a = rng.uniform(-scale, scale, size=(3, chart.dim)) / np.array([[1.0], [2.0], [3.0]])
             b = rng.uniform(-scale, scale, size=(3, chart.dim)) / np.array([[1.0], [2.0], [3.0]])
             loops.append(fourier_loop(p, a, b))
-    else:
-        raise ValueError(f"unknown loop family kind {kind!r}")
     for loop in loops:
         _check_inside(chart, loop)
     return loops

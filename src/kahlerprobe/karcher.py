@@ -79,19 +79,23 @@ class ConvexityReport:
     diameter_bound: float
 
 
+def _stack(s: WeightedSampleSet) -> np.ndarray:
+    return np.stack([p.mat for p in s.points])
+
+
 def karcher_energy(y: OrthoComplexStructure, s: WeightedSampleSet) -> float:
     """Weighted average squared distance: (1/2) sum_i w_i d(x_i, y)^2."""
-    return 0.5 * sum(w * acs.distance(p, y) ** 2
-                     for p, w in zip(s.points, s.weights))
+    dists = acs.distances(_stack(s), y.mat).tolist()
+    return 0.5 * sum(w * d ** 2 for w, d in zip(s.weights, dists))
 
 
 def karcher_gradient(y: OrthoComplexStructure, s: WeightedSampleSet) -> TangentPhi:
     """Riemannian gradient of the energy at y: -sum_i w_i log_y(x_i)."""
     g = np.zeros_like(y.mat)
-    for p, w in zip(s.points, s.weights):
-        if w == 0.0:
-            continue
-        g -= w * acs.log_map(y, p).mat
+    used = [i for i, w in enumerate(s.weights) if w != 0.0]
+    logs = acs.log_maps(y.mat, _stack(s)[used])
+    for i, log in zip(used, logs):
+        g -= s.weights[i] * log
     return TangentPhi(y, g)
 
 
@@ -137,12 +141,11 @@ def check_convexity(s: WeightedSampleSet, delta: DeltaConstant) -> ConvexityRepo
     containment proxy) and (b) the set's diameter is at most
     pi / (2 sqrt(eps)).
     """
-    pts = s.points
-    m = len(pts)
+    m = len(s.points)
+    mats = _stack(s)
     dmat = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            dmat[i, j] = dmat[j, i] = acs.distance_or_inf(pts[i], pts[j])
+    for i in range(m - 1):
+        dmat[i, i + 1:] = dmat[i + 1:, i] = acs.distances_or_inf(mats[i], mats[i + 1:])
     radius = float(np.min(np.max(dmat, axis=1))) if m > 1 else 0.0
     diameter = float(np.max(dmat))
     bound = math.pi / (2.0 * math.sqrt(delta.epsilon_used))

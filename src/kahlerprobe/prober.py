@@ -151,18 +151,24 @@ def average_to_fixed(report: OrbitReport, delta: DeltaConstant,
             break
         if fixedness_check(mean.mean, report.samples) < fix_tol:
             break
-        pts = [acs.conjugate(smp.matrix, mean.mean) for smp in report.samples]
-        mean = karcher_mean(WeightedSampleSet.uniform(pts), tol=tol,
-                            start=mean.mean)
+        pts = acs.conjugates(_matrices(report.samples), mean.mean)
+        mean = karcher_mean(
+            WeightedSampleSet.uniform(map(OrthoComplexStructure, pts)),
+            tol=tol, start=mean.mean)
     return mean
+
+
+def _matrices(samples) -> np.ndarray:
+    """The samples' holonomy matrices as one (N, d, d) stack."""
+    return np.stack([s.matrix for s in samples])
 
 
 def fixedness_check(J_prime: OrthoComplexStructure, samples) -> float:
     """Max distance between J' and its conjugates by the samples."""
-    worst = 0.0
-    for s in samples:
-        worst = max(worst, acs.distance_or_inf(J_prime, acs.conjugate(s.matrix, J_prime)))
-    return worst
+    if not samples:
+        return 0.0
+    conj = acs.conjugates(_matrices(samples), J_prime)
+    return max([0.0] + acs.distances_or_inf(J_prime.mat, conj).tolist())
 
 
 def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStructure,
@@ -308,12 +314,16 @@ def probe(chart: holonomy.ManifoldChart, p, J_p=None,
     n = chart.dim // 2
     if delta is None:
         delta = compute_delta(n, seed=config.seed)
-    if J_p is None:
-        J_p = default_structure(chart, p)
 
     def inconclusive(stage, exc):
         return DichotomyVerdict(kind="Inconclusive", delta_used=delta,
                                 failing_stage=stage, detail=str(exc))
+
+    if J_p is None:
+        try:
+            J_p = default_structure(chart, p)
+        except KahlerProbeError as exc:
+            return inconclusive("default_structure", exc)
 
     try:
         loops = holonomy.loop_family(chart, p, config.loop_kind, config.loops,

@@ -1,12 +1,18 @@
 """Unit and oracle tests for the structure-space geometry."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerprobe import acs
 from kahlerprobe.errors import (
     BasePointMismatch,
     ComponentMismatch,
+    CutLocusError,
     DegeneratePlane,
     NotAComplexStructure,
     NotOrthogonal,
@@ -229,6 +235,107 @@ def test_distance_triangle_inequality():
         assert acs.distance(a, c) <= acs.distance(a, b) + acs.distance(b, c) + 1e-10
 
 
+def _scipy_log_map(J1, J2):
+    """The per-pair log map as it was before the stacked kernel: principal
+    log through scipy.linalg.schur, then the same three checks."""
+    R = -J2 @ J1
+    T, Q = scipy.linalg.schur(R, output="real")
+    d = R.shape[0]
+    L = np.zeros((d, d))
+    i = 0
+    while i < d:
+        if i + 1 < d and abs(T[i + 1, i]) > 1e-12:
+            c = 0.5 * (T[i, i] + T[i + 1, i + 1])
+            s = 0.5 * (T[i + 1, i] - T[i, i + 1])
+            theta = np.arctan2(s, c)
+            if np.pi - abs(theta) < 1e-8:
+                raise CutLocusError("rotation angle at pi")
+            L[i, i + 1] = -theta
+            L[i + 1, i] = theta
+            i += 2
+        else:
+            if T[i, i] < 0.0:
+                raise CutLocusError("eigenvalue -1")
+            i += 1
+    X = 0.5 * (Q @ L @ Q.T)
+    if maxabs(X @ J1 + J1 @ X) > 1e-8 or maxabs(X + X.T) > 1e-8:
+        raise ComponentMismatch("anticommutation")
+    E = scipy.linalg.expm(X)
+    if maxabs(E @ J1 @ E.T - J2) > 1e-8:
+        raise ComponentMismatch("round trip")
+    return 2.0 * X @ J1
+
+
+def _scipy_exp_map(J, phi, t):
+    X = -0.5 * phi.mat @ J.mat
+    E = scipy.linalg.expm(t * X)
+    return E @ J.mat @ E.T
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**20),
+       size=st.integers(1, 7), radius=st.floats(0.05, 1.2))
+def test_stacked_log_maps_match_single_pairs(n, seed, size, radius):
+    """Each slice of log_maps, distances and distances_or_inf has the bits
+    of log_map / distance, and of the scipy-Schur log map, on seeded
+    same-component pairs: one base broadcast against a stack, and a stack
+    of pairs of distinct points (with one same-point pair)."""
+    rng = np.random.default_rng(seed)
+    base = acs.random_j(n, seed)
+    phi = acs.random_tangent(base, seed + 1)
+    ts = rng.uniform(-radius, radius, size)
+    mats = acs.exp_maps(base, phi, ts)
+    for k, t in enumerate(ts):
+        assert mats[k].tobytes() == _scipy_exp_map(base, phi, t).tobytes()
+    pts = [acs.exp_map(base, acs.random_tangent(base, int(rng.integers(2**31)), r), 1.0)
+           for r in rng.uniform(0.01, radius, size)] + [base]
+    B = np.stack([q.mat for q in pts])
+    A = B[rng.permutation(len(pts))]
+    A[-1] = B[-1]
+    for J1s, firsts in ((base.mat, [base] * len(pts)),
+                        (A, [acs.OrthoComplexStructure(a) for a in A])):
+        logs = acs.log_maps(J1s, B)
+        dists = acs.distances(J1s, B)
+        assert acs.distances_or_inf(J1s, B).tobytes() == dists.tobytes()
+        for k, (J1, J2) in enumerate(zip(firsts, pts)):
+            assert logs[k].tobytes() == acs.log_map(J1, J2).mat.tobytes()
+            assert logs[k].tobytes() == _scipy_log_map(J1.mat, J2.mat).tobytes()
+            assert dists[k] == acs.distance(J1, J2)
+
+
+def test_stacked_log_maps_raise_for_the_first_failing_pair():
+    J = acs.canonical_j(2)
+    near = acs.exp_map(J, acs.random_tangent(J, 1, 0.3), 1.0).mat
+    antipode = -J.mat                                 # on J's cut locus
+    R = np.diag([-1.0, 1.0, 1.0, 1.0])
+    other = R @ J.mat @ R                             # the other component
+    twisted = scipy.linalg.expm(0.3 * J.mat) @ J.mat  # log commutes with J
+    with pytest.raises(CutLocusError):
+        acs.log_maps(J.mat, np.stack([near, antipode, twisted]))
+    with pytest.raises(ComponentMismatch):
+        acs.log_maps(J.mat, np.stack([near, twisted, antipode]))
+    with pytest.raises(CutLocusError):
+        acs.distances(J.mat, np.stack([J.mat, near, other, twisted]))
+    dists = acs.distances_or_inf(J.mat, np.stack([near, antipode, other, twisted, J.mat]))
+    assert dists.tolist() == [acs.distance(J, acs.OrthoComplexStructure(near)),
+                              math.inf, math.inf, math.inf, 0.0]
+    for bad in (antipode, other, twisted):
+        assert acs.distance_or_inf(J, acs.OrthoComplexStructure(bad)) == math.inf
+    # errors other than the cut locus and a component mismatch still raise
+    with pytest.raises(ValueError):
+        acs.distances_or_inf(J.mat, np.stack([antipode, np.full((4, 4), np.nan)]))
+
+
+def test_stacked_kernels_accept_an_empty_stack():
+    J = acs.canonical_j(2)
+    empty = np.empty((0, 4, 4))
+    assert acs.log_maps(J.mat, empty).shape == (0, 4, 4)
+    assert acs.distances(J.mat, empty).shape == (0,)
+    assert acs.distances_or_inf(empty, J.mat).shape == (0,)
+    assert acs.conjugates(empty, J).shape == (0, 4, 4)
+    assert acs.exp_maps(J, acs.random_tangent(J, 0), []).shape == (0, 4, 4)
+
+
 # -- conjugation --------------------------------------------------------------
 
 def test_conjugate_identity():
@@ -244,6 +351,18 @@ def test_conjugate_by_self():
 def test_conjugate_rejects_non_orthogonal():
     with pytest.raises(NotOrthogonalGroupElement):
         acs.conjugate(2.0 * np.eye(4), acs.canonical_j(2))
+
+
+def test_stacked_conjugates_match_single_calls():
+    J = acs.random_j(2, 13)
+    Qs = np.stack([np.linalg.qr(np.random.default_rng(k).standard_normal((4, 4)))[0]
+                   for k in range(5)])
+    conj = acs.conjugates(Qs, J)
+    for Q, C in zip(Qs, conj):
+        assert C.tobytes() == acs.conjugate(Q, J).mat.tobytes()
+    # the first non-orthogonal slice is reported: 2I has Q^T Q - I = 3I
+    with pytest.raises(NotOrthogonalGroupElement, match="3.000e"):
+        acs.conjugates(np.stack([Qs[0], 2.0 * np.eye(4), 3.0 * np.eye(4)]), J)
 
 
 def test_conjugation_is_isometry():

@@ -181,6 +181,15 @@ def test_transport_too_few_ode_steps(capsys):
     assert json.loads(err)["error"] == "step_too_coarse"
 
 
+@pytest.mark.parametrize("command", ["probe", "transport", "orbit"])
+def test_zero_loops_is_a_domain_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--manifold", "flat_torus_4",
+                             "--point", "0.5,0.5,0.5,0.5", "--loops", "0")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid_loop_family"
+
+
 def test_orbit_csv_export(capsys, tmp_path):
     csv_path = tmp_path / "distances.csv"
     code, out, _ = run_cli(capsys, "orbit", "--manifold", "round_sphere_4",

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from kahlerprobe import acs, constants
@@ -105,6 +106,34 @@ def test_minimality_along_sampled_directions():
     while t < min(inj.inj_lower, 3.0):
         assert abs(acs.distance(J, acs.exp_map(J, phi, t)) - t) <= 0.02
         t += 0.53
+
+
+def _sequential_injectivity(n, num_directions=8, resolution=0.01, seed=0, t_max=20.0):
+    """The injectivity march one geodesic time at a time, as it was before
+    the times were chunked."""
+    J = acs.canonical_j(n)
+    rng = np.random.default_rng(seed)
+    first_break = t_max
+    for _ in range(num_directions):
+        phi = acs.random_tangent(J, int(rng.integers(0, 2**31 - 1)))
+        t = resolution
+        while t < first_break:
+            try:
+                d = acs.distance(J, acs.exp_map(J, phi, t))
+            except (acs.CutLocusError, acs.ComponentMismatch):
+                first_break = min(first_break, t)
+                break
+            if d < t - 2.0 * resolution:
+                first_break = min(first_break, t)
+                break
+            t += resolution
+    return first_break - resolution
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chunked_injectivity_march_matches_sequential(seed):
+    assert (repr(estimate_injectivity(2, seed=seed).inj_lower)
+            == repr(_sequential_injectivity(2, seed=seed)))
 
 
 def test_delta4_value(delta4):

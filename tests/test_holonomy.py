@@ -7,6 +7,7 @@ import pytest
 
 from kahlerprobe import acs, holonomy, prober
 from kahlerprobe.errors import (
+    InvalidLoopFamily,
     LoopEscapesDomain,
     OutsideDomain,
     StepTooCoarse,
@@ -274,8 +275,17 @@ def test_loop_family_escape_detection():
 
 def test_loop_family_unknown_kind():
     chart = holonomy.catalog("flat_torus_4")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidLoopFamily) as err:
         holonomy.loop_family(chart, [0.5] * 4, "circles", 3, 0.1)
+    assert err.value.code == "invalid_loop_family"
+
+
+@pytest.mark.parametrize("kind", holonomy.LOOP_KINDS)
+@pytest.mark.parametrize("count", [0, -1])
+def test_loop_family_needs_a_loop(kind, count):
+    chart = holonomy.catalog("flat_torus_4")
+    with pytest.raises(InvalidLoopFamily, match="at least 1"):
+        holonomy.loop_family(chart, [0.5] * 4, kind, count, 0.1)
 
 
 # -- holonomy sampling --------------------------------------------------------

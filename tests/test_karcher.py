@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from kahlerprobe import acs
+from kahlerprobe import acs, karcher
 from kahlerprobe.karcher import (
+    ConvexityReport,
     WeightedSampleSet,
     check_convexity,
     karcher_energy,
@@ -202,3 +203,61 @@ def test_convexity_ok_inside_delta_ball(delta4):
            for k in range(6)]
     report = check_convexity(WeightedSampleSet.uniform(pts + [J]), delta4)
     assert report.ok
+
+
+# -- stacked distances against the per-pair loops -----------------------------
+
+def _pairwise_energy(y, s):
+    return 0.5 * sum(w * acs.distance(p, y) ** 2
+                     for p, w in zip(s.points, s.weights))
+
+
+def _pairwise_gradient(y, s):
+    g = np.zeros_like(y.mat)
+    for p, w in zip(s.points, s.weights):
+        if w == 0.0:
+            continue
+        g -= w * acs.log_map(y, p).mat
+    return acs.TangentPhi(y, g)
+
+
+def _pairwise_convexity(s, delta):
+    pts = s.points
+    m = len(pts)
+    dmat = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            dmat[i, j] = dmat[j, i] = acs.distance_or_inf(pts[i], pts[j])
+    radius = float(np.min(np.max(dmat, axis=1))) if m > 1 else 0.0
+    diameter = float(np.max(dmat))
+    bound = math.pi / (2.0 * math.sqrt(delta.epsilon_used))
+    ball_ok = radius <= 2.0 * delta.delta
+    diameter_ok = diameter <= bound
+    return ConvexityReport(ok=ball_ok and diameter_ok, ball_ok=ball_ok,
+                           diameter_ok=diameter_ok, ball_radius=radius,
+                           diameter=diameter, diameter_bound=bound)
+
+
+def test_stacked_karcher_terms_match_pairwise_loops(fs_orbit, delta4):
+    """Energy, gradient and convexity report on the Fubini-Study orbit have
+    the bits of the per-pair loops, also with zero weights."""
+    pts = fs_orbit.orbit
+    w = np.array([0.0 if k % 3 == 0 else 1.0 for k in range(len(pts))])
+    for s in (WeightedSampleSet.uniform(pts), WeightedSampleSet(pts, w / w.sum())):
+        for y in (pts[0], pts[17], fs_orbit.base_J):
+            assert repr(karcher_energy(y, s)) == repr(_pairwise_energy(y, s))
+            assert (karcher_gradient(y, s).mat.tobytes()
+                    == _pairwise_gradient(y, s).mat.tobytes())
+        assert check_convexity(s, delta4) == _pairwise_convexity(s, delta4)
+
+
+def test_stacked_karcher_mean_matches_pairwise_loops(fs_orbit, monkeypatch):
+    """The Armijo iteration sees the same energies and gradients, so the
+    mean, its iteration count and its residuals are bit-identical."""
+    s = WeightedSampleSet.uniform(fs_orbit.orbit)
+    stacked = karcher_mean(s)
+    monkeypatch.setattr(karcher, "karcher_energy", _pairwise_energy)
+    monkeypatch.setattr(karcher, "karcher_gradient", _pairwise_gradient)
+    pairwise = karcher_mean(s)
+    assert stacked.mean.mat.tobytes() == pairwise.mean.mat.tobytes()
+    assert repr(stacked) == repr(pairwise)

@@ -139,6 +139,20 @@ def test_fixedness_check_identity_samples():
     assert prober.fixedness_check(J, [make_sample(np.zeros(4), np.eye(4))]) == 0.0
 
 
+def _pairwise_fixedness(J, samples):
+    worst = 0.0
+    for s in samples:
+        worst = max(worst, acs.distance_or_inf(J, acs.conjugate(s.matrix, J)))
+    return worst
+
+
+def test_stacked_fixedness_matches_pairwise_loop(fs_orbit):
+    for J in (fs_orbit.base_J, fs_orbit.orbit[5], acs.canonical_j(2)):
+        assert (repr(prober.fixedness_check(J, fs_orbit.samples))
+                == repr(_pairwise_fixedness(J, fs_orbit.samples)))
+    assert prober.fixedness_check(fs_orbit.base_J, []) == 0.0
+
+
 # -- global field -------------------------------------------------------------
 
 def test_global_field_flat_torus(delta4):
@@ -267,6 +281,28 @@ def test_probe_inconclusive_on_orbit_error(delta4, monkeypatch):
     assert v.kind == "Inconclusive"
     assert v.failing_stage == "orbit"
     assert "determinant" in v.detail
+
+
+@pytest.mark.parametrize("config", [prober.ProbeConfig(loops=0),
+                                    prober.ProbeConfig(loop_kind="circles")])
+def test_probe_inconclusive_on_invalid_loop_family(delta4, config):
+    v = prober.probe(holonomy.catalog("flat_torus_4"), [0.5] * 4, config=config,
+                     delta=delta4)
+    assert v.kind == "Inconclusive"
+    assert v.failing_stage == "holonomy_samples"
+    assert v.detail.startswith(("0 loops", "unknown loop family"))
+
+
+def test_probe_inconclusive_on_indefinite_metric(delta4):
+    """A metric that is not positive definite at p leaves no orthonormal
+    frame for the default structure."""
+    base = holonomy.catalog("flat_torus_4")
+    chart = holonomy.ManifoldChart(base.dim, lambda x: np.diag([-1.0, 1.0, 1.0, 1.0]),
+                                   base.domain, name="indefinite")
+    v = prober.probe(chart, [0.5] * 4, delta=delta4)
+    assert v.kind == "Inconclusive"
+    assert v.failing_stage == "default_structure"
+    assert "positive definite" in v.detail
 
 
 def test_probe_mutual_exclusion(delta4):
