@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import holonomy, io, karcher, prober
-from .constants import compute_delta
-from .errors import KahlerProbeError
+from .constants import MAX_RESOLUTION, MIN_SAMPLES, compute_delta
+from .errors import KahlerProbeError, MalformedInput
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,6 +35,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _csv_floats(text: str) -> list:
     return [float(v) for v in text.split(",")]
+
+
+def _bounded(cast, lo=-np.inf, hi=np.inf):
+    """An argparse type: ``cast`` of the text, rejected outside [lo, hi]."""
+    def parse(text):
+        v = cast(text)
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError(f"{text} is outside [{lo}, {hi}]")
+        return v
+    return parse
 
 
 def _add_common(sub):
@@ -69,8 +79,9 @@ def build_parser():
     p = subs.add_parser("delta",
                         help="estimate the dichotomy constant")
     p.add_argument("--dim", type=int, default=4, help="ambient dimension 2n")
-    p.add_argument("--samples", type=int, default=300)
-    p.add_argument("--resolution", type=float, default=0.01)
+    p.add_argument("--samples", type=_bounded(int, lo=MIN_SAMPLES), default=300)
+    p.add_argument("--resolution", type=_bounded(float, hi=MAX_RESOLUTION),
+                   default=0.01)
     p.add_argument("--epsilon-override", type=float, default=None)
     p.add_argument("--no-cache", action="store_true")
     _add_common(p)
@@ -81,7 +92,7 @@ def build_parser():
     p.add_argument("--input", required=True,
                    help="JSON file: array of matrices or "
                         '{"points": [...], "weights": [...]}')
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_bounded(float, lo=karcher.MIN_TOL), default=1e-10)
     p.add_argument("--max-iter", type=int, default=500)
     _add_common(p)
     by_name["mean"] = p
@@ -112,7 +123,8 @@ def build_parser():
     p.add_argument("--grid", type=int, default=17)
     p.add_argument("--field-steps", type=int, default=300)
     p.add_argument("--probe-points", type=int, default=10)
-    p.add_argument("--mean-tol", type=float, default=1e-10)
+    p.add_argument("--mean-tol", type=_bounded(float, lo=karcher.MIN_TOL),
+                   default=1e-10)
     _add_common(p)
     by_name["probe"] = p
 
@@ -196,9 +208,9 @@ def _cmd_orbit(args) -> dict:
 
 def _cmd_probe(args) -> dict:
     chart = holonomy.catalog(args.manifold)
-    p = np.asarray(args.point, dtype=float)
+    p = chart.coords(args.point)
     J_p = None if args.j == "auto" else io.structure_from_json(io.load_json(args.j))
-    holonomy.check_loop_family(args.loop_kind, args.loops)
+    holonomy.check_loop_family(args.loop_kind, args.loops, args.loop_scale)
     delta = None
     if args.delta_dim is not None:
         delta = compute_delta(args.delta_dim // 2, seed=args.seed)
@@ -243,7 +255,7 @@ def main(argv=None) -> int:
     if args.config:
         try:
             cfg = io.load_json(args.config)
-        except (OSError, ValueError) as exc:
+        except MalformedInput as exc:
             parser.error(f"cannot read config file: {exc}")
         sub = by_name[args.subcommand]
         valid = {a.dest for a in sub._actions} - {"help", "config"}

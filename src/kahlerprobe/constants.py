@@ -29,6 +29,8 @@ from .errors import (
 )
 
 SAFETY_FACTOR = 1.05
+MIN_SAMPLES = 100      # fewest random planes estimate_epsilon accepts
+MAX_RESOLUTION = 0.01  # coarsest march step estimate_injectivity accepts
 MARCH_CHUNK = 32  # geodesic times evaluated per stacked step of the injectivity march
 DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".kahlerprobe_delta_cache.json")
 
@@ -97,8 +99,8 @@ def estimate_epsilon(n: int, num_samples: int = 300, seed: int = 0) -> Curvature
     from the ten best sampled planes."""
     if n < 2:
         raise DimensionTooSmall("no 2-planes for n = 1")
-    if num_samples < 100:
-        raise ValueError("num_samples must be >= 100")
+    if num_samples < MIN_SAMPLES:
+        raise ValueError(f"num_samples must be >= {MIN_SAMPLES}")
     J = acs.canonical_j(n)
     rng = np.random.default_rng(seed)
     plane_seeds = rng.integers(0, 2**31 - 1, size=num_samples)
@@ -139,8 +141,8 @@ def estimate_injectivity(n: int, num_directions: int = 8, resolution: float = 0.
     """Lower bound on the injectivity radius via a geodesic-minimality march."""
     if n < 2:
         raise DimensionTooSmall("zero-dimensional tangent space for n = 1")
-    if resolution > 0.01:
-        raise ValueError("resolution must be <= 0.01")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}")
     J = acs.canonical_j(n)
     rng = np.random.default_rng(seed)
     first_break = t_max

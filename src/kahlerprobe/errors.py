@@ -87,6 +87,13 @@ class InvalidLoopFamily(KahlerProbeError):
     code = "invalid_loop_family"
 
 
+class MalformedInput(KahlerProbeError):
+    """An input file that cannot be read, is not JSON, or does not hold
+    what its schema requires."""
+
+    code = "malformed_input"
+
+
 class UnknownManifold(KahlerProbeError):
     code = "unknown_manifold"
 

@@ -5,12 +5,17 @@ coefficient function, and optionally analytic Christoffel symbols.  Parallel
 transport integrates the first-order transport ODE with classical RK4 for
 every coordinate basis vector at once, then expresses the transport matrix
 in g-orthonormal frames at the endpoints, where it is orthogonal up to the
-integration defect.  RK4 reuses stages: an n-step segment evaluates the
-Christoffels 2n + 1 times, not 4n, with the same result bit for bit.
-Holonomy is sampled by transporting families of closed loops and optionally
-closing the sample under products and inverses; the closure keeps its
-matrices in one (N, d, d) stack and drops a product within 1e-9 of a kept
-one by a single vectorized max-abs test against that stack.  The catalog
+integration defect.  A path is stored once, as a tuple of pieces (straight
+polyline moves or smooth curves); joining and reversing paths are
+operations on that tuple.  The integrator steps each piece on its own
+parameter interval, evaluates the piece at all its stage times at once and
+checks those points against the box in one call.  RK4 reuses stages: an
+n-step piece evaluates the Christoffels 2n + 1 times, not 4n, with the same
+result bit for bit.  Holonomy is sampled by transporting families of closed
+loops and optionally closing the sample under products and inverses; the
+closure keeps its matrices in one (N, d, d) stack and drops a product within
+1e-9 of a kept one by a single vectorized max-abs test against that stack,
+and a product's loop only refers to its generators' pieces.  The catalog
 charts have closed-form metrics and Christoffels without Python loops;
 Fubini-Study's come from its complex connection realified through a
 constant basis.
@@ -26,6 +31,7 @@ import numpy as np
 
 from .acs import canonical_j
 from .errors import (
+    DimensionMismatch,
     InvalidLoopFamily,
     LoopEscapesDomain,
     MetricNotInvertible,
@@ -52,71 +58,101 @@ class ManifoldChart:
         object.__setattr__(self, "domain", np.array(self.domain, dtype=float))
         self.domain.setflags(write=False)
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def coords(self, x) -> np.ndarray:
+        """x as float coordinates, one point per row; DimensionMismatch
+        unless its last axis has length ``dim``."""
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise DimensionMismatch(
+                f"point of shape {x.shape} on the {self.dim}-dimensional {self.name}")
+        return x
+
+    def contains(self, x, margin: float = 0.0) -> bool:
+        """Whether every point of x lies in the box, ``margin`` inside it."""
+        x = self.coords(x)
         return bool(np.all(x >= self.domain[:, 0] + margin)
                     and np.all(x <= self.domain[:, 1] - margin))
 
 
 @dataclass(frozen=True)
 class SmoothPath:
-    """A parametrized path t in [0, 1] in chart coordinates.
+    """A path t in [0, 1] in chart coordinates, stored once as its pieces.
 
-    ``breakpoints`` are parameter values where the velocity may jump
-    (rectangle corners); the transport integrator splits there to keep its
-    fourth-order accuracy.
+    Piece k of m is a ``(map, velocity)`` pair on s = t m - k in [0, 1];
+    both take an array of s and return one row per entry.  The transport
+    integrator steps each piece on its own, so the velocity may jump between
+    pieces (rectangle corners), and checks each piece against the box once.
     """
 
-    map: callable
-    velocity: callable = None
+    pieces: tuple
     closed: bool = False
-    breakpoints: tuple = ()
     description: dict = field(default_factory=dict)
 
-    def vel(self, t: float) -> np.ndarray:
-        if self.velocity is not None:
-            return np.asarray(self.velocity(t), dtype=float)
-        h = 1e-6
-        return (np.asarray(self.map(min(t + h, 1.0)))
-                - np.asarray(self.map(max(t - h, 0.0)))) / (min(t + h, 1.0) - max(t - h, 0.0))
+    def map(self, t: float) -> np.ndarray:
+        """The point at t; t = 1 is read in the last piece (past 16 pieces
+        m - 1e-15 rounds to m, so the index is bounded by m - 1)."""
+        m = len(self.pieces)
+        s = min(t * m, m - 1e-15)
+        k = min(int(s), m - 1)
+        return self.pieces[k][0](np.array([s - k]))[0]
 
     def reversed(self) -> "SmoothPath":
-        fwd_map, fwd_vel = self.map, self.velocity
-        rev_vel = None if fwd_vel is None else (lambda t: -np.asarray(fwd_vel(1.0 - t)))
         return SmoothPath(
-            map=lambda t: fwd_map(1.0 - t),
-            velocity=rev_vel,
+            tuple((lambda s, f=f: f(1.0 - s), lambda s, v=v: -v(1.0 - s))
+                  for f, v in reversed(self.pieces)),
             closed=self.closed,
-            breakpoints=tuple(sorted(1.0 - b for b in self.breakpoints)),
             description={"kind": "reversed", "of": self.description},
         )
 
 
+MIN_MOVE = 1e-15  # a polyline coordinate moving by at most this stays put
+
+
+def _ends_meet(a, b) -> bool:
+    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-12)
+
+
+def _straight(a, b) -> tuple:
+    """The piece a + s (b - a), velocity b - a."""
+    d = b - a
+    return lambda s: a + s[:, None] * d, lambda s: np.broadcast_to(d, (s.size, d.size))
+
+
+def polyline(vertices, description) -> SmoothPath:
+    """Straight pieces through the vertices; a coordinate that would move by
+    at most ``MIN_MOVE`` stays put, and a move left with none is dropped."""
+    start = a = np.asarray(vertices[0], dtype=float)
+    pieces = []
+    for b in vertices[1:]:
+        b = np.where(np.abs(b - a) > MIN_MOVE, b, a)
+        if np.any(b != a):
+            pieces.append(_straight(a, b))
+            a = b
+    return SmoothPath(tuple(pieces), _ends_meet(start, a), description)
+
+
+def curve(map, velocity=None) -> SmoothPath:
+    """One piece from a scalar curve t -> point on [0, 1], closed when its
+    ends agree within 1e-12.
+
+    Without ``velocity`` the velocity is a central difference of step 1e-6,
+    one-sided at the ends."""
+    if velocity is None:
+        def velocity(t):
+            lo, hi = max(t - 1e-6, 0.0), min(t + 1e-6, 1.0)
+            return (np.asarray(map(hi)) - np.asarray(map(lo))) / (hi - lo)
+
+    path = SmoothPath(((lambda s: np.array([map(t) for t in s.tolist()], dtype=float),
+                        lambda s: np.array([velocity(t) for t in s.tolist()], dtype=float)),))
+    return SmoothPath(path.pieces, _ends_meet(path.map(0.0), path.map(1.0)))
+
+
 def concatenate_paths(paths) -> SmoothPath:
-    """Join paths end to end, re-parametrized uniformly over [0, 1]."""
+    """Join paths end to end; their pieces share [0, 1] evenly, and the
+    result is closed when its ends agree within 1e-12."""
     paths = list(paths)
-    m = len(paths)
-
-    def cmap(t):
-        s = min(t * m, m - 1e-15)
-        k = int(s)
-        return paths[k].map(s - k)
-
-    def cvel(t):
-        s = min(t * m, m - 1e-15)
-        k = int(s)
-        return m * np.asarray(paths[k].vel(s - k))
-
-    breaks = []
-    for k, p in enumerate(paths):
-        if k > 0:
-            breaks.append(k / m)
-        breaks.extend((k + b) / m for b in p.breakpoints)
-    start = np.asarray(paths[0].map(0.0))
-    end = np.asarray(paths[-1].map(1.0))
-    return SmoothPath(map=cmap, velocity=cvel,
-                      closed=bool(np.max(np.abs(start - end)) < 1e-12),
-                      breakpoints=tuple(sorted(breaks)),
+    return SmoothPath(tuple(pc for p in paths for pc in p.pieces),
+                      closed=_ends_meet(paths[0].map(0.0), paths[-1].map(1.0)),
                       description={"kind": "concatenation",
                                    "parts": [p.description for p in paths]})
 
@@ -175,7 +211,7 @@ def christoffel(chart: ManifoldChart, x) -> np.ndarray:
 def orthonormal_frame(chart: ManifoldChart, x) -> np.ndarray:
     """Columns form a g(x)-orthonormal basis (Gram-Schmidt on coordinate
     basis vectors, realized as the inverse transposed Cholesky factor)."""
-    g = _metric_at(chart, x)
+    g = _metric_at(chart, chart.coords(x))
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -187,40 +223,37 @@ def orthonormal_frame(chart: ManifoldChart, x) -> np.ndarray:
 # -- parallel transport -------------------------------------------------------
 
 def _transport_coordinate(chart: ManifoldChart, path: SmoothPath, steps: int) -> np.ndarray:
-    """Coordinate-frame transport matrix by segment-wise RK4 on V' = -M(t) V.
+    """Coordinate-frame transport matrix by piecewise RK4 on V' = -M(t) V.
 
-    M(t) is evaluated once per distinct stage time: k2 and k3 share
-    M(t + h/2), and k4's M(t + h) is the next step's k1 within a segment."""
-    d = chart.dim
-
-    def M(t):
-        x = np.asarray(path.map(t), dtype=float)
-        if not chart.contains(x):
-            raise OutsideDomain(f"path leaves the domain at t={t}: {x}")
-        gamma = christoffel(chart, x)
-        return np.einsum("kij,i->kj", gamma, path.vel(t))
-
-    knots = sorted({0.0, 1.0, *(b for b in path.breakpoints if 0.0 < b < 1.0)})
-    V = np.eye(d)
-    for t0, t1 in zip(knots[:-1], knots[1:]):
+    Piece k of m covers t in [k/m, (k+1)/m] in n >= 2 steps, about steps/m.
+    Its 2n + 1 stage points are evaluated and checked against the box at
+    once; M(t) is then evaluated once per stage time: k2 and k3 share
+    M(t + h/2), and k4's M(t + h) is the next step's k1."""
+    m = len(path.pieces)
+    V = np.eye(chart.dim)
+    for k, (pmap, pvel) in enumerate(path.pieces):
+        t0, t1 = k / m, (k + 1) / m
         n = max(2, int(math.ceil(steps * (t1 - t0))))
         h = (t1 - t0) / n
-        # keep stage evaluations strictly inside the segment so that the
-        # one-sided velocity at corners is picked up correctly
+        starts = np.add.accumulate(np.r_[t0, np.full(n, h)])  # t += h, step by step
+        ts = np.empty(2 * n + 1)
+        ts[0::2] = starts
+        ts[1::2] = starts[:-1] + 0.5 * h
+        # keep stage times strictly inside the piece so that the one-sided
+        # velocity at corners is picked up correctly
         nudge = 1e-9 * (t1 - t0)
-        Ms = lambda t: M(min(max(t, t0 + nudge), t1 - nudge))
-        t = t0
-        M_start = Ms(t)
-        for _ in range(n):
-            M_mid = Ms(t + 0.5 * h)
-            M_end = Ms(t + h)
-            k1 = -M_start @ V
-            k2 = -M_mid @ (V + 0.5 * h * k1)
-            k3 = -M_mid @ (V + 0.5 * h * k2)
-            k4 = -M_end @ (V + h * k3)
+        s = np.clip(ts, t0 + nudge, t1 - nudge) * m - k
+        x = pmap(s)
+        if not chart.contains(x):
+            raise OutsideDomain(f"path leaves the domain for t in [{t0}, {t1}]")
+        M = [np.einsum("kij,i->kj", christoffel(chart, xj), vj)
+             for xj, vj in zip(x, m * pvel(s))]
+        for i in range(0, 2 * n, 2):
+            k1 = -M[i] @ V
+            k2 = -M[i + 1] @ (V + 0.5 * h * k1)
+            k3 = -M[i + 1] @ (V + 0.5 * h * k2)
+            k4 = -M[i + 2] @ (V + h * k3)
             V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            M_start = M_end
     return V
 
 
@@ -261,34 +294,24 @@ def nearest_orthogonal(A: np.ndarray) -> np.ndarray:
 # -- loop families and holonomy sampling --------------------------------------
 
 def _check_inside(chart, path, n_probe=256):
-    for t in np.linspace(0.0, 1.0, n_probe):
-        if not chart.contains(np.asarray(path.map(t))):
-            raise LoopEscapesDomain(
-                f"loop leaves the domain of {chart.name} at t={t:.3f}")
-
-
-def _segment(a, b, description):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return SmoothPath(map=lambda t: a + t * (b - a),
-                      velocity=lambda t: b - a,
-                      breakpoints=(), description=description)
+    """LoopEscapesDomain unless each of the m pieces is in the box at n_probe // m
+    evenly spaced s, ends included (one ``contains`` call per piece)."""
+    s = np.linspace(0.0, 1.0, n_probe // len(path.pieces))
+    if not all(chart.contains(pmap(s)) for pmap, _ in path.pieces):
+        raise LoopEscapesDomain(f"loop leaves the domain of {chart.name}")
 
 
 def rectangle_loop(p, axis_i: int, axis_j: int, scale: float) -> SmoothPath:
-    """The coordinate rectangle loop of side ``scale`` in the (i, j)-plane."""
+    """The coordinate rectangle loop of side ``scale`` in the (i, j)-plane:
+    always its four sides, however little they move."""
     p = np.asarray(p, dtype=float)
-    ei = np.zeros_like(p)
-    ej = np.zeros_like(p)
-    ei[axis_i] = scale
-    ej[axis_j] = scale
+    ei, ej = np.zeros((2, p.size))
+    ei[axis_i] = ej[axis_j] = scale
     corners = [p, p + ei, p + ei + ej, p + ej, p]
-    desc = {"kind": "rectangle", "base": p.tolist(), "axes": [axis_i, axis_j],
-            "scale": scale}
-    loop = concatenate_paths(
-        [_segment(corners[k], corners[k + 1], desc) for k in range(4)])
-    return SmoothPath(map=loop.map, velocity=loop.velocity, closed=True,
-                      breakpoints=loop.breakpoints, description=desc)
+    return SmoothPath(tuple(_straight(a, b) for a, b in zip(corners, corners[1:])),
+                      closed=True,
+                      description={"kind": "rectangle", "base": p.tolist(),
+                                   "axes": [axis_i, axis_j], "scale": scale})
 
 
 def fourier_loop(p, coeffs_a: np.ndarray, coeffs_b: np.ndarray) -> SmoothPath:
@@ -312,7 +335,7 @@ def fourier_loop(p, coeffs_a: np.ndarray, coeffs_b: np.ndarray) -> SmoothPath:
             v = v + w * (a[k] * math.cos(w * t) - b[k] * math.sin(w * t))
         return v
 
-    return SmoothPath(map=fmap, velocity=fvel, closed=True,
+    return SmoothPath(curve(fmap, fvel).pieces, closed=True,
                       description={"kind": "fourier", "base": p.tolist(),
                                    "a": a.tolist(), "b": b.tolist()})
 
@@ -320,12 +343,15 @@ def fourier_loop(p, coeffs_a: np.ndarray, coeffs_b: np.ndarray) -> SmoothPath:
 LOOP_KINDS = ("coordinate_rectangles", "fourier_random")
 
 
-def check_loop_family(kind: str, count: int) -> None:
-    """Reject a loop family request that cannot yield a loop."""
+def check_loop_family(kind: str, count: int, scale: float) -> None:
+    """Reject a loop family request that cannot yield a loop that moves."""
     if kind not in LOOP_KINDS:
         raise InvalidLoopFamily(f"unknown loop family kind {kind!r}")
     if count < 1:
         raise InvalidLoopFamily(f"{count} loops requested; at least 1 is needed")
+    if not abs(scale) > MIN_MOVE or math.isinf(scale):
+        raise InvalidLoopFamily(
+            f"loop scale {scale!r}; a finite scale above {MIN_MOVE} in magnitude is needed")
 
 
 def loop_family(chart: ManifoldChart, p, kind: str, count: int, scale: float,
@@ -334,9 +360,10 @@ def loop_family(chart: ManifoldChart, p, kind: str, count: int, scale: float,
 
     ``coordinate_rectangles``: one rectangle per axis pair (count ignored
     beyond the number of pairs times repeats with alternating orientation).
-    ``fourier_random``: seeded closed Fourier curves through p.
+    ``fourier_random``: seeded closed Fourier curves through p, with
+    harmonic k's coefficients uniform in [-|scale|, |scale|] / k.
     """
-    check_loop_family(kind, count)
+    check_loop_family(kind, count, scale)
     p = np.asarray(p, dtype=float)
     if not chart.contains(p):
         raise OutsideDomain(f"base point {p} outside {chart.name}")
@@ -346,12 +373,16 @@ def loop_family(chart: ManifoldChart, p, kind: str, count: int, scale: float,
         for idx in range(count):
             i, j = pairs[idx % len(pairs)]
             s = scale if (idx // len(pairs)) % 2 == 0 else -scale
+            if p[i] + s == p[i] or p[j] + s == p[j]:
+                raise InvalidLoopFamily(
+                    f"loop scale {s!r} does not move {p.tolist()} along axes {i} and {j}")
             loops.append(rectangle_loop(p, i, j, s))
     else:  # fourier_random
         rng = np.random.default_rng(seed)
+        r = abs(scale)
         for _ in range(count):
-            a = rng.uniform(-scale, scale, size=(3, chart.dim)) / np.array([[1.0], [2.0], [3.0]])
-            b = rng.uniform(-scale, scale, size=(3, chart.dim)) / np.array([[1.0], [2.0], [3.0]])
+            a = rng.uniform(-r, r, size=(3, chart.dim)) / np.array([[1.0], [2.0], [3.0]])
+            b = rng.uniform(-r, r, size=(3, chart.dim)) / np.array([[1.0], [2.0], [3.0]])
             loops.append(fourier_loop(p, a, b))
     for loop in loops:
         _check_inside(chart, loop)
@@ -376,8 +407,8 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
     # generators +-(i+1): loop i and its reverse, as (matrix, loop, defect)
     gens = {}
     for i, loop in enumerate(loops):
-        if not loop.closed:
-            raise ValueError("holonomy sampling needs closed loops")
+        if not loop.closed or not loop.pieces:
+            raise ValueError("holonomy sampling needs closed loops that move")
         if np.max(np.abs(np.asarray(loop.map(0.0)) - p)) > 1e-9:
             raise ValueError("loop is not based at p")
         A, defect = transport_with_defect(chart, loop, steps)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import acs
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MalformedInput
 from .karcher import WeightedSampleSet
 
 
@@ -24,8 +24,11 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
         raise DimensionMismatch('expected a {"dim": ..., "rows": ...} object')
-    mat = np.array(obj["rows"], dtype=float)
-    d = int(obj["dim"])
+    try:
+        mat = np.array(obj["rows"], dtype=float)
+        d = int(obj["dim"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"matrix entries are not numbers: {exc}") from exc
     if mat.shape != (d, d):
         raise DimensionMismatch(f"rows have shape {mat.shape}, dim says {d}")
     return mat
@@ -47,14 +50,19 @@ def sample_set_to_json(s: WeightedSampleSet) -> dict:
 def sample_set_from_json(obj: dict) -> WeightedSampleSet:
     """Accepts {"points": [matrix...], "weights": [...]} (weights optional)
     or a bare JSON array of matrices with uniform weights."""
-    if isinstance(obj, list):
-        points = [structure_from_json(m) for m in obj]
-        return WeightedSampleSet.uniform(points)
-    points = [structure_from_json(m) for m in obj["points"]]
-    weights = obj.get("weights")
-    if weights is None:
-        return WeightedSampleSet.uniform(points)
-    return WeightedSampleSet(tuple(points), tuple(float(w) for w in weights))
+    if isinstance(obj, dict) and "points" in obj:
+        matrices, weights = obj["points"], obj.get("weights")
+    elif isinstance(obj, list):
+        matrices, weights = obj, None
+    else:
+        raise MalformedInput('expected an array of matrices or {"points": [...]}')
+    try:
+        points = tuple(structure_from_json(m) for m in matrices)
+        if weights is None:
+            return WeightedSampleSet.uniform(points)
+        return WeightedSampleSet(points, tuple(float(w) for w in weights))
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"not a sample set: {exc}") from exc
 
 
 def holonomy_sample_to_json(sample) -> dict:
@@ -67,8 +75,13 @@ def holonomy_sample_to_json(sample) -> dict:
 
 
 def load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document in the file at path; MalformedInput when the file
+    cannot be read or is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 
 def dump_json(obj, path: str | None = None) -> str:

@@ -22,6 +22,7 @@ from .errors import ComponentMismatch, ConvexityViolation
 
 WEIGHT_TOL = 1e-12
 DEFAULT_TOL = 1e-10
+MIN_TOL = 1e-12
 DEFAULT_MAX_ITER = 500
 
 
@@ -104,8 +105,8 @@ def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
                  start: OrthoComplexStructure = None) -> MeanResult:
     """Gradient descent with Armijo halving, started at ``start`` or the
     heaviest sample."""
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
+    if tol < MIN_TOL:
+        raise ValueError(f"tol must be >= {MIN_TOL}")
     y = s.points[int(np.argmax(s.weights))] if start is None else start
     energy = karcher_energy(y, s)
     for it in range(1, max_iter + 1):

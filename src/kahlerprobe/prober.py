@@ -67,18 +67,14 @@ class GlobalJField:
     _cache: dict = field(default_factory=dict)
 
     def _canonical_path(self, x, axis_order=None):
+        """The axis-parallel polyline from the base point to x, one axis
+        at a time in ``axis_order``."""
         order = list(range(self.chart.dim)) if axis_order is None else list(axis_order)
-        segs = []
-        cur = np.array(self.base_point, dtype=float)
+        corners = [np.array(self.base_point, dtype=float)]
         for ax in order:
-            nxt = cur.copy()
-            nxt[ax] = x[ax]
-            if abs(nxt[ax] - cur[ax]) > 1e-15:
-                segs.append(holonomy._segment(cur, nxt, {"kind": "axis", "axis": ax}))
-                cur = nxt
-        if not segs:
-            return None
-        return holonomy.concatenate_paths(segs)
+            corners.append(corners[-1].copy())
+            corners[-1][ax] = x[ax]
+        return holonomy.polyline(corners, {"kind": "axes", "order": order})
 
     def ortho_j(self, x, axis_order=None) -> np.ndarray:
         """Orthonormal-frame expression of the field at x."""
@@ -86,7 +82,7 @@ class GlobalJField:
         if key in self._cache:
             return self._cache[key]
         path = self._canonical_path(x, axis_order)
-        if path is None:
+        if not path.pieces:
             val = self.base_J.mat
         else:
             P = holonomy.parallel_transport(self.chart, path, self.steps)
@@ -183,6 +179,8 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
     """
     if grid_res < 9:
         raise GridTooCoarse("grid_res must be >= 9")
+    if probe_points < 1:
+        raise GridTooCoarse(f"{probe_points} probe points; at least 1 is needed")
     p = np.asarray(p, dtype=float)
     if not chart.contains(p):
         raise OutsideDomain(f"base point {p} outside the domain")

@@ -169,7 +169,7 @@ def _sphere_triangle():
                 / math.sin(omega)
             return to_chart(u)
 
-        return holonomy.SmoothPath(map=amap, closed=False)
+        return holonomy.curve(amap)
 
     loop = holonomy.concatenate_paths([arc(A, B), arc(B, C), arc(C, A)])
 

@@ -1,5 +1,6 @@
 """Tests for the JSON exchange helpers and the command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -200,3 +201,91 @@ def test_orbit_csv_export(capsys, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "index,distance"
     assert len(lines) == 1 + len(json.loads(out)["result"]["distances"])
+
+
+def run_cli_exit(capsys, *argv):
+    """run_cli, with a usage error's SystemExit read as its exit status."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_degenerate_probe_is_an_invalid_loop_family(capsys):
+    code, out, err = run_cli_exit(capsys, "probe", "--manifold", "round_sphere_4",
+                                  "--point", "0,0,0,0", "--loop-scale", "0",
+                                  "--probe-points", "0")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid_loop_family"
+
+
+def test_transport_of_six_letter_words(capsys):
+    code, out, _ = run_cli(capsys, "transport", "--manifold", "round_sphere_4",
+                           "--point", "0,0,0,0", "--loops", "1", "--word-length", "6",
+                           "--ode-steps", "100", "--no-timestamp")
+    assert code == 0
+    assert max(len(s["word"]) for s in json.loads(out)["result"]["samples"]) == 6
+
+
+def test_probe_with_tiny_rectangles_far_from_the_centre(capsys):
+    """Sides of 1.1e-15 at (3, 3, 3, 3) still move: a verdict, not a traceback."""
+    code, out, err = run_cli_exit(capsys, "probe", "--manifold", "round_sphere_4",
+                                  "--point", "3,3,3,3", "--loop-scale", "1.1e-15",
+                                  "--ode-steps", "100", "--field-steps", "100",
+                                  "--probe-points", "1", "--word-length", "2",
+                                  "--no-timestamp")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["kind"] == "Inconclusive"
+
+
+@pytest.mark.parametrize("command", ["probe", "transport"])
+def test_point_of_the_wrong_length_is_a_dimension_mismatch(capsys, command):
+    code, out, err = run_cli_exit(capsys, command, "--manifold", "round_sphere_4",
+                                  "--point", "0.5,0.5")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "dimension_mismatch"
+
+
+@pytest.mark.parametrize("argv,files,status", [
+    (["mean", "--input", "bad.json"], {"bad.json": "{bad"}, 2),
+    (["mean", "--input", "missing.json"], {}, 2),
+    (["mean", "--input", "empty.json"], {"empty.json": "[]"}, 2),
+    (["mean", "--input", "weights.json"], {"weights.json": '{"weights": [1.0]}'}, 2),
+    (["orbit", "--manifold", "round_sphere_4", "--point", "0,0,0,0", "--loops", "1",
+      "--word-length", "1", "--j", "j.json"],
+     {"j.json": '{"dim": 2, "rows": [[0.0, "x"], [1.0, 0.0]]}'}, 2),
+    (["delta", "--samples", "5"], {}, 1),
+    (["delta", "--resolution", "0.1"], {}, 1),
+    (["mean", "--input", "points.json", "--tol", "1e-20"], {}, 1),
+    (["probe", "--manifold", "fubini_study_cp2", "--point", "0,0,0,0",
+      "--mean-tol", "1e-20"], {}, 1),
+])
+def test_bad_inputs_end_in_a_stable_outcome(capsys, tmp_path, monkeypatch,
+                                            argv, files, status):
+    """Unreadable or malformed input files are domain errors (exit 2) and
+    out-of-range flags are usage errors (exit 1); neither is a traceback."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert code == status
+    assert out == ""
+    assert "Traceback" not in err
+    if status == 2:
+        assert json.loads(err)["error"] == "malformed_input"
+
+
+def test_transport_loop_descriptions_are_pinned(capsys):
+    """The replayable loop JSON of the 758 samples of the default closure on
+    five sphere rectangles, as pinned by the benchmark reference."""
+    code, out, _ = run_cli(capsys, "transport", "--manifold", "round_sphere_4",
+                           "--point", "0,0,0,0", "--loops", "5", "--no-timestamp")
+    assert code == 0
+    samples = json.loads(out)["result"]["samples"]
+    loops = json.dumps([s["loop"] for s in samples], sort_keys=True,
+                       separators=(",", ":"))
+    assert len(samples) == 758
+    assert hashlib.sha256(loops.encode()).hexdigest() == \
+        "1146e736e4f449d6b490008649fe68002d9278ccb1faaa8ceefd6cf163adf5f4"

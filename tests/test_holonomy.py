@@ -1,12 +1,16 @@
 """Tests for charts, Christoffel symbols, parallel transport, and holonomy."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerprobe import acs, holonomy, prober
 from kahlerprobe.errors import (
+    DimensionMismatch,
     InvalidLoopFamily,
     LoopEscapesDomain,
     OutsideDomain,
@@ -127,8 +131,7 @@ def test_frame_orthonormalizes_the_metric(name):
 def test_transport_constant_path_is_identity():
     chart = holonomy.catalog("round_sphere_4")
     p = np.array([0.2, -0.1, 0.3, 0.0])
-    path = holonomy.SmoothPath(map=lambda t: p,
-                               velocity=lambda t: np.zeros(4), closed=True)
+    path = holonomy.curve(lambda t: p, lambda t: np.zeros(4))
     A = holonomy.parallel_transport(chart, path, 200)
     assert maxabs(A - np.eye(4)) < 1e-12
 
@@ -187,7 +190,7 @@ def test_transport_preserves_the_metric():
         c = chart.domain.mean(axis=1)
         span = 0.2 * (chart.domain[:, 1] - chart.domain[:, 0])
         q_target = c + 0.5 * span
-        path = holonomy._segment(c, q_target, {})
+        path = holonomy.polyline([c, q_target], {})
         P = holonomy._transport_coordinate(chart, path, 600)
         gp = chart.metric(c)
         gq = chart.metric(q_target)
@@ -391,11 +394,48 @@ def test_word_closure_of_no_loops_is_empty():
                                      word_length=3) == []
 
 
+def test_word_closure_of_length_six():
+    """Words of length 6 join up to 24 rectangle sides; each product loop
+    is still read at t = 0 and t = 1 at the base point."""
+    chart = holonomy.catalog("round_sphere_4")
+    p = np.zeros(4)
+    loops = holonomy.loop_family(chart, p, "coordinate_rectangles", 2, 0.5)
+    samples = holonomy.holonomy_samples(chart, p, loops, 100, word_length=6)
+    longest = [s for s in samples if len(s.word) == 6]
+    assert longest and all(len(s.loop.pieces) == 24 for s in longest)
+    for s in longest:
+        assert s.loop.closed
+        assert maxabs(s.loop.map(0.0) - p) == 0.0
+        assert maxabs(s.loop.map(1.0) - p) < 1e-15
+
+
+@pytest.mark.parametrize("count", [4, 5, 9])
+def test_end_point_of_many_pieces(count):
+    """Past 16 pieces m - 1e-15 rounds to m; t = 1 then reads the end of
+    the last piece."""
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    path = holonomy.concatenate_paths(
+        [holonomy.rectangle_loop(p, 0, 1, 0.25)] * (count - 1)
+        + [holonomy.polyline([p, p + 0.5], {})])
+    assert len(path.pieces) == 4 * count - 3
+    assert maxabs(path.map(1.0) - (p + 0.5)) < 1e-14
+    assert not path.closed
+
+
 def test_samples_reject_open_loops():
     chart = holonomy.catalog("flat_torus_4")
-    seg = holonomy._segment(np.full(4, 0.2), np.full(4, 0.6), {})
+    seg = holonomy.polyline([np.full(4, 0.2), np.full(4, 0.6)], {})
     with pytest.raises(ValueError):
         holonomy.holonomy_samples(chart, np.full(4, 0.2), [seg], 200)
+
+
+def test_samples_reject_loops_without_pieces():
+    """A polyline that never moves drops all its moves."""
+    chart = holonomy.catalog("flat_torus_4")
+    loop = holonomy.polyline([[0.5] * 4, [0.5] * 4], {})
+    assert loop.closed and loop.pieces == ()
+    with pytest.raises(ValueError, match="move"):
+        holonomy.holonomy_samples(chart, [0.5] * 4, [loop], 200)
 
 
 def test_fubini_study_holonomy_is_unitary():
@@ -445,3 +485,315 @@ def test_round_sphere_scalar_curvature():
             lap += (f(x + e) - 2.0 * f(x) + f(x - e)) / h ** 2
         scal = -2.0 * math.exp(-2.0 * f(x)) * lap
         assert scal == pytest.approx(2.0, abs=1e-4)
+
+
+# -- piece tuples against the closure paths they replaced ---------------------
+#
+# A copy of the former representation: each path was a closure over all of
+# [0, 1], concatenation found the current part again with int(t m) at every
+# call, and ``breakpoints`` told the integrator where to split.
+
+class _ClosurePath:
+    def __init__(self, map, velocity=None, breakpoints=()):
+        self.map, self.velocity, self.breakpoints = map, velocity, breakpoints
+
+    def vel(self, t):
+        if self.velocity is not None:
+            return np.asarray(self.velocity(t), dtype=float)
+        h = 1e-6
+        return (np.asarray(self.map(min(t + h, 1.0)))
+                - np.asarray(self.map(max(t - h, 0.0)))) / (min(t + h, 1.0) - max(t - h, 0.0))
+
+
+def _closure_concatenate(paths):
+    m = len(paths)
+
+    def cmap(t):
+        s = min(t * m, m - 1e-15)
+        k = int(s)
+        return paths[k].map(s - k)
+
+    def cvel(t):
+        s = min(t * m, m - 1e-15)
+        k = int(s)
+        return m * np.asarray(paths[k].vel(s - k))
+
+    breaks = []
+    for k, p in enumerate(paths):
+        if k > 0:
+            breaks.append(k / m)
+        breaks.extend((k + b) / m for b in p.breakpoints)
+    return _ClosurePath(cmap, cvel, tuple(sorted(breaks)))
+
+
+def _closure_segment(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return _ClosurePath(lambda t: a + t * (b - a), lambda t: b - a)
+
+
+def _closure_rectangle(p, axis_i, axis_j, scale):
+    p = np.asarray(p, dtype=float)
+    ei = np.zeros_like(p)
+    ej = np.zeros_like(p)
+    ei[axis_i] = scale
+    ej[axis_j] = scale
+    corners = [p, p + ei, p + ei + ej, p + ej, p]
+    return _closure_concatenate(
+        [_closure_segment(corners[k], corners[k + 1]) for k in range(4)])
+
+
+def _closure_fourier(p, a, b):
+    shift = b.sum(axis=0)
+
+    def fmap(t):
+        x = p - shift
+        for k in range(a.shape[0]):
+            w = 2.0 * math.pi * (k + 1)
+            x = x + a[k] * math.sin(w * t) + b[k] * math.cos(w * t)
+        return x
+
+    def fvel(t):
+        v = np.zeros_like(p)
+        for k in range(a.shape[0]):
+            w = 2.0 * math.pi * (k + 1)
+            v = v + w * (a[k] * math.cos(w * t) - b[k] * math.sin(w * t))
+        return v
+
+    return _ClosurePath(fmap, fvel)
+
+
+def _closure_canonical(base, x, order):
+    segs = []
+    cur = np.array(base, dtype=float)
+    for ax in order:
+        nxt = cur.copy()
+        nxt[ax] = x[ax]
+        if abs(nxt[ax] - cur[ax]) > 1e-15:
+            segs.append(_closure_segment(cur, nxt))
+            cur = nxt
+    return _closure_concatenate(segs) if segs else None
+
+
+def _closure_transport(chart, path, steps):
+    d = chart.dim
+
+    def M(t):
+        x = np.asarray(path.map(t), dtype=float)
+        if not chart.contains(x):
+            raise OutsideDomain(f"path leaves the domain at t={t}: {x}")
+        gamma = holonomy.christoffel(chart, x)
+        return np.einsum("kij,i->kj", gamma, path.vel(t))
+
+    knots = sorted({0.0, 1.0, *(b for b in path.breakpoints if 0.0 < b < 1.0)})
+    V = np.eye(d)
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        n = max(2, int(math.ceil(steps * (t1 - t0))))
+        h = (t1 - t0) / n
+        nudge = 1e-9 * (t1 - t0)
+        Ms = lambda t: M(min(max(t, t0 + nudge), t1 - nudge))  # noqa: E731
+        t = t0
+        M_start = Ms(t)
+        for _ in range(n):
+            M_mid = Ms(t + 0.5 * h)
+            M_end = Ms(t + h)
+            k1 = -M_start @ V
+            k2 = -M_mid @ (V + 0.5 * h * k1)
+            k3 = -M_mid @ (V + 0.5 * h * k2)
+            k4 = -M_end @ (V + h * k3)
+            V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            M_start = M_end
+    return V
+
+
+def _closure_transport_with_defect(chart, path, steps):
+    P = _closure_transport(chart, path, steps)
+    Fp = holonomy.orthonormal_frame(chart, np.asarray(path.map(0.0), dtype=float))
+    Fq = holonomy.orthonormal_frame(chart, np.asarray(path.map(1.0), dtype=float))
+    A = np.linalg.solve(Fq, P @ Fp)
+    return A, float(np.max(np.abs(A.T @ A - np.eye(chart.dim))))
+
+
+def _assert_same_transport(chart, new_path, old_path, steps):
+    A, defect = holonomy.transport_with_defect(chart, new_path, steps)
+    A_old, defect_old = _closure_transport_with_defect(chart, old_path, steps)
+    assert np.array_equal(A, A_old)
+    assert defect == defect_old
+
+
+@pytest.mark.parametrize("name", holonomy.CATALOG_NAMES)
+def test_rectangles_match_closure_paths(name):
+    """Every axis-plane rectangle, both orientations, off the chart centre:
+    the piece-tuple kernel reproduces the closure kernel bit for bit."""
+    chart = holonomy.catalog(name)
+    width = chart.domain[:, 1] - chart.domain[:, 0]
+    p = chart.domain.mean(axis=1) + 0.05 * width * np.resize([1.0, -2.0, 3.0, -1.0], chart.dim)
+    for i, j in itertools.combinations(range(chart.dim), 2):
+        for scale in (0.2 * width[0], -0.2 * width[0]):
+            for steps in (100, 333):
+                _assert_same_transport(chart, holonomy.rectangle_loop(p, i, j, scale),
+                                       _closure_rectangle(p, i, j, scale), steps)
+
+
+def test_fourier_loop_matches_closure_path():
+    """A Fourier loop is one piece: the same coordinate transport bits."""
+    chart = holonomy.catalog("round_sphere_4")
+    p = np.array([0.3, -0.2, 0.1, 0.4])
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-0.5, 0.5, size=(3, 4)) / np.array([[1.0], [2.0], [3.0]])
+    b = rng.uniform(-0.5, 0.5, size=(3, 4)) / np.array([[1.0], [2.0], [3.0]])
+    P = holonomy._transport_coordinate(chart, holonomy.fourier_loop(p, a, b), 400)
+    assert np.array_equal(P, _closure_transport(chart, _closure_fourier(p, a, b), 400))
+
+
+def _arc_maps():
+    """Criterion 07's geodesic triangle on the unit sphere: three great-circle
+    arcs as scalar curves in the stereographic chart."""
+    def vert(theta, phi):
+        return np.array([math.sin(theta) * math.cos(phi),
+                         math.sin(theta) * math.sin(phi), math.cos(theta)])
+
+    def arc(P, Q):
+        omega = math.acos(float(np.clip(P @ Q, -1.0, 1.0)))
+
+        def amap(t):
+            u = (math.sin((1.0 - t) * omega) * P + math.sin(t * omega) * Q) \
+                / math.sin(omega)
+            return u[:2] / (1.0 - u[2])
+        return amap
+
+    A, B, C = vert(2.6, 0.0), vert(2.0, 1.0), vert(2.2, -1.2)
+    return [arc(A, B), arc(B, C), arc(C, A)]
+
+
+def test_arc_triangle_matches_closure_path():
+    """Curves with the finite-difference velocity, joined end to end."""
+    chart = holonomy.catalog("round_sphere_2")
+    new = holonomy.concatenate_paths([holonomy.curve(f) for f in _arc_maps()])
+    old = _closure_concatenate([_ClosurePath(f) for f in _arc_maps()])
+    _assert_same_transport(chart, new, old, 500)
+
+
+def test_canonical_paths_match_closure_paths():
+    """Axis polylines in both axis orders, including targets that share
+    coordinates with the base point or differ from it by at most 1e-15."""
+    chart = holonomy.catalog("fubini_study_cp2")
+    base = np.array([0.05, -0.1, 0.0, 0.02])
+    field_ = prober.GlobalJField(chart=chart, base_point=base,
+                                 base_J=prober.default_structure(chart, base),
+                                 grid=(), h=np.full(4, 0.05), steps=100)
+    targets = random_interior_points(chart, 6, seed=9, margin=0.15)
+    targets += [np.array([0.05, 0.3, 0.0, 0.02]), base + [1e-17, 0.2, 0.0, -0.3],
+                base + [3e-16, 0.0, -1e-16, 0.0], base.copy()]
+    for x in targets:
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
+            new = field_._canonical_path(x, order)
+            old = _closure_canonical(base, x, order)
+            assert (old is None) == (not new.pieces)
+            if old is not None:
+                _assert_same_transport(chart, new, old, 100)
+
+
+# -- containment --------------------------------------------------------------
+
+def test_transport_rejects_straight_path_leaving_the_box():
+    chart = holonomy.catalog("fubini_study_cp2")
+    path = holonomy.polyline([np.zeros(4), [0.7, 0.0, 0.0, 0.0]], {})
+    with pytest.raises(OutsideDomain):
+        holonomy.parallel_transport(chart, path, 200)
+
+
+def test_transport_rejects_curve_bulging_out_of_the_box():
+    """Both ends are inside; the middle is not."""
+    chart = holonomy.catalog("fubini_study_cp2")
+    path = holonomy.curve(lambda t: np.array([0.9 * math.sin(math.pi * t), 0.0, 0.1, 0.0]))
+    assert chart.contains(path.map(0.0)) and chart.contains(path.map(1.0))
+    with pytest.raises(OutsideDomain):
+        holonomy.parallel_transport(chart, path, 200)
+
+
+def test_points_of_the_wrong_length_are_a_dimension_mismatch():
+    chart = holonomy.catalog("round_sphere_4")
+    for call in (chart.contains, lambda x: holonomy.orthonormal_frame(chart, x)):
+        with pytest.raises(DimensionMismatch):
+            call([0.5, 0.5])
+
+
+@pytest.mark.parametrize("kind", holonomy.LOOP_KINDS)
+@pytest.mark.parametrize("scale", [0.0, -0.0, 1e-16, math.nan, math.inf, -math.inf])
+def test_loop_family_needs_a_finite_moving_scale(kind, scale):
+    chart = holonomy.catalog("flat_torus_4")
+    with pytest.raises(InvalidLoopFamily, match="loop scale"):
+        holonomy.loop_family(chart, [0.5] * 4, kind, 3, scale)
+
+
+def test_tiny_rectangles_keep_their_four_sides():
+    """At |x| >= 2 a side of 1.1e-15 rounds to a move of 8.9e-16, which a
+    polyline would drop; a rectangle keeps it and stays a loop that moves."""
+    chart = holonomy.catalog("round_sphere_4")
+    p = np.full(4, 3.0)
+    loops = holonomy.loop_family(chart, p, "coordinate_rectangles", 6, 1.1e-15)
+    for loop in loops:
+        i, j = loop.description["axes"]
+        moves = [vel(np.zeros(1))[0] for _, vel in loop.pieces]
+        assert loop.closed and len(moves) == 4
+        assert moves[0][i] > 0.0 and moves[1][j] > 0.0
+    samples = holonomy.holonomy_samples(chart, p, loops, 100, word_length=2)
+    assert all(s.orthogonality_defect < 1e-12 for s in samples)
+
+
+def test_rectangle_side_that_rounds_away_is_an_invalid_loop_family():
+    """On a wide chart a side of 1e-14 does not move a coordinate of 500."""
+    chart = holonomy.ManifoldChart(4, lambda x: np.eye(4), [[-1e3, 1e3]] * 4,
+                                   christoffel=lambda x: np.zeros((4, 4, 4)))
+    with pytest.raises(InvalidLoopFamily, match="does not move"):
+        holonomy.loop_family(chart, np.full(4, 500.0), "coordinate_rectangles", 1, 1e-14)
+
+
+def test_fourier_family_negative_scale_is_its_magnitude():
+    chart = holonomy.catalog("round_sphere_4")
+    pos, neg = (holonomy.loop_family(chart, np.zeros(4), "fourier_random", 2, s, seed=4)
+                for s in (0.3, -0.3))
+    assert [l.description for l in pos] == [l.description for l in neg]
+
+
+# -- transport properties over random loops -----------------------------------
+
+_SPHERE = holonomy.catalog("round_sphere_4")
+
+
+def _draw_loop(draw, p):
+    """A rectangle or a Fourier loop at p on the round 4-sphere chart."""
+    scale = draw(st.floats(0.1, 0.6)) * draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        i, j = draw(st.sampled_from(list(itertools.combinations(range(4), 2))))
+        return holonomy.rectangle_loop(p, i, j, scale)
+    seed = draw(st.integers(0, 2**20))
+    return holonomy.loop_family(_SPHERE, p, "fourier_random", 1, scale, seed=seed)[0]
+
+
+_base_points = st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4).map(np.array)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data(), p=_base_points)
+def test_reversed_loop_gives_inverse_property(data, p):
+    """The tolerance of test_reversed_loop_gives_inverse (worst seen at 400
+    steps: 2.7e-10)."""
+    loop = _draw_loop(data.draw, p)
+    A = holonomy.parallel_transport(_SPHERE, loop, 400)
+    B = holonomy.parallel_transport(_SPHERE, loop.reversed(), 400)
+    assert maxabs(A @ B - np.eye(4)) < 1e-7
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data(), p=_base_points)
+def test_concatenation_homomorphism_property(data, p):
+    """The tolerance of test_transport_concatenation_homomorphism (worst
+    seen at 400 steps per loop: 1.8e-7)."""
+    l1, l2 = _draw_loop(data.draw, p), _draw_loop(data.draw, p)
+    A1 = holonomy.parallel_transport(_SPHERE, l1, 500)
+    A2 = holonomy.parallel_transport(_SPHERE, l2, 500)
+    A12 = holonomy.parallel_transport(_SPHERE, holonomy.concatenate_paths([l1, l2]), 1000)
+    assert maxabs(A12 - A2 @ A1) < 1e-6

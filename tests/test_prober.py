@@ -15,8 +15,7 @@ def maxabs(a):
 
 def constant_loop(p):
     p = np.asarray(p, dtype=float)
-    return holonomy.SmoothPath(map=lambda t: p, velocity=lambda t: np.zeros_like(p),
-                               closed=True)
+    return holonomy.curve(lambda t: p, lambda t: np.zeros_like(p))
 
 
 def make_sample(p, matrix):
@@ -313,3 +312,41 @@ def test_probe_mutual_exclusion(delta4):
     assert v.witness_distance > delta4.delta
     assert v.certificates == {}
     assert v.mean_result is None
+
+
+def test_probe_rejects_degenerate_loops_without_probe_points(delta4):
+    """Constant loops and an empty certificate grid once combined into a
+    KahlerWitness on the round 4-sphere, whose holonomy is all of SO(4)."""
+    config = prober.ProbeConfig(loop_scale=0.0, probe_points=0)
+    v = prober.probe(holonomy.catalog("round_sphere_4"), [0.0] * 4,
+                     config=config, delta=delta4)
+    assert v.kind == "Inconclusive"
+    assert v.failing_stage == "holonomy_samples"
+    assert v.detail.startswith("loop scale")
+
+
+def test_probe_with_tiny_rectangles_far_from_the_centre(delta4):
+    """Rectangles of side 1.1e-15 at (3, 3, 3, 3) keep their four sides;
+    the probe ends in a verdict instead of dividing by a piece count of 0."""
+    config = prober.ProbeConfig(loop_scale=1.1e-15, word_length=2, ode_steps=100,
+                                field_steps=100, probe_points=1)
+    v = prober.probe(holonomy.catalog("round_sphere_4"), [3.0] * 4,
+                     config=config, delta=delta4)
+    assert v.kind == "Inconclusive"
+    assert v.failing_stage == "build_global_j"
+
+
+def test_probe_needs_a_probe_point(delta4):
+    v = prober.probe(holonomy.catalog("flat_torus_4"), [0.5] * 4,
+                     config=prober.ProbeConfig(probe_points=0), delta=delta4)
+    assert v.kind == "Inconclusive"
+    assert v.failing_stage == "build_global_j"
+    assert v.detail.startswith("0 probe points")
+
+
+@pytest.mark.parametrize("name", ["fubini_study_cp2", "round_sphere_4"])
+def test_probe_base_point_of_the_wrong_length(delta4, name):
+    v = prober.probe(holonomy.catalog(name), [0.5, 0.5], delta=delta4)
+    assert v.kind == "Inconclusive"
+    assert v.failing_stage == "default_structure"
+    assert "shape (2,)" in v.detail
