@@ -20,8 +20,11 @@ import sys
 import numpy as np
 
 from . import holonomy, io, karcher, prober
-from .constants import MAX_RESOLUTION, MIN_SAMPLES, compute_delta
+from .constants import (DEFAULT_SAMPLES, MAX_RESOLUTION, MIN_RESOLUTION,
+                        MIN_SAMPLES, compute_delta)
 from .errors import KahlerProbeError, MalformedInput
+
+_DEFAULT = prober.ProbeConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,11 +51,16 @@ def _bounded(cast, lo=-np.inf, hi=np.inf):
 
 
 def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its keys")
+    sub.add_argument("--config",
+                     help="JSON file of flag keys (any key, required ones "
+                          "included); flags given on the command line win")
     sub.add_argument("--out", help="write the output JSON here instead of stdout")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp field (byte-stable output)")
-    sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_seed(sub):
+    sub.add_argument("--seed", type=_bounded(int, lo=0), default=_DEFAULT.seed)
 
 
 def _add_loop_flags(sub):
@@ -60,12 +68,13 @@ def _add_loop_flags(sub):
                      choices=holonomy.CATALOG_NAMES)
     sub.add_argument("--point", required=True, type=_csv_floats,
                      help="base point, comma-separated coordinates")
-    sub.add_argument("--loop-kind", default="coordinate_rectangles",
+    sub.add_argument("--loop-kind", default=_DEFAULT.loop_kind,
                      choices=holonomy.LOOP_KINDS)
-    sub.add_argument("--loops", type=int, default=6)
-    sub.add_argument("--loop-scale", type=float, default=0.5)
-    sub.add_argument("--ode-steps", type=int, default=400)
-    sub.add_argument("--word-length", type=int, default=3)
+    sub.add_argument("--loops", type=int, default=_DEFAULT.loops)
+    sub.add_argument("--loop-scale", type=float, default=_DEFAULT.loop_scale)
+    sub.add_argument("--ode-steps", type=int, default=_DEFAULT.ode_steps)
+    sub.add_argument("--word-length", type=int, default=_DEFAULT.word_length)
+    _add_seed(sub)
 
 
 def build_parser():
@@ -79,11 +88,15 @@ def build_parser():
     p = subs.add_parser("delta",
                         help="estimate the dichotomy constant")
     p.add_argument("--dim", type=int, default=4, help="ambient dimension 2n")
-    p.add_argument("--samples", type=_bounded(int, lo=MIN_SAMPLES), default=300)
-    p.add_argument("--resolution", type=_bounded(float, hi=MAX_RESOLUTION),
-                   default=0.01)
-    p.add_argument("--epsilon-override", type=float, default=None)
+    p.add_argument("--samples", type=_bounded(int, lo=MIN_SAMPLES),
+                   default=DEFAULT_SAMPLES)
+    p.add_argument("--resolution",
+                   type=_bounded(float, lo=MIN_RESOLUTION, hi=MAX_RESOLUTION),
+                   default=MAX_RESOLUTION)
+    p.add_argument("--epsilon-override", default=None,
+                   type=_bounded(float, lo=np.finfo(float).tiny, hi=np.finfo(float).max))
     p.add_argument("--no-cache", action="store_true")
+    _add_seed(p)
     _add_common(p)
     by_name["delta"] = p
 
@@ -92,8 +105,9 @@ def build_parser():
     p.add_argument("--input", required=True,
                    help="JSON file: array of matrices or "
                         '{"points": [...], "weights": [...]}')
-    p.add_argument("--tol", type=_bounded(float, lo=karcher.MIN_TOL), default=1e-10)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--tol", type=_bounded(float, lo=karcher.MIN_TOL),
+                   default=karcher.DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=karcher.DEFAULT_MAX_ITER)
     _add_common(p)
     by_name["mean"] = p
 
@@ -120,11 +134,11 @@ def build_parser():
     p.add_argument("--delta-dim", type=int, default=None,
                    help="dimension 2n for the delta constant "
                         "(default: the chart dimension)")
-    p.add_argument("--grid", type=int, default=17)
-    p.add_argument("--field-steps", type=int, default=300)
-    p.add_argument("--probe-points", type=int, default=10)
+    p.add_argument("--grid", type=int, default=_DEFAULT.grid_res)
+    p.add_argument("--field-steps", type=int, default=_DEFAULT.field_steps)
+    p.add_argument("--probe-points", type=int, default=_DEFAULT.probe_points)
     p.add_argument("--mean-tol", type=_bounded(float, lo=karcher.MIN_TOL),
-                   default=1e-10)
+                   default=_DEFAULT.mean_tol)
     _add_common(p)
     by_name["probe"] = p
 
@@ -211,9 +225,8 @@ def _cmd_probe(args) -> dict:
     p = chart.coords(args.point)
     J_p = None if args.j == "auto" else io.structure_from_json(io.load_json(args.j))
     holonomy.check_loop_family(args.loop_kind, args.loops, args.loop_scale)
-    delta = None
-    if args.delta_dim is not None:
-        delta = compute_delta(args.delta_dim // 2, seed=args.seed)
+    dim = chart.dim if args.delta_dim is None else args.delta_dim
+    delta = compute_delta(dim // 2, seed=args.seed)
     config = prober.ProbeConfig(loop_kind=args.loop_kind, loops=args.loops,
                                 loop_scale=args.loop_scale,
                                 ode_steps=args.ode_steps,
@@ -248,22 +261,46 @@ _COMMANDS = {"delta": _cmd_delta, "mean": _cmd_mean, "transport": _cmd_transport
              "orbit": _cmd_orbit, "probe": _cmd_probe}
 
 
+def _config_flags(sub, path) -> list:
+    """The flags that set the keys of the JSON config file at path: a switch
+    appears only when its value is true, a list is comma-joined, and a null
+    leaves the flag's default."""
+    try:
+        cfg = io.load_json(path)
+    except MalformedInput as exc:
+        sub.error(f"cannot read config file: {exc}")
+    if not isinstance(cfg, dict):
+        sub.error("a config file holds one JSON object")
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(actions))
+    if unknown:
+        sub.error(f"unknown config keys: {', '.join(unknown)}")
+    flags = []
+    for key, value in cfg.items():
+        opt = actions[key].option_strings[0]
+        if actions[key].nargs == 0:
+            if not isinstance(value, bool):
+                sub.error(f"config key {key} is a switch: true or false")
+            flags += [opt] if value else []
+        elif value is not None:
+            if isinstance(value, list):
+                value = ",".join(str(v) for v in value)
+            flags.append(f"{opt}={value}")
+    return flags
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, by_name = build_parser()
+    sub = by_name.get(argv[0]) if argv else None
+    if sub is not None:
+        pre = _Parser(prog=sub.prog, add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv[1:])[0].config
+        if path is not None:
+            # the command line's own flags come later, so they win
+            argv = argv[:1] + _config_flags(sub, path) + argv[1:]
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            cfg = io.load_json(args.config)
-        except MalformedInput as exc:
-            parser.error(f"cannot read config file: {exc}")
-        sub = by_name[args.subcommand]
-        valid = {a.dest for a in sub._actions} - {"help", "config"}
-        unknown = sorted(set(cfg) - valid)
-        if unknown:
-            parser.error(f"unknown config keys: {', '.join(unknown)}")
-        sub.set_defaults(**cfg)
-        args = parser.parse_args(argv)  # explicit flags override config keys
     try:
         result = _COMMANDS[args.subcommand](args)
     except KahlerProbeError as exc:

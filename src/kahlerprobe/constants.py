@@ -30,8 +30,11 @@ from .errors import (
 
 SAFETY_FACTOR = 1.05
 MIN_SAMPLES = 100      # fewest random planes estimate_epsilon accepts
-MAX_RESOLUTION = 0.01  # coarsest march step estimate_injectivity accepts
+DEFAULT_SAMPLES = 300  # random planes estimate_epsilon draws by default
+MIN_RESOLUTION = 1e-3  # finest march step estimate_injectivity accepts
+MAX_RESOLUTION = 0.01  # coarsest march step estimate_injectivity accepts, and its default
 MARCH_CHUNK = 32  # geodesic times evaluated per stacked step of the injectivity march
+MARCH_T_MAX = 20.0  # the march stops here when no direction breaks before
 DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".kahlerprobe_delta_cache.json")
 
 
@@ -44,8 +47,8 @@ class CurvatureBound:
     max_sampled: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, not {self.epsilon!r}")
         if self.epsilon < self.max_sampled:
             raise ValueError("epsilon below a recorded sample curvature")
 
@@ -94,7 +97,8 @@ def _random_plane(J, seed):
     return phi, psi.scaled(1.0 / nrm)
 
 
-def estimate_epsilon(n: int, num_samples: int = 300, seed: int = 0) -> CurvatureBound:
+def estimate_epsilon(n: int, num_samples: int = DEFAULT_SAMPLES,
+                     seed: int = 0) -> CurvatureBound:
     """Sampled upper bound on sectional curvature, refined by local ascent
     from the ten best sampled planes."""
     if n < 2:
@@ -136,16 +140,17 @@ def estimate_epsilon(n: int, num_samples: int = 300, seed: int = 0) -> Curvature
                           samples=num_samples, max_sampled=best)
 
 
-def estimate_injectivity(n: int, num_directions: int = 8, resolution: float = 0.01,
-                         seed: int = 0, t_max: float = 20.0) -> InjectivityEstimate:
+def estimate_injectivity(n: int, num_directions: int = 8,
+                         resolution: float = MAX_RESOLUTION,
+                         seed: int = 0) -> InjectivityEstimate:
     """Lower bound on the injectivity radius via a geodesic-minimality march."""
     if n < 2:
         raise DimensionTooSmall("zero-dimensional tangent space for n = 1")
-    if resolution > MAX_RESOLUTION:
-        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
     J = acs.canonical_j(n)
     rng = np.random.default_rng(seed)
-    first_break = t_max
+    first_break = MARCH_T_MAX
     for _ in range(num_directions):
         phi = acs.random_tangent(J, int(rng.integers(0, 2**31 - 1)))
         t = resolution
@@ -183,8 +188,8 @@ def cache_path() -> str:
     return os.environ.get("KAHLER_PROBE_CACHE", DEFAULT_CACHE)
 
 
-def compute_delta(n: int, num_samples: int = 300,
-                  resolution: float = 0.01, seed: int = 0,
+def compute_delta(n: int, num_samples: int = DEFAULT_SAMPLES,
+                  resolution: float = MAX_RESOLUTION, seed: int = 0,
                   epsilon_override: float | None = None,
                   use_cache: bool = True) -> DeltaConstant:
     """Delta constant with JSON file caching keyed by parameters."""

@@ -65,6 +65,12 @@ class ConvexityViolation(KahlerProbeError):
     code = "convexity_violation"
 
 
+class ToleranceTooSmall(KahlerProbeError, ValueError):
+    """A Karcher tolerance below the floor the iteration can reach."""
+
+    code = "tolerance_too_small"
+
+
 class OutsideDomain(KahlerProbeError):
     code = "outside_domain"
 

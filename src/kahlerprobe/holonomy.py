@@ -131,17 +131,9 @@ def polyline(vertices, description) -> SmoothPath:
     return SmoothPath(tuple(pieces), _ends_meet(start, a), description)
 
 
-def curve(map, velocity=None) -> SmoothPath:
-    """One piece from a scalar curve t -> point on [0, 1], closed when its
-    ends agree within 1e-12.
-
-    Without ``velocity`` the velocity is a central difference of step 1e-6,
-    one-sided at the ends."""
-    if velocity is None:
-        def velocity(t):
-            lo, hi = max(t - 1e-6, 0.0), min(t + 1e-6, 1.0)
-            return (np.asarray(map(hi)) - np.asarray(map(lo))) / (hi - lo)
-
+def curve(map, velocity) -> SmoothPath:
+    """One piece from a scalar curve t -> point on [0, 1] and its velocity
+    t -> d map / dt, closed when its ends agree within 1e-12."""
     path = SmoothPath(((lambda s: np.array([map(t) for t in s.tolist()], dtype=float),
                         lambda s: np.array([velocity(t) for t in s.tolist()], dtype=float)),))
     return SmoothPath(path.pieces, _ends_meet(path.map(0.0), path.map(1.0)))
@@ -293,10 +285,14 @@ def nearest_orthogonal(A: np.ndarray) -> np.ndarray:
 
 # -- loop families and holonomy sampling --------------------------------------
 
-def _check_inside(chart, path, n_probe=256):
-    """LoopEscapesDomain unless each of the m pieces is in the box at n_probe // m
-    evenly spaced s, ends included (one ``contains`` call per piece)."""
-    s = np.linspace(0.0, 1.0, n_probe // len(path.pieces))
+INSIDE_PROBES = 256  # loop points _check_inside tests against the box
+
+
+def _check_inside(chart, path):
+    """LoopEscapesDomain unless each of the m pieces is in the box at
+    INSIDE_PROBES // m evenly spaced s, ends included (one ``contains`` call
+    per piece)."""
+    s = np.linspace(0.0, 1.0, INSIDE_PROBES // len(path.pieces))
     if not all(chart.contains(pmap(s)) for pmap, _ in path.pieces):
         raise LoopEscapesDomain(f"loop leaves the domain of {chart.name}")
 

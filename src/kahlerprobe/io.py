@@ -15,6 +15,8 @@ from . import acs
 from .errors import DimensionMismatch, MalformedInput
 from .karcher import WeightedSampleSet
 
+READ_TOL = 1e-8  # J^2 = -I and orthogonality of a structure read from JSON
+
 
 def matrix_to_json(mat: np.ndarray) -> dict:
     mat = np.asarray(mat, dtype=float)
@@ -38,8 +40,8 @@ def structure_to_json(J: acs.OrthoComplexStructure) -> dict:
     return matrix_to_json(J.mat)
 
 
-def structure_from_json(obj: dict, tol: float = 1e-8) -> acs.OrthoComplexStructure:
-    return acs.validate_j(matrix_from_json(obj), tol=tol)
+def structure_from_json(obj: dict) -> acs.OrthoComplexStructure:
+    return acs.validate_j(matrix_from_json(obj), tol=READ_TOL)
 
 
 def sample_set_to_json(s: WeightedSampleSet) -> dict:

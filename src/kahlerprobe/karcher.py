@@ -18,7 +18,7 @@ import numpy as np
 from . import acs
 from .acs import OrthoComplexStructure, TangentPhi
 from .constants import DeltaConstant
-from .errors import ComponentMismatch, ConvexityViolation
+from .errors import ComponentMismatch, ConvexityViolation, ToleranceTooSmall
 
 WEIGHT_TOL = 1e-12
 DEFAULT_TOL = 1e-10
@@ -105,8 +105,8 @@ def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
                  start: OrthoComplexStructure = None) -> MeanResult:
     """Gradient descent with Armijo halving, started at ``start`` or the
     heaviest sample."""
-    if tol < MIN_TOL:
-        raise ValueError(f"tol must be >= {MIN_TOL}")
+    if not tol >= MIN_TOL:
+        raise ToleranceTooSmall(f"tol must be >= {MIN_TOL}")
     y = s.points[int(np.argmax(s.weights))] if start is None else start
     energy = karcher_energy(y, s)
     for it in range(1, max_iter + 1):
@@ -158,9 +158,7 @@ def check_convexity(s: WeightedSampleSet, delta: DeltaConstant) -> ConvexityRepo
 
 
 def karcher_mean_checked(s: WeightedSampleSet, delta: DeltaConstant,
-                         tol: float = DEFAULT_TOL,
-                         max_iter: int = DEFAULT_MAX_ITER,
-                         start: OrthoComplexStructure = None) -> MeanResult:
+                         tol: float = DEFAULT_TOL) -> MeanResult:
     """karcher_mean preceded by the convexity diagnostic (hard failure)."""
     report = check_convexity(s, delta)
     if not report.ok:
@@ -168,4 +166,4 @@ def karcher_mean_checked(s: WeightedSampleSet, delta: DeltaConstant,
             f"sample set violates the convexity hypothesis: radius "
             f"{report.ball_radius:.4f} vs 2*delta={2*delta.delta:.4f}, "
             f"diameter {report.diameter:.4f} vs bound {report.diameter_bound:.4f}")
-    return karcher_mean(s, tol=tol, max_iter=max_iter, start=start)
+    return karcher_mean(s, tol=tol)

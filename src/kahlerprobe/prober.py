@@ -7,8 +7,9 @@ Karcher mean is an (approximately) holonomy-fixed structure, which is
 extended over the chart by parallel transport and certified by three
 finite-difference residuals: covariant constancy, the integrability
 obstruction tensor, and closedness of the fundamental 2-form.  Every
-numerical failure yields an Inconclusive verdict naming the failing stage;
-the pipeline never rounds to a verdict it cannot back.
+numerical failure, from the delta constant on, yields an Inconclusive
+verdict naming the failing stage; the pipeline never rounds to a verdict it
+cannot back.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     KahlerProbeError,
     OutsideDomain,
 )
-from .karcher import (MeanResult, WeightedSampleSet, karcher_mean,
+from .karcher import (DEFAULT_TOL, MeanResult, WeightedSampleSet, karcher_mean,
                       karcher_mean_checked)
 
 TOL_FIX = 1e-5           # fixedness of the averaged structure
@@ -37,6 +38,22 @@ TOL_PATH_INDEP = 1e-4    # two-path comparison of the global field
 TOL_CERT = 1e-3          # finite-difference certificates at grid_res = 17
 CERT_FLOOR = 1e-5        # below the fixedness noise floor, no decay is required
 MIN_DECAY = 3.0          # required residual shrink when h is halved
+MAX_ROUNDS = 80          # re-orbit-and-average rounds of average_to_fixed
+SUB_BOX = 0.8            # share of each domain axis the global field covers
+
+
+@dataclass(frozen=True)
+class ProbeConfig:
+    loop_kind: str = "coordinate_rectangles"
+    loops: int = 6
+    loop_scale: float = 0.5
+    ode_steps: int = 400
+    word_length: int = 3
+    grid_res: int = 17
+    field_steps: int = 300
+    probe_points: int = 10
+    seed: int = 0
+    mean_tol: float = DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -128,8 +145,7 @@ def near_preservation_test(report: OrbitReport, delta: DeltaConstant) -> bool:
 
 
 def average_to_fixed(report: OrbitReport, delta: DeltaConstant,
-                     tol: float = 1e-10, fix_tol: float = TOL_FIX,
-                     max_rounds: int = 80) -> MeanResult:
+                     tol: float = DEFAULT_TOL) -> MeanResult:
     """Iterated Karcher mean of the orbit under uniform weights (Haar proxy).
 
     A single discrete orbit average is only approximately fixed by the
@@ -142,10 +158,10 @@ def average_to_fixed(report: OrbitReport, delta: DeltaConstant,
         raise ValueError("orbit is not nearly preserved; nothing to average")
     s = WeightedSampleSet.uniform(report.orbit)
     mean = karcher_mean_checked(s, delta, tol=tol)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if not mean.converged:
             break
-        if fixedness_check(mean.mean, report.samples) < fix_tol:
+        if fixedness_check(mean.mean, report.samples) < TOL_FIX:
             break
         pts = acs.conjugates(_matrices(report.samples), mean.mean)
         mean = karcher_mean(
@@ -168,8 +184,10 @@ def fixedness_check(J_prime: OrthoComplexStructure, samples) -> float:
 
 
 def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStructure,
-                   grid_res: int = 17, steps: int = 300, probe_points: int = 10,
-                   seed: int = 0, sub_box: float = 0.8) -> GlobalJField:
+                   grid_res: int = ProbeConfig.grid_res,
+                   steps: int = ProbeConfig.field_steps,
+                   probe_points: int = ProbeConfig.probe_points,
+                   seed: int = ProbeConfig.seed) -> GlobalJField:
     """Extend J' over the central sub-box by canonical-path transport.
 
     Probe points are drawn from the interior nodes of a grid_res-per-axis
@@ -187,7 +205,7 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
     lo = chart.domain[:, 0]
     hi = chart.domain[:, 1]
     c = 0.5 * (lo + hi)
-    half = 0.5 * sub_box * (hi - lo)
+    half = 0.5 * SUB_BOX * (hi - lo)
     box_lo, box_hi = c - half, c + half
     h = (box_hi - box_lo) / (grid_res - 1)
     rng = np.random.default_rng(seed)
@@ -266,22 +284,13 @@ def kahler_form_check(field_: GlobalJField, scale: float = 1.0) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    loop_kind: str = "coordinate_rectangles"
-    loops: int = 6
-    loop_scale: float = 0.5
-    ode_steps: int = 400
-    word_length: int = 3
-    grid_res: int = 17
-    field_steps: int = 300
-    probe_points: int = 10
-    seed: int = 0
-    mean_tol: float = 1e-10
-
-
 @dataclass
 class DichotomyVerdict:
+    """The outcome of ``probe``.  An Inconclusive verdict names its
+    ``failing_stage``; only a failed certificate also carries the orbit,
+    mean, field and certificates.  ``delta_used`` is None only when the
+    failing stage is ``compute_delta``."""
+
     kind: str                      # KahlerWitness | HolonomyObstruction | Inconclusive
     delta_used: DeltaConstant
     orbit_report: OrbitReport = None
@@ -304,99 +313,89 @@ def default_structure(chart: holonomy.ManifoldChart, p) -> OrthoComplexStructure
     return acs.validate_j(np.linalg.solve(F, Jc @ F), tol=1e-8)
 
 
+def _inconclusive(delta, stage: str, why) -> DichotomyVerdict:
+    return DichotomyVerdict(kind="Inconclusive", delta_used=delta,
+                            failing_stage=stage, detail=str(why))
+
+
 def probe(chart: holonomy.ManifoldChart, p, J_p=None,
           config: ProbeConfig = ProbeConfig(),
           delta: DeltaConstant = None) -> DichotomyVerdict:
-    """Run the full dichotomy pipeline at base point p."""
+    """Run the full dichotomy pipeline at base point p.
+
+    Each stage is named once, as it starts; ``compute_delta`` is skipped
+    when ``delta`` is given and ``default_structure`` when ``J_p`` is.  One
+    boundary turns a KahlerProbeError from any stage into an Inconclusive
+    verdict naming that stage; a residual past its tolerance does the same,
+    and a failed certificate is named by its key (``nabla_j``, ...)."""
     p = np.asarray(p, dtype=float)
-    n = chart.dim // 2
-    if delta is None:
-        delta = compute_delta(n, seed=config.seed)
-
-    def inconclusive(stage, exc):
-        return DichotomyVerdict(kind="Inconclusive", delta_used=delta,
-                                failing_stage=stage, detail=str(exc))
-
-    if J_p is None:
-        try:
-            J_p = default_structure(chart, p)
-        except KahlerProbeError as exc:
-            return inconclusive("default_structure", exc)
-
+    stage = "compute_delta"
     try:
+        if delta is None:
+            delta = compute_delta(chart.dim // 2, seed=config.seed)
+
+        stage = "default_structure"
+        if J_p is None:
+            J_p = default_structure(chart, p)
+
+        stage = "holonomy_samples"
         loops = holonomy.loop_family(chart, p, config.loop_kind, config.loops,
                                      config.loop_scale, seed=config.seed)
         samples = holonomy.holonomy_samples(chart, p, loops, config.ode_steps,
                                             word_length=config.word_length)
-    except KahlerProbeError as exc:
-        return inconclusive("holonomy_samples", exc)
 
-    try:
+        stage = "orbit"
         report = orbit(J_p, samples)
-        preserved = near_preservation_test(report, delta)
-    except KahlerProbeError as exc:
-        return inconclusive("orbit", exc)
-    if not preserved:
-        i = report.argmax_loop
-        return DichotomyVerdict(kind="HolonomyObstruction", delta_used=delta,
-                                orbit_report=report, witness_loop_index=i,
-                                witness_distance=report.distances[i])
+        if not near_preservation_test(report, delta):
+            i = report.argmax_loop
+            return DichotomyVerdict(kind="HolonomyObstruction", delta_used=delta,
+                                    orbit_report=report, witness_loop_index=i,
+                                    witness_distance=report.distances[i])
 
-    try:
+        stage = "average_to_fixed"
         mean = average_to_fixed(report, delta, tol=config.mean_tol)
         if not mean.converged:
-            return inconclusive("average_to_fixed", "mean iteration did not converge")
-    except KahlerProbeError as exc:
-        return inconclusive("average_to_fixed", exc)
-    J_prime = mean.mean
+            return _inconclusive(delta, stage, "mean iteration did not converge")
 
-    try:
-        fix_res = fixedness_check(J_prime, samples)
-    except KahlerProbeError as exc:
-        return inconclusive("fixedness_check", exc)
-    if fix_res >= TOL_FIX:
-        return inconclusive("fixedness_check",
-                            f"fixedness residual {fix_res:.3e} >= {TOL_FIX}")
+        stage = "fixedness_check"
+        fix_res = fixedness_check(mean.mean, samples)
+        if fix_res >= TOL_FIX:
+            return _inconclusive(delta, stage,
+                                 f"fixedness residual {fix_res:.3e} >= {TOL_FIX}")
 
-    try:
-        field_ = build_global_j(chart, p, J_prime, grid_res=config.grid_res,
+        stage = "build_global_j"
+        field_ = build_global_j(chart, p, mean.mean, grid_res=config.grid_res,
                                 steps=config.field_steps,
                                 probe_points=config.probe_points,
                                 seed=config.seed)
-    except KahlerProbeError as exc:
-        return inconclusive("build_global_j", exc)
-    if field_.path_independence_residual >= TOL_PATH_INDEP:
-        return inconclusive(
-            "build_global_j",
-            f"path independence residual {field_.path_independence_residual:.3e}")
+        residual = field_.path_independence_residual
+        if residual >= TOL_PATH_INDEP:
+            return _inconclusive(delta, stage,
+                                 f"path independence residual {residual:.3e}")
 
-    certs = {"fixedness": fix_res,
-             "path_independence": field_.path_independence_residual}
-    try:
+        stage = "certificates"
+        certs = {"fixedness": fix_res, "path_independence": residual}
+        failing, detail = "", ""
         for name, check in (("nabla_j", covariant_constancy_check),
                             ("nijenhuis", nijenhuis_check),
                             ("d_omega", kahler_form_check)):
             coarse = check(field_, scale=1.0)
             certs[name] = coarse
             if coarse >= TOL_CERT:
-                return DichotomyVerdict(
-                    kind="Inconclusive", delta_used=delta, orbit_report=report,
-                    mean_result=mean, global_field=field_, certificates=certs,
-                    failing_stage=name,
-                    detail=f"residual {coarse:.3e} >= {TOL_CERT}")
+                failing, detail = name, f"residual {coarse:.3e} >= {TOL_CERT}"
+                break
             if coarse > CERT_FLOOR:
                 fine = check(field_, scale=0.5)
                 certs[name + "_refined"] = fine
                 if fine * MIN_DECAY > coarse:
-                    return DichotomyVerdict(
-                        kind="Inconclusive", delta_used=delta,
-                        orbit_report=report, mean_result=mean,
-                        global_field=field_, certificates=certs,
-                        failing_stage=name,
-                        detail=f"refinement decay {coarse/fine:.2f}x < {MIN_DECAY}x")
+                    failing = name
+                    detail = f"refinement decay {coarse/fine:.2f}x < {MIN_DECAY}x"
+                    break
     except KahlerProbeError as exc:
-        return inconclusive("certificates", exc)
+        return _inconclusive(delta, stage, exc)
 
-    return DichotomyVerdict(kind="KahlerWitness", delta_used=delta,
-                            orbit_report=report, mean_result=mean,
-                            global_field=field_, certificates=certs)
+    return DichotomyVerdict(kind="Inconclusive" if failing else "KahlerWitness",
+                            delta_used=delta, orbit_report=report,
+                            mean_result=mean, global_field=field_,
+                            certificates=certs, failing_stage=failing,
+                            detail=detail)

@@ -164,12 +164,20 @@ def _sphere_triangle():
     def arc(P, Q):
         omega = math.acos(float(np.clip(P @ Q, -1.0, 1.0)))
 
-        def amap(t):
-            u = (math.sin((1.0 - t) * omega) * P + math.sin(t * omega) * Q) \
+        def slerp(t):
+            return (math.sin((1.0 - t) * omega) * P + math.sin(t * omega) * Q) \
                 / math.sin(omega)
-            return to_chart(u)
 
-        return holonomy.curve(amap)
+        def amap(t):
+            return to_chart(slerp(t))
+
+        def avel(t):
+            u = slerp(t)
+            du = omega * (math.cos(t * omega) * Q - math.cos((1.0 - t) * omega) * P) \
+                / math.sin(omega)
+            return du[:2] / (1.0 - u[2]) + u[:2] * du[2] / (1.0 - u[2]) ** 2
+
+        return holonomy.curve(amap, avel)
 
     loop = holonomy.concatenate_paths([arc(A, B), arc(B, C), arc(C, A)])
 

@@ -1,10 +1,16 @@
 """Tests for the JSON exchange helpers and the command-line interface."""
 
+import contextlib
 import hashlib
 import json
+import math
+import signal
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kahlerprobe import acs, cli, io
 from kahlerprobe.errors import DimensionMismatch
@@ -136,16 +142,16 @@ def test_usage_error_exit_code():
 
 def test_config_header_keys(capsys, tmp_path):
     """Each subcommand echoes exactly its own resolved flags."""
-    common = {"subcommand", "no_timestamp", "seed"}
+    common = {"subcommand", "no_timestamp"}
     loop = {"manifold", "point", "loop_kind", "loops", "loop_scale",
-            "ode_steps", "word_length"}
+            "ode_steps", "word_length", "seed"}
     src = tmp_path / "points.json"
     src.write_text(io.dump_json([io.structure_to_json(acs.canonical_j(2))]))
     small = ["--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5",
              "--loops", "2", "--word-length", "1", "--ode-steps", "100"]
     cases = {
         "delta": ([], {"dim", "samples", "resolution", "epsilon_override",
-                       "no_cache"}),
+                       "no_cache", "seed"}),
         "mean": (["--input", str(src)], {"input", "tol", "max_iter"}),
         "transport": (small, loop),
         "orbit": (small, loop | {"j", "csv"}),
@@ -289,3 +295,153 @@ def test_transport_loop_descriptions_are_pinned(capsys):
     assert len(samples) == 758
     assert hashlib.sha256(loops.encode()).hexdigest() == \
         "1146e736e4f449d6b490008649fe68002d9278ccb1faaa8ceefd6cf163adf5f4"
+
+
+def test_config_values_go_through_the_flag_checks(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 5}))
+    code, out, err = run_cli_exit(capsys, "delta", "--config", str(cfg), "--no-cache")
+    assert (code, out) == (1, "")
+    assert "argument --samples: 5 is outside [100, inf]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ["separate", "joined"])
+def test_config_can_supply_required_keys(capsys, tmp_path, form):
+    """A config holding --manifold and --point runs transport, with the same
+    bytes as the flag form; a switch set true and a list both carry over."""
+    flags = ["--manifold", "round_sphere_4", "--point", "0.5,0,0,0", "--loops", "2",
+             "--word-length", "1", "--ode-steps", "100", "--no-timestamp"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"manifold": "round_sphere_4", "point": [0.5, 0, 0, 0],
+                               "loops": 2, "word_length": 3, "ode_steps": 100,
+                               "no_timestamp": True}))
+    config = ["--config", str(cfg)] if form == "separate" else [f"--config={cfg}"]
+    code, out, err = run_cli(capsys, "transport", *config, "--word-length", "1")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "transport", *flags)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "--resolution", "0", "--no-cache"],
+    ["delta", "--resolution", "1e-4", "--no-cache"],
+    ["delta", "--epsilon-override", "nan", "--no-cache"],
+    ["delta", "--epsilon-override", "inf", "--no-cache"],
+    ["delta", "--epsilon-override", "0", "--no-cache"],
+    ["delta", "--epsilon-override", "-1", "--no-cache"],
+    ["delta", "--seed", "-1"],
+    ["probe", "--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5", "--seed", "-1"],
+    ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+     "--loop-kind", "fourier_random", "--seed", "-1"],
+    ["mean", "--input", "points.json", "--seed", "0"],
+])
+def test_out_of_range_delta_and_seed_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+
+
+def test_n1_probe_is_a_dimension_error(capsys):
+    code, out, err = run_cli_exit(capsys, "probe", "--manifold", "round_sphere_2",
+                                  "--point", "0,0")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "dimension_too_small",
+                               "detail": "no 2-planes for n = 1"}
+
+
+# -- fuzz ---------------------------------------------------------------------
+
+def _values(*vs):
+    return st.sampled_from(vs)
+
+
+_LOOP_BASE = {"manifold": "flat_torus_4", "point": [0.5] * 4, "loops": 2,
+              "ode_steps": 100, "word_length": 1, "no_timestamp": True}
+_LOOP_KEYS = {"loop_kind", "loops", "loop_scale", "ode_steps", "word_length",
+              "seed", "point", "no_timestamp"}
+# per command: (keys every run sets, so that it stays short; keys drawn over them)
+_FUZZ = {
+    "transport": (_LOOP_BASE, _LOOP_KEYS),
+    "orbit": (_LOOP_BASE, _LOOP_KEYS),
+    "probe": ({**_LOOP_BASE, "grid": 9, "field_steps": 100, "probe_points": 1},
+              _LOOP_KEYS | {"mean_tol"}),
+    "mean": ({"no_timestamp": True}, {"tol", "max_iter", "no_timestamp"}),
+    "delta": ({"no_timestamp": True}, {"dim", "seed", "samples", "resolution",
+                                       "epsilon_override", "no_timestamp"}),
+}
+_VALUES = {"loop_kind": _values("coordinate_rectangles", "fourier_random"),
+           "loops": _values(-1, 0, 1, 2),
+           "loop_scale": _values(0.0, 0.3, -0.3, 1e-16, math.nan, math.inf),
+           "ode_steps": _values(-1, 0, 99, 100),
+           "word_length": _values(-1, 0, 1, 2),
+           "seed": _values(-1, 0, 3),
+           "point": st.lists(_values(0.5, math.nan, math.inf), min_size=3, max_size=5),
+           "no_timestamp": st.booleans(),
+           "mean_tol": _values(1e-20, 1e-10),
+           "tol": _values(1e-20, 1e-10, math.nan),
+           "max_iter": _values(-1, 0, 5),
+           "dim": _values(2, 4),
+           "samples": _values(5, 100),
+           "resolution": _values(0.0, 1e-4),
+           "epsilon_override": _values(-1.0, 0.0, math.nan, math.inf)}
+
+
+def _hung(signum, frame):
+    raise TimeoutError("the run did not return within 20 s")
+
+
+def _as_flags(key, value) -> list:
+    flag = "--" + key.replace("_", "-")
+    if isinstance(value, bool):
+        return [flag] if value else []
+    if isinstance(value, list):
+        value = ",".join(repr(v) for v in value)
+    return [flag, str(value)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(_FUZZ)),
+       values=st.fixed_dictionaries({}, optional=_VALUES),
+       in_config=st.sets(st.sampled_from(sorted(_VALUES) + ["manifold"])))
+@example(command="transport", values={"loop_kind": "fourier_random", "seed": -1},
+         in_config=set())
+@example(command="delta", values={"samples": 5}, in_config={"samples"})
+@example(command="delta", values={"epsilon_override": -1.0}, in_config=set())
+def test_cli_fuzz_ends_in_an_exit_status(tmp_path_factory, command, values, in_config):
+    """Flags, or the same keys from a --config file, end within 20 s in
+    exit 0 with a JSON document, 1 (usage error) or 2 with a JSON error
+    code; never in an exception."""
+    base, drawn = _FUZZ[command]
+    keys = {**base, **{k: v for k, v in values.items() if k in drawn}}
+    work = tmp_path_factory.mktemp("fuzz")
+    if command == "mean":
+        J = acs.canonical_j(2)
+        points = [J, acs.exp_map(J, acs.random_tangent(J, 1, 0.3), 1.0)]
+        (work / "points.json").write_text(
+            io.dump_json([io.structure_to_json(P) for P in points]))
+        keys["input"] = str(work / "points.json")
+    in_config = in_config & set(keys)
+    argv = [command]
+    if in_config:
+        (work / "cfg.json").write_text(json.dumps({k: keys[k] for k in in_config}))
+        argv += ["--config", str(work / "cfg.json")]
+    for key, value in keys.items():
+        if key not in in_config:
+            argv += _as_flags(key, value)
+
+    out, err = StringIO(), StringIO()
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(20)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert "result" in json.loads(out.getvalue())
+    if code == 2:
+        assert json.loads(err.getvalue())["error"]

@@ -154,6 +154,18 @@ def test_compute_delta_cache_roundtrip():
     assert d2.epsilon_used == d1.epsilon_used
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+def test_curvature_bound_needs_a_finite_positive_epsilon(epsilon):
+    with pytest.raises(ValueError, match="finite and positive"):
+        CurvatureBound(n=2, epsilon=epsilon, method="user_override", samples=0)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.01, 1e-4, 0.02, math.nan])
+def test_injectivity_march_step_is_bounded(resolution):
+    with pytest.raises(ValueError, match="resolution must be in"):
+        estimate_injectivity(2, resolution=resolution)
+
+
 def test_epsilon_override():
     d = compute_delta(2, epsilon_override=1.0, use_cache=False)
     assert d.epsilon_used == 1.0

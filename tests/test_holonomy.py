@@ -667,10 +667,20 @@ def _arc_maps():
     return [arc(A, B), arc(B, C), arc(C, A)]
 
 
+def _fd_velocity(f):
+    """The closure paths' velocity fallback: a central difference of step
+    1e-6, one-sided at the ends."""
+    def vel(t):
+        lo, hi = max(t - 1e-6, 0.0), min(t + 1e-6, 1.0)
+        return (np.asarray(f(hi)) - np.asarray(f(lo))) / (hi - lo)
+    return vel
+
+
 def test_arc_triangle_matches_closure_path():
     """Curves with the finite-difference velocity, joined end to end."""
     chart = holonomy.catalog("round_sphere_2")
-    new = holonomy.concatenate_paths([holonomy.curve(f) for f in _arc_maps()])
+    new = holonomy.concatenate_paths([holonomy.curve(f, _fd_velocity(f))
+                                      for f in _arc_maps()])
     old = _closure_concatenate([_ClosurePath(f) for f in _arc_maps()])
     _assert_same_transport(chart, new, old, 500)
 
@@ -707,7 +717,9 @@ def test_transport_rejects_straight_path_leaving_the_box():
 def test_transport_rejects_curve_bulging_out_of_the_box():
     """Both ends are inside; the middle is not."""
     chart = holonomy.catalog("fubini_study_cp2")
-    path = holonomy.curve(lambda t: np.array([0.9 * math.sin(math.pi * t), 0.0, 0.1, 0.0]))
+    path = holonomy.curve(lambda t: np.array([0.9 * math.sin(math.pi * t), 0.0, 0.1, 0.0]),
+                          lambda t: np.array([0.9 * math.pi * math.cos(math.pi * t), 0.0,
+                                              0.0, 0.0]))
     assert chart.contains(path.map(0.0)) and chart.contains(path.map(1.0))
     with pytest.raises(OutsideDomain):
         holonomy.parallel_transport(chart, path, 200)

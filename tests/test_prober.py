@@ -350,3 +350,18 @@ def test_probe_base_point_of_the_wrong_length(delta4, name):
     assert v.kind == "Inconclusive"
     assert v.failing_stage == "default_structure"
     assert "shape (2,)" in v.detail
+
+
+def test_probe_n1_chart_is_inconclusive_at_compute_delta():
+    v = prober.probe(holonomy.catalog("round_sphere_2"), [0.0, 0.0])
+    assert (v.kind, v.failing_stage) == ("Inconclusive", "compute_delta")
+    assert v.delta_used is None
+    assert "n = 1" in v.detail
+
+
+def test_probe_mean_tol_below_the_floor_is_inconclusive(delta4):
+    config = prober.ProbeConfig(mean_tol=1e-20, word_length=1, ode_steps=100)
+    v = prober.probe(holonomy.catalog("flat_torus_4"), [0.5] * 4, config=config,
+                     delta=delta4)
+    assert (v.kind, v.failing_stage) == ("Inconclusive", "average_to_fixed")
+    assert v.detail.startswith("tol must be >=")
