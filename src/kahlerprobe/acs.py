@@ -181,31 +181,6 @@ def _gees(d: int):
     return gees, gees(_no_sort, a, lwork=-1)[-2][0].real.astype(np.int_)
 
 
-def _principal_angles(T, L):
-    """Write the principal log of the real Schur form T (of an orthogonal
-    matrix) into L: T is block diagonal with 1x1 blocks +-1 and 2x2 rotation
-    blocks.  Returns the CutLocusError of a rotation angle at pi (eigenvalue
-    -1, no principal log), else None."""
-    t = T.tolist()
-    d = len(t)
-    i = 0
-    while i < d:
-        if i + 1 < d and abs(t[i + 1][i]) > TOL_BLOCK:
-            c = 0.5 * (t[i][i] + t[i + 1][i + 1])
-            s = 0.5 * (t[i + 1][i] - t[i][i + 1])
-            theta = np.arctan2(s, c)
-            if np.pi - abs(theta) < TOL_CUT:
-                return CutLocusError("rotation angle at pi: principal log undefined")
-            L[i, i + 1] = -theta
-            L[i + 1, i] = theta
-            i += 2
-        else:
-            if t[i][i] < 0.0:
-                return CutLocusError("eigenvalue -1: principal log undefined")
-            i += 1
-    return None
-
-
 def _log_stack(A: np.ndarray, B: np.ndarray):
     """The log map of every slice pair (A[k], B[k]) of two (N, d, d) stacks.
 
@@ -214,9 +189,13 @@ def _log_stack(A: np.ndarray, B: np.ndarray):
     (CutLocusError).  X must then be skew, anticommute with A and reproduce
     B; otherwise the two structures lie in different components
     (ComponentMismatch).  Each slice runs these checks in this order and
-    keeps its first error.  The real Schur form of R is computed per slice
-    with LAPACK gees, as scipy.linalg.schur computes it (non-finite input is
-    a ValueError, non-convergence a LinAlgError); the rest runs on the stack.
+    keeps its first error.  The real Schur form R = Q T Q^T is computed per
+    slice with LAPACK gees, as scipy.linalg.schur computes it (non-finite
+    input is a ValueError, non-convergence a LinAlgError); the rest runs on
+    the stack.  For orthogonal R, T is block diagonal with 1x1 blocks +-1
+    and 2x2 rotation blocks, so the principal log is Q L Q^T with the
+    blocks' angles in L, and the round trip uses e^X = Q e^{L/2} Q^T
+    (Higham, Functions of Matrices, ch. 11).
 
     Returns the (N, d, d) tangents 2 X A (NaN where a slice failed) and a
     list of N entries, each None or the error of that slice.
@@ -226,33 +205,74 @@ def _log_stack(A: np.ndarray, B: np.ndarray):
     R = -B @ A  # B A^{-1}, using A^{-1} = -A
     finite = np.isfinite(R).all(axis=(1, 2))
     gees, lwork = _gees(d)
+    T = np.zeros((N, d, d))
     Q = np.zeros((N, d, d))
-    L = np.zeros((N, d, d))
     for k in range(N):
         if not finite[k]:
             errors[k] = ValueError("array must not contain infs or NaNs")
             continue
         res = gees(_no_sort, R[k], lwork=lwork)  # (T, sdim, wr, wi, Z, work, info)
-        Q[k] = res[-3]
+        T[k], Q[k] = res[0], res[-3]
         if res[-1] > 0:
             errors[k] = np.linalg.LinAlgError(
                 "Schur form not found. Possibly ill-conditioned.")
-        else:
-            errors[k] = _principal_angles(res[0], L[k])
-    X = 0.5 * (Q @ L @ Q.transpose(0, 2, 1))
 
-    anti = X @ A + A @ X
-    skew = X + X.transpose(0, 2, 1)
-    for k in np.flatnonzero((_maxabs_each(anti) > TOL_LOG) | (_maxabs_each(skew) > TOL_LOG)):
-        if errors[k] is None:
+    # T is read at every candidate 2x2 block position i (rows i, i + 1).  A
+    # subdiagonal entry opens a rotation block unless row i closes one; every
+    # other diagonal entry is a 1x1 block, +1 or -1.
+    diag, sub, sup = T.diagonal(0, 1, 2), T.diagonal(-1, 1, 2), T.diagonal(1, 1, 2)
+    start = np.abs(sub) > TOL_BLOCK
+    for i in range(1, d - 1):
+        start[:, i] &= ~start[:, i - 1]
+    c = 0.5 * (diag[:, :-1] + diag[:, 1:])
+    s = 0.5 * (sub - sup)
+    theta = np.where(start, np.arctan2(s, c), 0.0)
+    at_pi = np.pi - np.abs(theta) < TOL_CUT  # theta is 0 off the block starts
+    # the flat (N, d*d) views hold the diagonal at ::d+1, the superdiagonal
+    # at 1::d+1 and the subdiagonal at d::d+1
+    L = np.zeros((N, d, d))
+    flat = L.reshape(N, d * d)
+    flat[:, 1::d + 1] = np.where(start, -theta, 0.0)
+    flat[:, d::d + 1] = theta
+    X = 0.5 * (Q @ L @ Q.transpose(0, 2, 1))
+    # e^X = Q e^{L/2} Q^T, with the cos and sin of each block's half angle
+    # in e^{L/2} and 1 on the rest of its diagonal
+    half_theta = 0.5 * theta
+    cos, sin = np.cos(half_theta), np.sin(half_theta)
+    exp_half = np.zeros((N, d, d))
+    flat = exp_half.reshape(N, d * d)
+    flat[:, ::d + 1] = 1.0
+    flat[:, :-1:d + 1] *= cos
+    flat[:, d + 1::d + 1] *= cos
+    flat[:, 1::d + 1] = -sin
+    flat[:, d::d + 1] = sin
+    E = Q @ exp_half @ Q.transpose(0, 2, 1)
+
+    # per slice, True where each check fails, in the order they run: the
+    # scan (at each diagonal position, a rotation angle at pi or an
+    # eigenvalue -1 in a 1x1 block), then anticommutation, skewness and the
+    # round trip (a NaN max-abs entry fails, as in _maxabs_each)
+    scan = diag < 0.0
+    not_start = ~start
+    scan[:, :-1] &= not_start
+    scan[:, 1:] &= not_start
+    scan[:, :-1] |= at_pi
+    checks = np.array((X @ A + A @ X, X + X.transpose(0, 2, 1),
+                       E @ A @ E.transpose(0, 2, 1) - B))
+    fails = np.concatenate((scan, ~(np.abs(checks).max(axis=(2, 3)).T <= TOL_LOG)), axis=1)
+    for k in fails.any(axis=1).nonzero()[0]:
+        if errors[k] is not None:
+            continue
+        i = np.argmax(fails[k])  # the first failing check
+        if i < d - 1 and at_pi[k, i]:
+            errors[k] = CutLocusError("rotation angle at pi: principal log undefined")
+        elif i < d:
+            errors[k] = CutLocusError("eigenvalue -1: principal log undefined")
+        elif i < d + 2:
             errors[k] = ComponentMismatch(
                 "log generator does not anticommute with the base structure; "
                 "the two structures lie in different components")
-    live = np.array([k for k in range(N) if errors[k] is None], dtype=int)
-    if live.size:
-        E = scipy.linalg.expm(X[live])
-        back = E @ A[live] @ E.transpose(0, 2, 1) - B[live]
-        for k in live[_maxabs_each(back) > TOL_LOG]:
+        else:
             errors[k] = ComponentMismatch("log round-trip failed to reproduce the target")
     tangents = 2.0 * X @ A
     tangents[[k for k in range(N) if errors[k] is not None]] = math.nan
@@ -289,8 +309,10 @@ def _distances(J1s, J2s, tolerated) -> np.ndarray:
     far = np.flatnonzero(~(np.max(np.abs(A - B), axis=(1, 2)) <= TOL_ALG))
     tangents, errors = _log_stack(A[far], B[far])
     _first_error(errors, tolerated)
-    for k, t, exc in zip(far, tangents, errors):
-        out[k] = math.inf if exc is not None else float(np.linalg.norm(t))
+    flat = tangents.reshape(len(far), A.shape[-1] ** 2)
+    norms = np.sqrt(np.vecdot(flat, flat))  # the bits of np.linalg.norm per slice
+    norms[[k for k, exc in enumerate(errors) if exc is not None]] = math.inf
+    out[far] = norms
     return out
 
 

@@ -107,7 +107,8 @@ def build_parser():
                         '{"points": [...], "weights": [...]}')
     p.add_argument("--tol", type=_bounded(float, lo=karcher.MIN_TOL),
                    default=karcher.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=karcher.DEFAULT_MAX_ITER)
+    p.add_argument("--max-iter", type=_bounded(int, lo=1),
+                   default=karcher.DEFAULT_MAX_ITER)
     _add_common(p)
     by_name["mean"] = p
 
@@ -131,9 +132,6 @@ def build_parser():
                         help="full dichotomy pipeline")
     _add_loop_flags(p)
     p.add_argument("--j", default="auto")
-    p.add_argument("--delta-dim", type=int, default=None,
-                   help="dimension 2n for the delta constant "
-                        "(default: the chart dimension)")
     p.add_argument("--grid", type=int, default=_DEFAULT.grid_res)
     p.add_argument("--field-steps", type=int, default=_DEFAULT.field_steps)
     p.add_argument("--probe-points", type=int, default=_DEFAULT.probe_points)
@@ -225,8 +223,7 @@ def _cmd_probe(args) -> dict:
     p = chart.coords(args.point)
     J_p = None if args.j == "auto" else io.structure_from_json(io.load_json(args.j))
     holonomy.check_loop_family(args.loop_kind, args.loops, args.loop_scale)
-    dim = chart.dim if args.delta_dim is None else args.delta_dim
-    delta = compute_delta(dim // 2, seed=args.seed)
+    delta = compute_delta(chart.dim // 2, seed=args.seed)
     config = prober.ProbeConfig(loop_kind=args.loop_kind, loops=args.loops,
                                 loop_scale=args.loop_scale,
                                 ode_steps=args.ode_steps,

@@ -71,6 +71,12 @@ class ToleranceTooSmall(KahlerProbeError, ValueError):
     code = "tolerance_too_small"
 
 
+class IterationLimitTooSmall(KahlerProbeError, ValueError):
+    """A Karcher iteration limit below one."""
+
+    code = "iteration_limit_too_small"
+
+
 class OutsideDomain(KahlerProbeError):
     code = "outside_domain"
 

@@ -18,7 +18,8 @@ import numpy as np
 from . import acs
 from .acs import OrthoComplexStructure, TangentPhi
 from .constants import DeltaConstant
-from .errors import ComponentMismatch, ConvexityViolation, ToleranceTooSmall
+from .errors import (ComponentMismatch, ConvexityViolation, IterationLimitTooSmall,
+                     ToleranceTooSmall)
 
 WEIGHT_TOL = 1e-12
 DEFAULT_TOL = 1e-10
@@ -107,6 +108,8 @@ def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
     heaviest sample."""
     if not tol >= MIN_TOL:
         raise ToleranceTooSmall(f"tol must be >= {MIN_TOL}")
+    if max_iter < 1:
+        raise IterationLimitTooSmall(f"max_iter must be >= 1, got {max_iter}")
     y = s.points[int(np.argmax(s.weights))] if start is None else start
     energy = karcher_energy(y, s)
     for it in range(1, max_iter + 1):

@@ -336,6 +336,159 @@ def test_stacked_kernels_accept_an_empty_stack():
     assert acs.exp_maps(J, acs.random_tangent(J, 0), []).shape == (0, 4, 4)
 
 
+
+def _per_slice_log_map(A, B):
+    """One pair (A, B) through the log-map kernel as it ran before its angle
+    scan, round trip and norms moved onto the stack: LAPACK gees, a scalar
+    walk over the Schur form, and a scipy.linalg.expm round trip.  Returns
+    (tangent, None) or (None, error)."""
+    R = -B @ A
+    if not np.isfinite(R).all():
+        return None, ValueError("array must not contain infs or NaNs")
+    d = len(R)
+    gees, lwork = acs._gees(d)
+    T, _, _, _, Q, _, info = gees(acs._no_sort, R, lwork=lwork)
+    if info > 0:
+        return None, np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    t = T.tolist()
+    L = np.zeros((d, d))
+    i = 0
+    while i < d:
+        if i + 1 < d and abs(t[i + 1][i]) > 1e-12:
+            c = 0.5 * (t[i][i] + t[i + 1][i + 1])
+            s = 0.5 * (t[i + 1][i] - t[i][i + 1])
+            theta = np.arctan2(s, c)
+            if np.pi - abs(theta) < 1e-8:
+                return None, CutLocusError("rotation angle at pi: principal log undefined")
+            L[i, i + 1] = -theta
+            L[i + 1, i] = theta
+            i += 2
+        else:
+            if t[i][i] < 0.0:
+                return None, CutLocusError("eigenvalue -1: principal log undefined")
+            i += 1
+    X = 0.5 * (Q @ L @ Q.T)
+    if maxabs(X @ A + A @ X) > 1e-8 or maxabs(X + X.T) > 1e-8:
+        return None, ComponentMismatch(
+            "log generator does not anticommute with the base structure; "
+            "the two structures lie in different components")
+    E = scipy.linalg.expm(X)
+    if maxabs(E @ A @ E.T - B) > 1e-8:
+        return None, ComponentMismatch("log round-trip failed to reproduce the target")
+    return 2.0 * X @ A, None
+
+
+def _branch_stack(n):
+    """A base structure J and a stack of second points that reaches every
+    branch of the log-map kernel: good pairs (one with rotation angles past
+    pi/2, so its Schur blocks have negative diagonals), -J, the other
+    component, a rotation angle within 1e-9 of pi, a twisted J whose log
+    commutes with J, 2J (R = 2I: X = 0 passes the anticommutation and skew
+    checks and only the round trip rejects it), NaN, J itself, J moved by
+    1e-12, and two Gaussian matrices."""
+    J = acs.random_j(n, 3)
+    d = 2 * n
+    flip = np.eye(d)
+    flip[0, 0] = -1.0
+    phi = acs.random_tangent(J, 4)
+    omega = float(np.max(np.abs(np.linalg.eigvals(-phi.mat @ J.mat))))  # top angle at t = 1
+    rng = np.random.default_rng(n)
+    mats = [acs.exp_map(J, acs.random_tangent(J, 10 + k, r), 1.0).mat
+            for k, r in enumerate((0.2, 0.7, 2.4, 4.0))]
+    mats += [-J.mat, flip @ J.mat @ flip, acs.exp_map(J, phi, (np.pi - 1e-9) / omega).mat,
+             scipy.linalg.expm(0.3 * J.mat) @ J.mat, 2.0 * J.mat, np.full((d, d), np.nan),
+             J.mat, J.mat + 1e-12, rng.standard_normal((d, d)), rng.standard_normal((d, d))]
+    return J, np.stack(mats)
+
+
+def _same_error(a, b):
+    return type(a) is type(b) and str(a) == str(b)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_log_kernel_matches_the_per_slice_kernel(n):
+    """Every slice of the stacked kernel has the tangent bytes or the error
+    (type and message) of the per-slice kernel, and log_maps, distances and
+    distances_or_inf raise the first error or return the per-slice bytes,
+    over shuffled mixed stacks in both argument orders."""
+    J, mats = _branch_stack(n)
+    seen = set()
+    for perm in range(6):
+        B = mats[np.random.default_rng(perm).permutation(len(mats))]
+        for A, Bs in ((np.broadcast_to(J.mat, B.shape), B), (B, np.broadcast_to(J.mat, B.shape))):
+            refs = [_per_slice_log_map(a, b) for a, b in zip(A, Bs)]
+            tangents, errors = acs._log_stack(A, Bs)
+            for (ref_t, ref_e), t, e in zip(refs, tangents, errors):
+                if ref_e is None:
+                    assert e is None and t.tobytes() == ref_t.tobytes()
+                else:
+                    assert _same_error(e, ref_e) and np.isnan(t).all()
+                    seen.add((type(ref_e).__name__, str(ref_e)))
+            far = [not maxabs(a - b) <= acs.TOL_ALG for a, b in zip(A, Bs)]
+            norms = [math.inf if e is not None else float(np.linalg.norm(t))
+                     for t, e in refs]
+            for fn, tolerated, skip_same in (
+                    (acs.log_maps, (), False), (acs.distances, (), True),
+                    (acs.distances_or_inf, (CutLocusError, ComponentMismatch), True)):
+                first = next((e for (_, e), f in zip(refs, far)
+                              if e is not None and not isinstance(e, tolerated)
+                              and (f or not skip_same)), None)
+                if first is not None:
+                    with pytest.raises(type(first)) as exc:
+                        fn(A, Bs)
+                    assert str(exc.value) == str(first)
+                elif fn is acs.distances_or_inf:
+                    want = np.array([d if f else 0.0 for d, f in zip(norms, far)])
+                    assert fn(A, Bs).tobytes() == want.tobytes()
+            good = [k for k, (_, e) in enumerate(refs) if e is None]
+            assert acs.log_maps(A[good], Bs[good]).tobytes() == \
+                np.stack([refs[k][0] for k in good]).tobytes()
+            assert acs.distances(A[good], Bs[good]).tobytes() == \
+                np.array([norms[k] if far[k] else 0.0 for k in good]).tobytes()
+    assert {msg for _, msg in seen} == {
+        "array must not contain infs or NaNs",
+        "rotation angle at pi: principal log undefined",
+        "eigenvalue -1: principal log undefined",
+        "log generator does not anticommute with the base structure; "
+        "the two structures lie in different components",
+        "log round-trip failed to reproduce the target"}
+    empty = np.empty((0, 2 * n, 2 * n))
+    tangents, errors = acs._log_stack(empty, empty)
+    assert tangents.shape == empty.shape and errors == []
+
+
+def test_log_kernel_makes_one_lapack_call_per_slice(monkeypatch):
+    """log_maps runs gees once per finite slice, distances once per finite
+    slice that is not the same point, and neither calls scipy.linalg.expm."""
+    J = acs.random_j(2, 5)
+    good = [acs.exp_map(J, acs.random_tangent(J, k, 0.5), 1.0).mat for k in range(28)]
+    mats = np.stack(good + [J.mat] * 6 + [np.full((4, 4), np.nan)] * 3 + [-J.mat] * 3)
+    mats = mats[np.random.default_rng(0).permutation(40)]
+    gees, lwork = acs._gees(4)
+    calls = {"gees": 0, "expm": 0}
+
+    def counting_gees(*args, **kwargs):
+        calls["gees"] += 1
+        return gees(*args, **kwargs)
+
+    def counting_expm(*args, **kwargs):
+        calls["expm"] += 1
+        raise AssertionError("the log-map kernel called scipy.linalg.expm")
+
+    monkeypatch.setattr(acs, "_gees", lambda d: (counting_gees, lwork))
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    acs.log_maps(J.mat, np.stack(good + good[:12]))
+    assert calls == {"gees": 40, "expm": 0}
+    for fn, want in ((acs.log_maps, 37), (acs.distances, 31), (acs.distances_or_inf, 31)):
+        calls["gees"] = 0
+        with pytest.raises((ValueError, CutLocusError)):
+            fn(J.mat, mats)
+        assert calls == {"gees": want, "expm": 0}
+    calls["gees"] = 0
+    dists = acs.distances_or_inf(J.mat, mats[~np.isnan(mats).any(axis=(1, 2))])
+    assert calls == {"gees": 31, "expm": 0}
+    assert (dists == 0.0).sum() == 6 and np.isinf(dists).sum() == 3
+
 # -- conjugation --------------------------------------------------------------
 
 def test_conjugate_identity():

@@ -138,6 +138,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["delta", "--threads", "2"])  # no such flag
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["probe", "--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5",
+                  "--delta-dim", "6"])  # delta always has the chart's dimension
+    assert exc.value.code == 1
 
 
 def test_config_header_keys(capsys, tmp_path):
@@ -157,8 +161,7 @@ def test_config_header_keys(capsys, tmp_path):
         "orbit": (small, loop | {"j", "csv"}),
         "probe": (small + ["--grid", "9", "--field-steps", "100",
                            "--probe-points", "1"],
-                  loop | {"j", "delta_dim", "grid", "field_steps",
-                          "probe_points", "mean_tol"}),
+                  loop | {"j", "grid", "field_steps", "probe_points", "mean_tol"}),
     }
     for name, (argv, keys) in cases.items():
         code, out, _ = run_cli(capsys, name, *argv, "--no-timestamp")
@@ -254,6 +257,9 @@ def test_point_of_the_wrong_length_is_a_dimension_mismatch(capsys, command):
     assert json.loads(err)["error"] == "dimension_mismatch"
 
 
+_ONE_POINT = io.dump_json([io.structure_to_json(acs.canonical_j(2))])
+
+
 @pytest.mark.parametrize("argv,files,status", [
     (["mean", "--input", "bad.json"], {"bad.json": "{bad"}, 2),
     (["mean", "--input", "missing.json"], {}, 2),
@@ -265,6 +271,9 @@ def test_point_of_the_wrong_length_is_a_dimension_mismatch(capsys, command):
     (["delta", "--samples", "5"], {}, 1),
     (["delta", "--resolution", "0.1"], {}, 1),
     (["mean", "--input", "points.json", "--tol", "1e-20"], {}, 1),
+    (["mean", "--input", "points.json", "--max-iter", "-1", "--no-timestamp"],
+     {"points.json": _ONE_POINT}, 1),
+    (["mean", "--input", "points.json", "--max-iter", "0"], {"points.json": _ONE_POINT}, 1),
     (["probe", "--manifold", "fubini_study_cp2", "--point", "0,0,0,0",
       "--mean-tol", "1e-20"], {}, 1),
 ])

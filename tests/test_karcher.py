@@ -15,7 +15,7 @@ from kahlerprobe.karcher import (
     karcher_mean,
     karcher_mean_checked,
 )
-from kahlerprobe.errors import ConvexityViolation
+from kahlerprobe.errors import ConvexityViolation, IterationLimitTooSmall
 
 
 def random_so(dim, seed):
@@ -169,6 +169,15 @@ def test_mean_tol_floor():
     J = acs.canonical_j(2)
     with pytest.raises(ValueError):
         karcher_mean(WeightedSampleSet.uniform([J]), tol=1e-15)
+
+
+@pytest.mark.parametrize("max_iter", [-1, 0])
+def test_mean_needs_an_iteration(max_iter):
+    J = acs.canonical_j(2)
+    with pytest.raises(IterationLimitTooSmall) as exc:
+        karcher_mean(WeightedSampleSet.uniform([J]), max_iter=max_iter)
+    assert exc.value.code == "iteration_limit_too_small"
+    assert karcher_mean(WeightedSampleSet.uniform([J]), max_iter=1).iterations == 1
 
 
 # -- convexity ----------------------------------------------------------------
