@@ -59,6 +59,10 @@ class OrthoComplexStructure:
         object.__setattr__(self, "mat", np.array(self.mat, dtype=float))
         self.mat.setflags(write=False)
 
+    def __array__(self, dtype=None, copy=None):
+        """The matrix, so that numpy reads a structure as its (d, d) array."""
+        return np.array(self.mat, dtype=dtype, copy=copy)
+
     @property
     def dim(self) -> int:
         return self.mat.shape[0]

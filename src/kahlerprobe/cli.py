@@ -206,10 +206,8 @@ def _cmd_orbit(args) -> dict:
     J_p = _structure_for(args, chart, p)
     report = prober.orbit(J_p, samples)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("index,distance\n")
-            for i, d in enumerate(report.distances):
-                fh.write(f"{i},{d!r}\n")
+        io.write_text(args.csv, "index,distance\n" + "".join(
+            f"{i},{d!r}\n" for i, d in enumerate(report.distances)))
     return {"j": io.structure_to_json(J_p),
             "distances": list(report.distances),
             "max_distance": report.max_distance,
@@ -299,12 +297,11 @@ def main(argv=None) -> int:
             argv = argv[:1] + _config_flags(sub, path) + argv[1:]
     args = parser.parse_args(argv)
     try:
-        result = _COMMANDS[args.subcommand](args)
+        _emit(args, _COMMANDS[args.subcommand](args))
     except KahlerProbeError as exc:
         print(io.dump_json({"error": exc.code, "detail": str(exc)}),
               file=sys.stderr)
         return 2
-    _emit(args, result)
     return 0
 
 

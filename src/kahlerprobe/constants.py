@@ -7,12 +7,15 @@ The injectivity radius is lower-bounded by marching along random unit-speed
 geodesics until the geodesic stops minimizing or the log map fails.  Both
 estimators are conservative in the direction that keeps the dichotomy
 sound: a too-large eps or too-small inj only shrinks delta.  The cache file
-is replaced atomically, so a failed or concurrent write never leaves it torn.
+is replaced atomically, so a failed or concurrent write never leaves it torn,
+and each write re-reads it under a lock, so concurrent writers keep each
+other's entries.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import math
 import os
@@ -197,15 +200,9 @@ def compute_delta(n: int, num_samples: int = DEFAULT_SAMPLES,
     if epsilon_override is not None:
         key += f";eps={epsilon_override!r}"
     path = cache_path()
-    cache = {}
-    if use_cache and os.path.exists(path):
-        try:
-            with open(path) as fh:
-                cache = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            cache = {}
-        if key in cache:
-            rec = cache[key]
+    if use_cache:
+        rec = _read_cache(path).get(key)
+        if rec is not None:
             return DeltaConstant(n=n, delta=rec["delta"],
                                  epsilon_used=rec["epsilon"],
                                  inj_used=rec["inj_lower"])
@@ -217,28 +214,64 @@ def compute_delta(n: int, num_samples: int = DEFAULT_SAMPLES,
     inj = estimate_injectivity(n, resolution=resolution, seed=seed)
     delta = delta_2n(n, eps, inj)
     if use_cache:
-        cache[key] = {"epsilon": delta.epsilon_used, "inj_lower": delta.inj_used,
-                      "delta": delta.delta}
-        _write_cache(path, cache)
+        _write_cache(path, key, {"epsilon": delta.epsilon_used,
+                                 "inj_lower": delta.inj_used, "delta": delta.delta})
     return delta
 
 
-def _write_cache(path: str, cache: dict) -> None:
-    """Replace the cache file atomically: dump to a temp file in the same
+def _read_cache(path: str) -> dict:
+    """The cache file's entries; empty when the file is missing, unreadable
+    or not a JSON object."""
+    try:
+        with open(path) as fh:
+            cache = json.load(fh)
+    except (OSError, ValueError):
+        return {}
+    return cache if isinstance(cache, dict) else {}
+
+
+@contextlib.contextmanager
+def _cache_lock(path: str):
+    """Hold an exclusive flock on the sibling file ``<path>.lock`` and remove
+    that file on release.  A process that got the lock of a file another
+    process has since removed retries on the current one, so one writer at
+    a time holds the lock."""
+    lock = path + ".lock"
+    while True:
+        with open(lock, "a") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            try:
+                current = os.path.samestat(os.stat(lock), os.fstat(fh.fileno()))
+            except FileNotFoundError:
+                current = False
+            if current:
+                try:
+                    yield
+                finally:
+                    with contextlib.suppress(OSError):
+                        os.unlink(lock)
+                return
+
+
+def _write_cache(path: str, key: str, record: dict) -> None:
+    """Add one entry to the cache file.  Under the cache lock the file is
+    re-read, so entries that other processes wrote since this one read it
+    survive, and then replaced atomically: dump to a temp file in the same
     directory, then rename it over the cache.  A failed write leaves the
     previous file as it was and no temp file behind; an OSError is ignored,
     since the cache is only an optimization."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".delta_cache_", suffix=".tmp")
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(cache, fh, indent=1, sort_keys=True)
-        os.replace(tmp, path)
+        with _cache_lock(path):
+            cache = _read_cache(path)
+            cache[key] = record
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".delta_cache_", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(cache, fh, indent=1, sort_keys=True)
+                os.replace(tmp, path)
+            finally:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
     except OSError:
         pass
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)

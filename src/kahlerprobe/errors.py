@@ -106,6 +106,12 @@ class MalformedInput(KahlerProbeError):
     code = "malformed_input"
 
 
+class OutputNotWritable(KahlerProbeError):
+    """An output file (``--out``, ``--csv``) that cannot be written."""
+
+    code = "output_not_writable"
+
+
 class UnknownManifold(KahlerProbeError):
     code = "unknown_manifold"
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import acs
-from .errors import DimensionMismatch, MalformedInput
+from .errors import DimensionMismatch, MalformedInput, OutputNotWritable
 from .karcher import WeightedSampleSet
 
 READ_TOL = 1e-8  # J^2 = -I and orthogonality of a structure read from JSON
@@ -44,11 +44,6 @@ def structure_from_json(obj: dict) -> acs.OrthoComplexStructure:
     return acs.validate_j(matrix_from_json(obj), tol=READ_TOL)
 
 
-def sample_set_to_json(s: WeightedSampleSet) -> dict:
-    return {"points": [structure_to_json(p) for p in s.points],
-            "weights": list(s.weights)}
-
-
 def sample_set_from_json(obj: dict) -> WeightedSampleSet:
     """Accepts {"points": [matrix...], "weights": [...]} (weights optional)
     or a bare JSON array of matrices with uniform weights."""
@@ -62,7 +57,7 @@ def sample_set_from_json(obj: dict) -> WeightedSampleSet:
         points = tuple(structure_from_json(m) for m in matrices)
         if weights is None:
             return WeightedSampleSet.uniform(points)
-        return WeightedSampleSet(points, tuple(float(w) for w in weights))
+        return WeightedSampleSet(points, weights)
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"not a sample set: {exc}") from exc
 
@@ -86,10 +81,19 @@ def load_json(path: str):
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 
+def write_text(path: str, text: str) -> None:
+    """Write text to the file at path; OutputNotWritable when it cannot be
+    written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputNotWritable(f"cannot write {path}: {exc}") from exc
+
+
 def dump_json(obj, path: str | None = None) -> str:
     """Deterministic serialization: sorted keys, fixed separators."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        write_text(path, text + "\n")
     return text

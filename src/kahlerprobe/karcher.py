@@ -29,37 +29,33 @@ DEFAULT_MAX_ITER = 500
 
 @dataclass(frozen=True)
 class WeightedSampleSet:
-    """A finite probability measure on one component of the structure space."""
+    """A finite probability measure on one component of the structure space.
 
-    points: tuple
+    ``points`` is one read-only (N, d, d) stack, built from a stack, a list
+    of matrices or a list of structures; ``weights`` holds one finite,
+    nonnegative weight per point."""
+
+    points: np.ndarray
     weights: tuple
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        if not pts:
-            raise ValueError("empty sample set")
-        d = pts[0].dim
-        if any(p.dim != d for p in pts):
-            raise ValueError("mixed dimensions in sample set")
-        if self.weights is None:
-            w = tuple(1.0 / len(pts) for _ in pts)
-        else:
-            w = tuple(float(x) for x in self.weights)
-        if len(w) != len(pts) or any(x < 0.0 for x in w):
-            raise ValueError("weights must be nonnegative, one per point")
+        pts = np.array(self.points, dtype=float)
+        if not (pts.ndim == 3 and len(pts) and pts.shape[1] == pts.shape[2]
+                and pts.shape[1] % 2 == 0):
+            raise ValueError(f"need a nonempty stack of even-sized square "
+                             f"matrices, got shape {pts.shape}")
+        w = tuple(float(x) for x in self.weights)
+        if len(w) != len(pts) or not all(0.0 <= x < math.inf for x in w):
+            raise ValueError("weights must be finite and nonnegative, one per point")
         if abs(sum(w) - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {sum(w)!r}, not 1")
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
     @staticmethod
     def uniform(points) -> "WeightedSampleSet":
-        points = tuple(points)
         return WeightedSampleSet(points, tuple(1.0 / len(points) for _ in points))
-
-    @property
-    def dim(self) -> int:
-        return self.points[0].dim
 
 
 @dataclass(frozen=True)
@@ -81,13 +77,9 @@ class ConvexityReport:
     diameter_bound: float
 
 
-def _stack(s: WeightedSampleSet) -> np.ndarray:
-    return np.stack([p.mat for p in s.points])
-
-
 def karcher_energy(y: OrthoComplexStructure, s: WeightedSampleSet) -> float:
     """Weighted average squared distance: (1/2) sum_i w_i d(x_i, y)^2."""
-    dists = acs.distances(_stack(s), y.mat).tolist()
+    dists = acs.distances(s.points, y.mat).tolist()
     return 0.5 * sum(w * d ** 2 for w, d in zip(s.weights, dists))
 
 
@@ -95,7 +87,7 @@ def karcher_gradient(y: OrthoComplexStructure, s: WeightedSampleSet) -> TangentP
     """Riemannian gradient of the energy at y: -sum_i w_i log_y(x_i)."""
     g = np.zeros_like(y.mat)
     used = [i for i, w in enumerate(s.weights) if w != 0.0]
-    logs = acs.log_maps(y.mat, _stack(s)[used])
+    logs = acs.log_maps(y.mat, s.points[used])
     for i, log in zip(used, logs):
         g -= s.weights[i] * log
     return TangentPhi(y, g)
@@ -110,7 +102,8 @@ def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
         raise ToleranceTooSmall(f"tol must be >= {MIN_TOL}")
     if max_iter < 1:
         raise IterationLimitTooSmall(f"max_iter must be >= 1, got {max_iter}")
-    y = s.points[int(np.argmax(s.weights))] if start is None else start
+    y = (OrthoComplexStructure(s.points[int(np.argmax(s.weights))])
+         if start is None else start)
     energy = karcher_energy(y, s)
     for it in range(1, max_iter + 1):
         grad = karcher_gradient(y, s)
@@ -145,8 +138,8 @@ def check_convexity(s: WeightedSampleSet, delta: DeltaConstant) -> ConvexityRepo
     containment proxy) and (b) the set's diameter is at most
     pi / (2 sqrt(eps)).
     """
-    m = len(s.points)
-    mats = _stack(s)
+    mats = s.points
+    m = len(mats)
     dmat = np.zeros((m, m))
     for i in range(m - 1):
         dmat[i, i + 1:] = dmat[i + 1:, i] = acs.distances_or_inf(mats[i], mats[i + 1:])

@@ -156,17 +156,18 @@ def average_to_fixed(report: OrbitReport, delta: DeltaConstant,
     orbit; later rounds average strictly smaller sets."""
     if not near_preservation_test(report, delta):
         raise ValueError("orbit is not nearly preserved; nothing to average")
-    s = WeightedSampleSet.uniform(report.orbit)
-    mean = karcher_mean_checked(s, delta, tol=tol)
+    mean = karcher_mean_checked(WeightedSampleSet.uniform(report.orbit), delta, tol=tol)
+    if not report.samples:
+        return mean
+    mats = _matrices(report.samples)
     for _ in range(MAX_ROUNDS):
         if not mean.converged:
             break
-        if fixedness_check(mean.mean, report.samples) < TOL_FIX:
+        # one conjugate stack gives the round's fixedness and the next samples
+        conj = acs.conjugates(mats, mean.mean)
+        if _max_distance(mean.mean, conj) < TOL_FIX:
             break
-        pts = acs.conjugates(_matrices(report.samples), mean.mean)
-        mean = karcher_mean(
-            WeightedSampleSet.uniform(map(OrthoComplexStructure, pts)),
-            tol=tol, start=mean.mean)
+        mean = karcher_mean(WeightedSampleSet.uniform(conj), tol=tol, start=mean.mean)
     return mean
 
 
@@ -175,12 +176,16 @@ def _matrices(samples) -> np.ndarray:
     return np.stack([s.matrix for s in samples])
 
 
+def _max_distance(J: OrthoComplexStructure, conj: np.ndarray) -> float:
+    """Max distance between J and the slices of a conjugate stack."""
+    return max([0.0] + acs.distances_or_inf(J.mat, conj).tolist())
+
+
 def fixedness_check(J_prime: OrthoComplexStructure, samples) -> float:
     """Max distance between J' and its conjugates by the samples."""
     if not samples:
         return 0.0
-    conj = acs.conjugates(_matrices(samples), J_prime)
-    return max([0.0] + acs.distances_or_inf(J_prime.mat, conj).tolist())
+    return _max_distance(J_prime, acs.conjugates(_matrices(samples), J_prime))
 
 
 def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStructure,

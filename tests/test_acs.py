@@ -76,6 +76,20 @@ def test_validate_j_rejects_broken_entry():
         acs.validate_j(mat)
 
 
+def test_structure_reads_as_its_matrix():
+    """numpy reads a structure as its matrix, honouring dtype and copy."""
+    J = acs.random_j(2, 3)
+    assert np.asarray(J) is J.mat
+    assert np.array(J, copy=False) is J.mat
+    copied = np.array(J, copy=True)
+    assert copied.flags.writeable and not np.shares_memory(copied, J.mat)
+    assert np.array_equal(copied, J.mat)
+    assert np.array(J, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):
+        np.array(J, dtype=np.float32, copy=False)
+    assert np.array([J, J]).tobytes() == np.stack([J.mat, J.mat]).tobytes()
+
+
 def test_validate_j_rejects_odd_size():
     with pytest.raises(OddDimension):
         acs.validate_j(np.eye(3))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kahlerprobe import acs, cli, io
-from kahlerprobe.errors import DimensionMismatch
+from kahlerprobe.errors import DimensionMismatch, MalformedInput, OutputNotWritable
 
 
 def run_cli(capsys, *argv):
@@ -40,17 +40,55 @@ def test_matrix_json_shape_check():
 def test_sample_set_json_roundtrip():
     J = acs.canonical_j(2)
     pts = [acs.exp_map(J, acs.random_tangent(J, k, 0.3), 1.0) for k in range(3)]
-    from kahlerprobe.karcher import WeightedSampleSet
-    s = WeightedSampleSet(tuple(pts), (0.5, 0.25, 0.25))
-    back = io.sample_set_from_json(io.sample_set_to_json(s))
-    assert back.weights == s.weights
-    assert all(a.same_point(b) for a, b in zip(back.points, s.points))
+    back = io.sample_set_from_json({"points": [io.matrix_to_json(p.mat) for p in pts],
+                                    "weights": [0.5, 0.25, 0.25]})
+    assert back.weights == (0.5, 0.25, 0.25)
+    assert back.points.tobytes() == np.stack([p.mat for p in pts]).tobytes()
 
 
 def test_sample_set_accepts_bare_array():
     J = acs.canonical_j(2)
     s = io.sample_set_from_json([io.structure_to_json(J)] * 2)
     assert s.weights == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan],
+                                     [math.inf, 0.0]])
+def test_sample_set_rejects_weights_that_are_not_finite(weights):
+    obj = {"points": [io.structure_to_json(acs.canonical_j(2))] * 2,
+           "weights": weights}
+    with pytest.raises(MalformedInput, match="finite and nonnegative"):
+        io.sample_set_from_json(obj)
+
+
+def test_unwritable_output_is_a_domain_error(tmp_path):
+    with pytest.raises(OutputNotWritable) as exc:
+        io.dump_json({"a": 1}, str(tmp_path / "missing" / "x.json"))
+    assert exc.value.code == "output_not_writable"
+    with pytest.raises(OutputNotWritable):
+        io.dump_json({"a": 1}, str(tmp_path))  # a directory
+    assert io.dump_json({"a": 1}, str(tmp_path / "x.json")) == \
+        (tmp_path / "x.json").read_text()[:-1]
+
+
+_J1 = io.structure_to_json(acs.canonical_j(1))
+_J2 = io.structure_to_json(acs.canonical_j(2))
+
+
+@pytest.mark.parametrize("points,error", [
+    ([], "malformed_input"),
+    ([_J2, _J1], "malformed_input"),  # mixed sizes
+    # the matrix reader stops these before they reach the sample set
+    ([_J2, {"dim": 2, "rows": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]}],
+     "dimension_mismatch"),
+    ([{"dim": 3, "rows": np.eye(3).tolist()}], "odd_dimension"),
+])
+def test_mean_input_that_is_not_one_stack(capsys, tmp_path, points, error):
+    src = tmp_path / "points.json"
+    src.write_text(json.dumps({"points": points}))
+    code, out, err = run_cli(capsys, "mean", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
 
 
 # -- cli ----------------------------------------------------------------------
@@ -258,6 +296,7 @@ def test_point_of_the_wrong_length_is_a_dimension_mismatch(capsys, command):
 
 
 _ONE_POINT = io.dump_json([io.structure_to_json(acs.canonical_j(2))])
+_TWO_POINTS = io.dump_json([io.structure_to_json(acs.canonical_j(2))] * 2)
 
 
 @pytest.mark.parametrize("argv,files,status", [
@@ -276,11 +315,18 @@ _ONE_POINT = io.dump_json([io.structure_to_json(acs.canonical_j(2))])
     (["mean", "--input", "points.json", "--max-iter", "0"], {"points.json": _ONE_POINT}, 1),
     (["probe", "--manifold", "fubini_study_cp2", "--point", "0,0,0,0",
       "--mean-tol", "1e-20"], {}, 1),
+    (["mean", "--input", "nan.json"],
+     {"nan.json": '{"points": %s, "weights": [NaN, 1.0]}' % _TWO_POINTS}, 2),
+    (["transport", "--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5",
+      "--loops", "1", "--word-length", "1", "--out", "missing/x.json"], {}, 2),
+    (["orbit", "--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5",
+      "--loops", "1", "--word-length", "1", "--csv", "missing/x.csv"], {}, 2),
 ])
 def test_bad_inputs_end_in_a_stable_outcome(capsys, tmp_path, monkeypatch,
                                             argv, files, status):
-    """Unreadable or malformed input files are domain errors (exit 2) and
-    out-of-range flags are usage errors (exit 1); neither is a traceback."""
+    """Unreadable or malformed input files and unwritable output paths are
+    domain errors (exit 2) and out-of-range flags are usage errors (exit 1);
+    neither is a traceback."""
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -289,7 +335,9 @@ def test_bad_inputs_end_in_a_stable_outcome(capsys, tmp_path, monkeypatch,
     assert out == ""
     assert "Traceback" not in err
     if status == 2:
-        assert json.loads(err)["error"] == "malformed_input"
+        writes = {"--out", "--csv"} & set(argv)
+        assert json.loads(err)["error"] == ("output_not_writable" if writes
+                                            else "malformed_input")
 
 
 def test_transport_loop_descriptions_are_pinned(capsys):

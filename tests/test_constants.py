@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -189,3 +191,70 @@ def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
     assert d.epsilon_used == 1.0
     assert path.read_text() == previous
     assert os.listdir(tmp_path) == [path.name]
+
+
+def test_cache_write_keeps_keys_written_during_the_estimate(tmp_path, monkeypatch):
+    """Another process that stores its key while this one estimates keeps
+    it: the write re-reads the file instead of writing back what was read
+    before the estimate."""
+    path = tmp_path / "delta_cache.json"
+    monkeypatch.setenv("KAHLER_PROBE_CACHE", str(path))
+    theirs = {"n=3;seed=5;ns=300;res=0.01": {"delta": 0.5, "epsilon": 1.0,
+                                             "inj_lower": 1.0}}
+    estimate = constants.estimate_injectivity
+
+    def racing_estimate(*args, **kwargs):
+        path.write_text(json.dumps(theirs))
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(constants, "estimate_injectivity", racing_estimate)
+    d = compute_delta(2, epsilon_override=1.0)
+    cache = json.loads(path.read_text())
+    ours = "n=2;seed=0;ns=300;res=0.01;eps=1.0"
+    assert set(cache) == set(theirs) | {ours}
+    assert cache[ours]["delta"] == d.delta
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_cache_writers_take_turns(tmp_path):
+    """A writer waits for the cache lock, then adds its key to what the
+    lock holder wrote; the lock file is gone afterwards."""
+    path = str(tmp_path / "delta_cache.json")
+    with constants._cache_lock(path):
+        writer = threading.Thread(target=constants._write_cache,
+                                  args=(path, "b", {"delta": 2.0}))
+        writer.start()
+        writer.join(0.2)
+        assert writer.is_alive() and not os.path.exists(path)
+        with open(path, "w") as fh:
+            json.dump({"a": {"delta": 1.0}}, fh)
+    writer.join(10.0)
+    assert not writer.is_alive()
+    with open(path) as fh:
+        assert json.load(fh) == {"a": {"delta": 1.0}, "b": {"delta": 2.0}}
+    assert os.listdir(tmp_path) == ["delta_cache.json"]
+
+
+def test_concurrent_cache_writers_lose_no_key(tmp_path):
+    """Four threads add five keys each, switching often: every key is in
+    the file at the end."""
+    path = str(tmp_path / "delta_cache.json")
+
+    def add(worker):
+        for k in range(5):
+            constants._write_cache(path, f"{worker}-{k}", {"delta": float(k)})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=add, args=(w,)) for w in range(4)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    with open(path) as fh:
+        assert set(json.load(fh)) == {f"{w}-{k}" for w in range(4) for k in range(5)}
+    assert os.listdir(tmp_path) == ["delta_cache.json"]

@@ -52,6 +52,43 @@ def test_uniform_weights():
     assert s.weights == (0.25,) * 4
 
 
+@pytest.mark.parametrize("weights", [(math.nan, 1.0), (0.5, math.nan),
+                                     (math.inf, 0.0), (-math.inf, math.inf)])
+def test_weights_must_be_finite(weights):
+    J = acs.canonical_j(2)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        WeightedSampleSet((J, J), weights)
+
+
+def test_points_are_one_read_only_stack():
+    """A stack, a list of structures and a list of matrices give the same
+    read-only (N, d, d) stack, which is a copy of what was passed."""
+    pts = [acs.random_j(2, k) for k in range(3)]
+    stack = np.stack([p.mat for p in pts])
+    sets = [WeightedSampleSet.uniform(stack), WeightedSampleSet.uniform(pts),
+            WeightedSampleSet.uniform([p.mat for p in pts]),
+            WeightedSampleSet(tuple(pts), np.full(3, 1.0 / 3.0))]
+    for s in sets:
+        assert s.points.shape == (3, 4, 4) and s.points.dtype == np.float64
+        assert s.points.tobytes() == stack.tobytes()
+        assert not s.points.flags.writeable
+        assert s.weights == sets[0].weights
+    stack[0] = 0.0
+    assert sets[0].points.tobytes() == sets[1].points.tobytes()
+
+
+@pytest.mark.parametrize("points", [
+    (), np.zeros((0, 4, 4)), np.eye(4),
+    [np.zeros((4, 2))],                              # not square
+    [np.eye(3)],                                     # odd size
+    [acs.canonical_j(2), acs.canonical_j(1)],        # mixed sizes
+    [acs.canonical_j(1).mat, acs.canonical_j(2).mat],
+])
+def test_points_that_are_not_one_stack_are_rejected(points):
+    with pytest.raises(ValueError):
+        WeightedSampleSet.uniform(points)
+
+
 # -- energy -------------------------------------------------------------------
 
 def test_energy_at_the_single_point():
@@ -217,7 +254,7 @@ def test_convexity_ok_inside_delta_ball(delta4):
 # -- stacked distances against the per-pair loops -----------------------------
 
 def _pairwise_energy(y, s):
-    return 0.5 * sum(w * acs.distance(p, y) ** 2
+    return 0.5 * sum(w * acs.distance(acs.OrthoComplexStructure(p), y) ** 2
                      for p, w in zip(s.points, s.weights))
 
 
@@ -226,12 +263,12 @@ def _pairwise_gradient(y, s):
     for p, w in zip(s.points, s.weights):
         if w == 0.0:
             continue
-        g -= w * acs.log_map(y, p).mat
+        g -= w * acs.log_map(y, acs.OrthoComplexStructure(p)).mat
     return acs.TangentPhi(y, g)
 
 
 def _pairwise_convexity(s, delta):
-    pts = s.points
+    pts = [acs.OrthoComplexStructure(p) for p in s.points]
     m = len(pts)
     dmat = np.zeros((m, m))
     for i in range(m):

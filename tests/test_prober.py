@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kahlerprobe import acs, holonomy, prober
+from kahlerprobe import acs, holonomy, karcher, prober
 from kahlerprobe.errors import DeterminantAnomaly, DimensionMismatch
 
 
@@ -131,6 +131,58 @@ def test_cyclic_group_orbit_mean_is_fixed(delta4):
     mean = prober.average_to_fixed(report, delta4, tol=1e-10)
     assert mean.converged
     assert prober.fixedness_check(mean.mean, samples) < 1e-9
+
+
+def test_average_without_samples_is_the_checked_mean(delta4):
+    """With no holonomy samples there is nothing to re-orbit: the first
+    mean is returned."""
+    J0 = acs.canonical_j(2)
+    orbit = tuple(acs.exp_map(J0, acs.random_tangent(J0, k, 0.2), 1.0) for k in range(3))
+    report = prober.OrbitReport(base_J=J0, samples=(), orbit=orbit,
+                                distances=(0.2,) * 3, max_distance=0.2, argmax_loop=0)
+    mean = prober.average_to_fixed(report, delta4)
+    first = karcher.karcher_mean_checked(karcher.WeightedSampleSet.uniform(orbit), delta4)
+    assert mean.converged
+    assert repr(mean) == repr(first)
+
+
+def _rewrapping_average(report, delta, tol):
+    """average_to_fixed as a loop that conjugates twice per round and wraps
+    each conjugate in a structure."""
+    mean = karcher.karcher_mean_checked(karcher.WeightedSampleSet.uniform(report.orbit),
+                                        delta, tol=tol)
+    for _ in range(prober.MAX_ROUNDS):
+        if not mean.converged:
+            break
+        if prober.fixedness_check(mean.mean, report.samples) < prober.TOL_FIX:
+            break
+        pts = acs.conjugates(np.stack([s.matrix for s in report.samples]), mean.mean)
+        mean = karcher.karcher_mean(
+            karcher.WeightedSampleSet.uniform([acs.OrthoComplexStructure(p) for p in pts]),
+            tol=tol, start=mean.mean)
+    return mean
+
+
+def test_average_conjugates_once_per_round(fs_orbit, delta4, monkeypatch):
+    """Each re-orbit round takes its fixedness residual and its next sample
+    set from one conjugate stack, with the bits of the rewrapping loop."""
+    expected = _rewrapping_average(fs_orbit, delta4, prober.DEFAULT_TOL)
+    events = []
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(acs, "conjugates", record("conjugates", acs.conjugates))
+    monkeypatch.setattr(prober, "karcher_mean", record("mean", prober.karcher_mean))
+    mean = prober.average_to_fixed(fs_orbit, delta4)
+    rounds = events.count("mean")
+    assert rounds >= 1
+    assert events == ["conjugates", "mean"] * rounds + ["conjugates"]
+    assert mean.mean.mat.tobytes() == expected.mean.mat.tobytes()
+    assert repr(mean) == repr(expected)
 
 
 def test_fixedness_check_identity_samples():
