@@ -49,7 +49,7 @@ def _maxabs(a: np.ndarray) -> float:
     return math.inf if math.isnan(m) else m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthoComplexStructure:
     """A metric-compatible almost complex structure: J^2 = -I, J^T J = I."""
 
@@ -75,7 +75,7 @@ class OrthoComplexStructure:
         return self.dim == other.dim and _maxabs(self.mat - other.mat) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentPhi:
     """A tangent vector at ``base``: skew and anticommuting with base.mat."""
 
@@ -409,13 +409,11 @@ def random_tangent(J: OrthoComplexStructure, seed: int, norm: float = 1.0) -> Ta
     """Seeded random tangent at J rescaled to the requested norm."""
     if norm <= 0.0:
         raise ZeroProjection("norm must be positive")
-    for attempt in range(8):
-        rng = np.random.default_rng(seed + 1_000_003 * attempt)
-        phi = project_tangent(J, rng.standard_normal(J.mat.shape))
-        nrm = phi.norm()
-        if nrm > 1e-12:
-            return phi.scaled(norm / nrm)
-    raise ZeroProjection(
-        "projection of random matrices onto the tangent space vanished "
-        "(the tangent space is zero-dimensional for n = 1)"
-    )
+    rng = np.random.default_rng(seed)
+    phi = project_tangent(J, rng.standard_normal(J.mat.shape))
+    nrm = phi.norm()
+    if not nrm > 1e-12:
+        raise ZeroProjection(
+            "projection of a random matrix onto the tangent space vanished "
+            "(the tangent space is zero-dimensional for n = 1)")
+    return phi.scaled(norm / nrm)

@@ -8,7 +8,8 @@ holonomy), and ``probe`` (the full dichotomy pipeline).
 Every output is a JSON document with a reproducibility header: the fully
 resolved configuration and an optional timestamp (``--no-timestamp`` for
 byte-stable output).  Domain errors exit with status 2 and a
-``{"error": code, "detail": ...}`` payload; usage errors exit 1.
+``{"error": code, "detail": ...}`` payload; usage errors exit 1.  Output
+paths are checked before the command runs.
 """
 
 from __future__ import annotations
@@ -297,6 +298,9 @@ def main(argv=None) -> int:
             argv = argv[:1] + _config_flags(sub, path) + argv[1:]
     args = parser.parse_args(argv)
     try:
+        for path in (args.out, getattr(args, "csv", None)):
+            if path is not None:
+                io.check_writable(path)
         _emit(args, _COMMANDS[args.subcommand](args))
     except KahlerProbeError as exc:
         print(io.dump_json({"error": exc.code, "detail": str(exc)}),

@@ -1,4 +1,4 @@
-"""Estimation of the dichotomy constant delta_2n = min(inj/2, pi/(4 sqrt(eps))).
+"""Estimation of the dichotomy constant delta = min(inj/2, pi/(4 sqrt(eps))).
 
 ``eps`` is an upper bound on the sectional curvature of the structure space,
 estimated by sampling 2-planes at the canonical base point (homogeneity makes
@@ -6,10 +6,11 @@ one point sufficient) and refining the best candidates by local ascent.
 The injectivity radius is lower-bounded by marching along random unit-speed
 geodesics until the geodesic stops minimizing or the log map fails.  Both
 estimators are conservative in the direction that keeps the dichotomy
-sound: a too-large eps or too-small inj only shrinks delta.  The cache file
-is replaced atomically, so a failed or concurrent write never leaves it torn,
-and each write re-reads it under a lock, so concurrent writers keep each
-other's entries.
+sound: a too-large eps or too-small inj only shrinks delta.  A cache entry
+is read through ``DeltaConstant``: one that does not rebuild its own delta
+is a miss.  The cache file is replaced atomically, so a failed or concurrent
+write never leaves it torn, and each write re-reads it under a lock, so
+concurrent writers keep each other's entries.
 """
 
 from __future__ import annotations
@@ -20,22 +21,19 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import acs
-from .errors import (
-    DegeneratePlane,
-    DimensionMismatch,
-    DimensionTooSmall,
-)
+from .errors import DegeneratePlane, DimensionTooSmall
 
 SAFETY_FACTOR = 1.05
 MIN_SAMPLES = 100      # fewest random planes estimate_epsilon accepts
 DEFAULT_SAMPLES = 300  # random planes estimate_epsilon draws by default
 MIN_RESOLUTION = 1e-3  # finest march step estimate_injectivity accepts
 MAX_RESOLUTION = 0.01  # coarsest march step estimate_injectivity accepts, and its default
+MARCH_DIRECTIONS = 8  # random geodesics the injectivity march follows
 MARCH_CHUNK = 32  # geodesic times evaluated per stacked step of the injectivity march
 MARCH_T_MAX = 20.0  # the march stops here when no direction breaks before
 DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".kahlerprobe_delta_cache.json")
@@ -60,7 +58,6 @@ class CurvatureBound:
 class InjectivityEstimate:
     n: int
     inj_lower: float
-    directions_sampled: int
     resolution: float
 
     def __post_init__(self):
@@ -70,23 +67,21 @@ class InjectivityEstimate:
 
 @dataclass(frozen=True)
 class DeltaConstant:
+    """The dichotomy constant derived from its inputs.  Since delta <=
+    inj/2 and 2 delta <= pi/(2 sqrt(eps)), the delta-ball is convex and
+    meets the center-of-mass diameter bound."""
+
     n: int
-    delta: float
     epsilon_used: float
     inj_used: float
+    delta: float = field(init=False)
 
     def __post_init__(self):
-        expected = min(self.inj_used / 2.0, math.pi / (4.0 * math.sqrt(self.epsilon_used)))
-        if abs(self.delta - expected) > 1e-15 * max(1.0, expected):
-            raise ValueError("delta inconsistent with its inputs")
-        # Convexity compatibility: delta <= min(inj/2, pi/(2 sqrt(eps))), so the
-        # ball of radius delta is convex and its diameter obeys the
-        # center-of-mass hypothesis diameter <= pi / (2 sqrt(eps)).
-        r_convex = min(self.inj_used / 2.0, math.pi / (2.0 * math.sqrt(self.epsilon_used)))
-        if self.delta > r_convex + 1e-12:
-            raise ValueError("delta exceeds the convexity radius")
-        if 2.0 * self.delta > math.pi / (2.0 * math.sqrt(self.epsilon_used)) + 1e-12:
-            raise ValueError("2 delta exceeds the diameter bound pi/(2 sqrt(eps))")
+        if not (0.0 < self.epsilon_used < math.inf and 0.0 < self.inj_used < math.inf):
+            raise ValueError(f"epsilon {self.epsilon_used!r} and injectivity radius "
+                             f"{self.inj_used!r} must be finite and positive")
+        object.__setattr__(self, "delta", min(
+            self.inj_used / 2.0, math.pi / (4.0 * math.sqrt(self.epsilon_used))))
 
 
 def _random_plane(J, seed):
@@ -143,8 +138,7 @@ def estimate_epsilon(n: int, num_samples: int = DEFAULT_SAMPLES,
                           samples=num_samples, max_sampled=best)
 
 
-def estimate_injectivity(n: int, num_directions: int = 8,
-                         resolution: float = MAX_RESOLUTION,
+def estimate_injectivity(n: int, resolution: float = MAX_RESOLUTION,
                          seed: int = 0) -> InjectivityEstimate:
     """Lower bound on the injectivity radius via a geodesic-minimality march."""
     if n < 2:
@@ -154,7 +148,7 @@ def estimate_injectivity(n: int, num_directions: int = 8,
     J = acs.canonical_j(n)
     rng = np.random.default_rng(seed)
     first_break = MARCH_T_MAX
-    for _ in range(num_directions):
+    for _ in range(MARCH_DIRECTIONS):
         phi = acs.random_tangent(J, int(rng.integers(0, 2**31 - 1)))
         t = resolution
         while t < first_break:  # later breaks cannot lower the minimum
@@ -170,19 +164,7 @@ def estimate_injectivity(n: int, num_directions: int = 8,
                 first_break = min(first_break, broken[0])
                 break
     return InjectivityEstimate(n=n, inj_lower=first_break - resolution,
-                               directions_sampled=num_directions,
                                resolution=resolution)
-
-
-def delta_2n(n: int, eps: CurvatureBound, inj: InjectivityEstimate) -> DeltaConstant:
-    """Combine the two estimates into the dichotomy constant."""
-    if eps.n != n or inj.n != n:
-        raise DimensionMismatch(f"n={n} but eps.n={eps.n}, inj.n={inj.n}")
-    if n < 2:
-        raise DimensionTooSmall("delta is defined for n > 1")
-    delta = min(inj.inj_lower / 2.0, math.pi / (4.0 * math.sqrt(eps.epsilon)))
-    return DeltaConstant(n=n, delta=delta, epsilon_used=eps.epsilon,
-                         inj_used=inj.inj_lower)
 
 
 # -- cached end-to-end computation -------------------------------------------
@@ -195,24 +177,29 @@ def compute_delta(n: int, num_samples: int = DEFAULT_SAMPLES,
                   resolution: float = MAX_RESOLUTION, seed: int = 0,
                   epsilon_override: float | None = None,
                   use_cache: bool = True) -> DeltaConstant:
-    """Delta constant with JSON file caching keyed by parameters."""
+    """Delta constant with JSON file caching keyed by parameters.  A cached
+    entry is a hit only when ``DeltaConstant`` accepts its epsilon and
+    inj_lower and rebuilds its delta; anything else is estimated again and
+    its entry overwritten."""
     key = f"n={n};seed={seed};ns={num_samples};res={resolution}"
     if epsilon_override is not None:
         key += f";eps={epsilon_override!r}"
     path = cache_path()
     if use_cache:
-        rec = _read_cache(path).get(key)
-        if rec is not None:
-            return DeltaConstant(n=n, delta=rec["delta"],
-                                 epsilon_used=rec["epsilon"],
-                                 inj_used=rec["inj_lower"])
+        try:
+            rec = _read_cache(path)[key]
+            delta = DeltaConstant(n, rec["epsilon"], rec["inj_lower"])
+            if delta.delta == rec["delta"]:
+                return delta
+        except (KeyError, OverflowError, TypeError, ValueError):
+            pass
     if epsilon_override is not None:
         eps = CurvatureBound(n=n, epsilon=epsilon_override, method="user_override",
                              samples=0)
     else:
         eps = estimate_epsilon(n, num_samples=num_samples, seed=seed)
     inj = estimate_injectivity(n, resolution=resolution, seed=seed)
-    delta = delta_2n(n, eps, inj)
+    delta = DeltaConstant(n, eps.epsilon, inj.inj_lower)
     if use_cache:
         _write_cache(path, key, {"epsilon": delta.epsilon_used,
                                  "inj_lower": delta.inj_used, "delta": delta.delta})

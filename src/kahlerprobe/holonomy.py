@@ -44,7 +44,7 @@ FD_STEP = 1e-5          # finite-difference step for Christoffels
 DEFECT_LIMIT = 1e-4     # raw orthogonality defect beyond which results are rejected
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManifoldChart:
     """A coordinate chart with metric g_ij(x) on a box domain."""
 
@@ -149,7 +149,7 @@ def concatenate_paths(paths) -> SmoothPath:
                                    "parts": [p.description for p in paths]})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolonomySample:
     """A loop together with the orthogonal matrix it induces on the
     orthonormal frame at the base point."""

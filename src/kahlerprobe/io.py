@@ -8,6 +8,7 @@ subcommand that consumes that artifact type.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -79,6 +80,23 @@ def load_json(path: str):
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
+
+
+def check_writable(path: str) -> None:
+    """OutputNotWritable unless ``write_text`` can write the file at path:
+    an existing file must be writable, a new one needs a writable
+    directory.  Nothing is created or truncated."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.basename(path) or os.path.isdir(path):
+        why = "not a file name"
+    elif os.path.exists(path):
+        why = "" if os.access(path, os.W_OK) else "the file is read-only"
+    elif not os.path.isdir(folder):
+        why = f"no directory {folder}"
+    else:
+        why = "" if os.access(folder, os.W_OK | os.X_OK) else f"{folder} is read-only"
+    if why:
+        raise OutputNotWritable(f"cannot write {path}: {why}")
 
 
 def write_text(path: str, text: str) -> None:

@@ -27,7 +27,7 @@ MIN_TOL = 1e-12
 DEFAULT_MAX_ITER = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedSampleSet:
     """A finite probability measure on one component of the structure space.
 

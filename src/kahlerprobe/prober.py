@@ -66,7 +66,7 @@ class OrbitReport:
     argmax_loop: int
 
 
-@dataclass
+@dataclass(eq=False)
 class GlobalJField:
     """Almost complex structure field built by parallel transport.
 

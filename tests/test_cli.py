@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kahlerprobe import acs, cli, io
+from kahlerprobe import acs, cli, holonomy, io
 from kahlerprobe.errors import DimensionMismatch, MalformedInput, OutputNotWritable
 
 
@@ -338,6 +338,35 @@ def test_bad_inputs_end_in_a_stable_outcome(capsys, tmp_path, monkeypatch,
         writes = {"--out", "--csv"} & set(argv)
         assert json.loads(err)["error"] == ("output_not_writable" if writes
                                             else "malformed_input")
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--manifold", "fubini_study_cp2", "--point", "0,0,0,0",
+     "--out", "missing/x.json"],
+    ["orbit", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+     "--csv", "missing/x.csv"],
+    ["orbit", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+     "--out", "kept.json", "--csv", "missing/x.csv"],
+    ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0", "--out", "."],
+    ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+     "--out", "kept.json/"],
+])
+def test_unwritable_output_is_found_before_the_work(capsys, tmp_path, monkeypatch, argv):
+    """An output path that cannot be written ends the command before any
+    estimate or transport, and no file is created or truncated."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept.json").write_text("previous")
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("the work ran before the output check")
+
+    monkeypatch.setattr(cli, "compute_delta", not_called)
+    monkeypatch.setattr(holonomy, "loop_family", not_called)
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "output_not_writable"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+    assert (tmp_path / "kept.json").read_text() == "previous"
 
 
 def test_transport_loop_descriptions_are_pinned(capsys):

@@ -1,5 +1,7 @@
 """Tests for the curvature bound, injectivity estimate, and delta constant."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,18 +11,17 @@ import threading
 import numpy as np
 import pytest
 
-from kahlerprobe import acs, constants
+from kahlerprobe import acs, cli, constants, holonomy, prober
 from kahlerprobe.constants import (
     CurvatureBound,
     DeltaConstant,
     InjectivityEstimate,
     cache_path,
     compute_delta,
-    delta_2n,
     estimate_epsilon,
     estimate_injectivity,
 )
-from kahlerprobe.errors import DimensionMismatch, DimensionTooSmall
+from kahlerprobe.errors import DimensionTooSmall
 
 
 def test_curvature_bound_invariants():
@@ -33,38 +34,22 @@ def test_curvature_bound_invariants():
 
 def test_injectivity_estimate_invariants():
     with pytest.raises(ValueError):
-        InjectivityEstimate(n=2, inj_lower=0.0, directions_sampled=8,
-                            resolution=0.01)
-
-
-def test_delta_constant_rejects_inconsistent_value():
-    with pytest.raises(ValueError):
-        DeltaConstant(n=2, delta=1.0, epsilon_used=1.0, inj_used=10.0)
+        InjectivityEstimate(n=2, inj_lower=0.0, resolution=0.01)
 
 
 def test_delta_arithmetic_curvature_branch():
     eps = CurvatureBound(n=2, epsilon=1.0, method="user_override", samples=0)
-    inj = InjectivityEstimate(n=2, inj_lower=10.0, directions_sampled=1,
-                              resolution=0.01)
-    d = delta_2n(2, eps, inj)
+    inj = InjectivityEstimate(n=2, inj_lower=10.0, resolution=0.01)
+    d = DeltaConstant(2, eps.epsilon, inj.inj_lower)
     assert d.delta == pytest.approx(math.pi / 4.0, abs=1e-12)
 
 
 def test_delta_arithmetic_injectivity_branch():
     eps = CurvatureBound(n=2, epsilon=math.pi ** 2 / 4.0,
                          method="user_override", samples=0)
-    inj = InjectivityEstimate(n=2, inj_lower=0.5, directions_sampled=1,
-                              resolution=0.01)
-    d = delta_2n(2, eps, inj)
+    inj = InjectivityEstimate(n=2, inj_lower=0.5, resolution=0.01)
+    d = DeltaConstant(2, eps.epsilon, inj.inj_lower)
     assert d.delta == pytest.approx(0.25, abs=1e-12)
-
-
-def test_delta_dimension_mismatch():
-    eps = CurvatureBound(n=2, epsilon=1.0, method="user_override", samples=0)
-    inj = InjectivityEstimate(n=3, inj_lower=1.0, directions_sampled=1,
-                              resolution=0.01)
-    with pytest.raises(DimensionMismatch):
-        delta_2n(2, eps, inj)
 
 
 def test_estimators_reject_n1():
@@ -101,7 +86,7 @@ def test_injectivity_march_finds_2pi_for_n2(delta4):
 
 def test_minimality_along_sampled_directions():
     """distance(J, exp(t phi)) = t within 2*resolution below the estimate."""
-    inj = estimate_injectivity(2, num_directions=2, resolution=0.01, seed=5)
+    inj = estimate_injectivity(2, resolution=0.01, seed=5)
     J = acs.canonical_j(2)
     phi = acs.random_tangent(J, 123)
     t = 0.1
@@ -258,3 +243,105 @@ def test_concurrent_cache_writers_lose_no_key(tmp_path):
     with open(path) as fh:
         assert set(json.load(fh)) == {f"{w}-{k}" for w in range(4) for k in range(5)}
     assert os.listdir(tmp_path) == ["delta_cache.json"]
+
+
+# -- a cache entry is read through DeltaConstant -----------------------------
+
+_DEFAULT_KEY = "n=2;seed=0;ns=300;res=0.01"
+_BAD_ENTRIES = {
+    "missing_fields": '{"delta": 1.0}',
+    "inconsistent": '{"delta": 1.0, "epsilon": 0.2625, "inj_lower": 6.29}',
+    "negative_epsilon": '{"delta": 1.0, "epsilon": -1.0, "inj_lower": 6.29}',
+    "list": "[0.2625, 6.29, 1.0]",
+    "all_nan": '{"delta": NaN, "epsilon": NaN, "inj_lower": NaN}',
+    "string_epsilon": '{"delta": 0.7853981633974483, "epsilon": "1", "inj_lower": 10.0}',
+    "huge_integer": '{"delta": 1.0, "epsilon": 1%s, "inj_lower": 6.29}' % ("0" * 400),
+}
+
+
+def _cache_with(tmp_path, monkeypatch, entry_text):
+    path = tmp_path / "delta_cache.json"
+    path.write_text('{"%s": %s}' % (_DEFAULT_KEY, entry_text))
+    monkeypatch.setenv("KAHLER_PROBE_CACHE", str(path))
+    return path
+
+
+def _assert_same_delta(d, fresh):
+    assert ((repr(d.delta), repr(d.epsilon_used), repr(d.inj_used))
+            == (repr(fresh.delta), repr(fresh.epsilon_used), repr(fresh.inj_used)))
+
+
+@pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
+def test_malformed_cache_entry_is_estimated_again(tmp_path, monkeypatch, delta4, entry):
+    """A cache entry that does not rebuild its own delta is a miss: the
+    fresh estimate is returned and overwrites it."""
+    path = _cache_with(tmp_path, monkeypatch, _BAD_ENTRIES[entry])
+    d = compute_delta(2)
+    _assert_same_delta(d, delta4)
+    assert json.loads(path.read_text()) == {_DEFAULT_KEY: {
+        "delta": d.delta, "epsilon": d.epsilon_used, "inj_lower": d.inj_used}}
+
+
+@pytest.fixture(scope="module")
+def delta_cli_bytes():
+    """`kahler-probe delta --dim 4 --no-timestamp` with no cache."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["delta", "--dim", "4", "--no-cache", "--no-timestamp"]) == 0
+    return out.getvalue().replace('"no_cache": true', '"no_cache": false')
+
+
+@pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
+def test_malformed_cache_entry_at_the_cli(tmp_path, monkeypatch, capsys,
+                                          delta_cli_bytes, entry):
+    _cache_with(tmp_path, monkeypatch, _BAD_ENTRIES[entry])
+    assert cli.main(["delta", "--dim", "4", "--no-timestamp"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (delta_cli_bytes, "")
+
+
+def test_probe_with_an_inconsistent_cache_entry_gives_a_verdict(tmp_path, monkeypatch,
+                                                                delta4):
+    _cache_with(tmp_path, monkeypatch, _BAD_ENTRIES["inconsistent"])
+    config = prober.ProbeConfig(loops=2, ode_steps=100, word_length=1, grid_res=9,
+                                field_steps=100, probe_points=1)
+    v = prober.probe(holonomy.catalog("flat_torus_4"), [0.5] * 4, config=config)
+    assert v.kind == "KahlerWitness"
+    _assert_same_delta(v.delta_used, delta4)
+
+
+def test_probe_with_a_nan_cache_entry_runs_against_a_finite_delta(tmp_path, monkeypatch,
+                                                                  delta4):
+    """An all-NaN entry once passed every check, and every orbit distance
+    then exceeded delta = NaN: a wrong obstruction."""
+    _cache_with(tmp_path, monkeypatch, _BAD_ENTRIES["all_nan"])
+    config = prober.ProbeConfig(loops=2, word_length=1)
+    v = prober.probe(holonomy.catalog("round_sphere_4"), [0.0] * 4, config=config)
+    assert math.isfinite(v.delta_used.delta)
+    _assert_same_delta(v.delta_used, delta4)
+
+
+@pytest.mark.parametrize("epsilon,inj", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
+    (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1.0),
+])
+def test_delta_constant_needs_finite_positive_inputs(epsilon, inj):
+    with pytest.raises(ValueError, match="finite and positive"):
+        DeltaConstant(2, epsilon, inj)
+
+
+def test_cache_entry_in_the_established_layout_is_a_hit(tmp_path, monkeypatch, delta4):
+    """Entries keep the layout {epsilon, inj_lower, delta}: one written
+    that way is served without estimating, and carries the fresh bits."""
+    path = tmp_path / "delta_cache.json"
+    path.write_text('{\n "%s": {\n  "delta": 1.5329402499064273,\n'
+                    '  "epsilon": 0.26250000000000007,\n'
+                    '  "inj_lower": 6.28999999999991\n }\n}' % _DEFAULT_KEY)
+    monkeypatch.setenv("KAHLER_PROBE_CACHE", str(path))
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("a cache hit estimates nothing")
+
+    monkeypatch.setattr(constants, "estimate_epsilon", not_called)
+    monkeypatch.setattr(constants, "estimate_injectivity", not_called)
+    _assert_same_delta(compute_delta(2), delta4)

@@ -417,3 +417,27 @@ def test_probe_mean_tol_below_the_floor_is_inconclusive(delta4):
                      delta=delta4)
     assert (v.kind, v.failing_stage) == ("Inconclusive", "average_to_fixed")
     assert v.detail.startswith("tol must be >=")
+
+
+# -- records holding arrays --------------------------------------------------
+
+_RECORDS = {
+    "OrthoComplexStructure": lambda: acs.canonical_j(2),
+    "TangentPhi": lambda: acs.random_tangent(acs.canonical_j(2), 0),
+    "ManifoldChart": lambda: holonomy.catalog("flat_torus_4"),
+    "HolonomySample": lambda: make_sample([0.5] * 4, np.eye(4)),
+    "WeightedSampleSet": lambda: karcher.WeightedSampleSet.uniform(
+        [acs.canonical_j(2)] * 2),
+    "GlobalJField": lambda: prober.GlobalJField(
+        holonomy.catalog("flat_torus_4"), np.zeros(4), acs.canonical_j(2), (),
+        np.full(4, 0.1), 100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_holding_arrays_compare_and_hash(name):
+    """== on two records holding arrays is a bool (identity), not an
+    ambiguous-truth-value error, and hash() works."""
+    a, b = _RECORDS[name](), _RECORDS[name]()
+    assert (a == a, a == b, a != b) == (True, False, True)
+    assert hash(a) == hash(a)
