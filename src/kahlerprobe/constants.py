@@ -77,9 +77,13 @@ class DeltaConstant:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon_used < math.inf and 0.0 < self.inj_used < math.inf):
+        if (isinstance(self.epsilon_used, bool) or isinstance(self.inj_used, bool)
+                or not (0.0 < self.epsilon_used < math.inf
+                        and 0.0 < self.inj_used < math.inf)):
             raise ValueError(f"epsilon {self.epsilon_used!r} and injectivity radius "
-                             f"{self.inj_used!r} must be finite and positive")
+                             f"{self.inj_used!r} must be finite and positive numbers")
+        object.__setattr__(self, "epsilon_used", float(self.epsilon_used))
+        object.__setattr__(self, "inj_used", float(self.inj_used))
         object.__setattr__(self, "delta", min(
             self.inj_used / 2.0, math.pi / (4.0 * math.sqrt(self.epsilon_used))))
 

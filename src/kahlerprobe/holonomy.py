@@ -1,24 +1,32 @@
 """Chart-defined Riemannian manifolds and numerical holonomy.
 
 A manifold is a single coordinate chart: a box domain, a smooth metric
-coefficient function, and optionally analytic Christoffel symbols.  Parallel
+coefficient function, and optionally analytic Christoffel symbols.  The
+metric takes one point; the Christoffel callable is batched: it takes a
+(P, d) array of points and returns Gamma as (P, d, d, d), and
+``christoffel`` serves any (..., d) array from one call.  Without it,
+central differences of the metric are taken point by point.  Parallel
 transport integrates the first-order transport ODE with classical RK4 for
 every coordinate basis vector at once, then expresses the transport matrix
 in g-orthonormal frames at the endpoints, where it is orthogonal up to the
 integration defect.  A path is stored once, as a tuple of pieces (straight
 polyline moves or smooth curves); joining and reversing paths are
-operations on that tuple.  The integrator steps each piece on its own
-parameter interval, evaluates the piece at all its stage times at once and
-checks those points against the box in one call.  RK4 reuses stages: an
-n-step piece evaluates the Christoffels 2n + 1 times, not 4n, with the same
-result bit for bit.  Holonomy is sampled by transporting families of closed
-loops and optionally closing the sample under products and inverses; the
-closure keeps its matrices in one (N, d, d) stack and drops a product within
-1e-9 of a kept one by a single vectorized max-abs test against that stack,
-and a product's loop only refers to its generators' pieces.  The catalog
-charts have closed-form metrics and Christoffels without Python loops;
-Fubini-Study's come from its complex connection realified through a
-constant basis.
+operations on that tuple.  There is one transport kernel, and it is
+stacked: paths with the same piece count share their stage times, so B of
+them step through one RK4 loop as a (B, d, d) stack.  The kernel steps each
+piece on its own parameter interval, evaluates the piece of every path at
+all its stage times, checks those points against the box in one call and
+evaluates their Christoffels in one call.  RK4 reuses stages: an n-step
+piece evaluates the Christoffels at 2n + 1 points per path, not 4n, with the
+same result bit for bit.  Each slice of the stack has the bits of the path
+transported alone.  Holonomy is sampled by transporting families of closed
+loops in one kernel call and optionally closing the sample under products
+and inverses; the closure keeps its matrices in one (N, d, d) stack and
+drops a product within 1e-9 of a kept one by a single vectorized max-abs
+test against that stack, and a product's loop only refers to its
+generators' pieces.  The catalog charts have closed-form metrics and
+batched Christoffels without Python loops; Fubini-Study's come from its
+complex connection realified through a constant basis.
 """
 
 from __future__ import annotations
@@ -46,12 +54,18 @@ DEFECT_LIMIT = 1e-4     # raw orthogonality defect beyond which results are reje
 
 @dataclass(frozen=True, eq=False)
 class ManifoldChart:
-    """A coordinate chart with metric g_ij(x) on a box domain."""
+    """A coordinate chart with metric g_ij(x) on a box domain.
+
+    ``metric`` takes one point x of shape (dim,) and returns g(x).  The
+    optional analytic ``christoffel`` is batched: it takes a (P, dim) array
+    of points and returns Gamma[p, k, i, j] = Gamma^k_ij at point p, shape
+    (P, dim, dim, dim); each row's result must not depend on the other
+    rows."""
 
     dim: int
     metric: callable            # x -> (dim, dim) symmetric positive-definite
     domain: np.ndarray          # (dim, 2) per-axis closed intervals
-    christoffel: callable = None  # optional analytic x -> Gamma[k, i, j]
+    christoffel: callable = None  # optional analytic (P, dim) -> (P, dim, dim, dim)
     name: str = "chart"
 
     def __post_init__(self):
@@ -181,10 +195,24 @@ def central_difference(f, x, h) -> np.ndarray:
 
 
 def christoffel(chart: ManifoldChart, x) -> np.ndarray:
-    """Gamma[k, i, j] at x, analytic when available, else central differences."""
-    x = np.asarray(x, dtype=float)
-    if chart.christoffel is not None:
-        return np.asarray(chart.christoffel(x), dtype=float)
+    """Gamma[..., k, i, j] at every point of x, shape (..., d): the chart's
+    analytic Christoffels in one call on the (P, d) stack of points, else
+    central differences of the metric point by point."""
+    x = chart.coords(x)
+    d = chart.dim
+    pts = x.reshape(-1, d)
+    if chart.christoffel is None:
+        return np.array([_fd_christoffel(chart, y) for y in pts]).reshape(x.shape + (d, d))
+    G = np.asarray(chart.christoffel(pts), dtype=float)
+    if G.shape != (len(pts), d, d, d):
+        raise DimensionMismatch(
+            f"christoffel of {chart.name} gave shape {G.shape} for {len(pts)} points; "
+            f"a (P, {d}) stack needs (P, {d}, {d}, {d})")
+    return G.reshape(x.shape + (d, d))
+
+
+def _fd_christoffel(chart: ManifoldChart, x) -> np.ndarray:
+    """Gamma[k, i, j] at one point x by central differences of the metric."""
     h = FD_STEP
     if not chart.contains(x, margin=2.0 * h):
         raise OutsideDomain(f"{x} too close to the domain boundary for step {h}")
@@ -214,53 +242,68 @@ def orthonormal_frame(chart: ManifoldChart, x) -> np.ndarray:
 
 # -- parallel transport -------------------------------------------------------
 
-def _transport_coordinate(chart: ManifoldChart, path: SmoothPath, steps: int) -> np.ndarray:
-    """Coordinate-frame transport matrix by piecewise RK4 on V' = -M(t) V.
+def _transport_coordinate(chart: ManifoldChart, paths, steps: int) -> np.ndarray:
+    """Coordinate-frame transport matrices of the paths, one (B, d, d) stack
+    in input order, by piecewise RK4 on V' = -M(t) V.
 
-    Piece k of m covers t in [k/m, (k+1)/m] in n >= 2 steps, about steps/m.
-    Its 2n + 1 stage points are evaluated and checked against the box at
-    once; M(t) is then evaluated once per stage time: k2 and k3 share
-    M(t + h/2), and k4's M(t + h) is the next step's k1."""
-    m = len(path.pieces)
-    V = np.eye(chart.dim)
-    for k, (pmap, pvel) in enumerate(path.pieces):
-        t0, t1 = k / m, (k + 1) / m
-        n = max(2, int(math.ceil(steps * (t1 - t0))))
-        h = (t1 - t0) / n
-        starts = np.add.accumulate(np.r_[t0, np.full(n, h)])  # t += h, step by step
-        ts = np.empty(2 * n + 1)
-        ts[0::2] = starts
-        ts[1::2] = starts[:-1] + 0.5 * h
-        # keep stage times strictly inside the piece so that the one-sided
-        # velocity at corners is picked up correctly
-        nudge = 1e-9 * (t1 - t0)
-        s = np.clip(ts, t0 + nudge, t1 - nudge) * m - k
-        x = pmap(s)
-        if not chart.contains(x):
-            raise OutsideDomain(f"path leaves the domain for t in [{t0}, {t1}]")
-        M = [np.einsum("kij,i->kj", christoffel(chart, xj), vj)
-             for xj, vj in zip(x, m * pvel(s))]
-        for i in range(0, 2 * n, 2):
-            k1 = -M[i] @ V
-            k2 = -M[i + 1] @ (V + 0.5 * h * k1)
-            k3 = -M[i + 1] @ (V + 0.5 * h * k2)
-            k4 = -M[i + 2] @ (V + h * k3)
-            V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return V
+    Paths with the same piece count m share their stage times and step as
+    one stack.  Piece k covers t in [k/m, (k+1)/m] in n >= 2 steps, about
+    steps/m.  The 2n + 1 stage points of piece k of every path in the stack
+    are checked against the box with one call and their Christoffels
+    evaluated with one call; M(t) is then formed once per stage time: k2
+    and k3 share M(t + h/2), and k4's M(t + h) is the next step's k1."""
+    d = chart.dim
+    out = np.empty((len(paths), d, d))
+    groups = {}
+    for b, path in enumerate(paths):
+        groups.setdefault(len(path.pieces), []).append(b)
+    for m, idx in groups.items():
+        V = np.tile(np.eye(d), (len(idx), 1, 1))
+        for k in range(m):
+            t0, t1 = k / m, (k + 1) / m
+            n = max(2, int(math.ceil(steps * (t1 - t0))))
+            h = (t1 - t0) / n
+            starts = np.add.accumulate(np.r_[t0, np.full(n, h)])  # t += h, step by step
+            ts = np.empty(2 * n + 1)
+            ts[0::2] = starts
+            ts[1::2] = starts[:-1] + 0.5 * h
+            # keep stage times strictly inside the piece so that the one-sided
+            # velocity at corners is picked up correctly
+            nudge = 1e-9 * (t1 - t0)
+            s = np.clip(ts, t0 + nudge, t1 - nudge) * m - k
+            # (2n + 1, B, d): stage time first, so M[i] is one contiguous stack
+            x = np.stack([paths[b].pieces[k][0](s) for b in idx], axis=1)
+            if not chart.contains(x):
+                raise OutsideDomain(f"path leaves the domain for t in [{t0}, {t1}]")
+            v = np.stack([m * paths[b].pieces[k][1](s) for b in idx], axis=1)
+            # this einsum, unlike a matmul, gives each point the bits of a
+            # single-point einsum("kij,i->kj")
+            M = np.einsum("pkij,pi->pkj", christoffel(chart, x.reshape(-1, d)),
+                          v.reshape(-1, d)).reshape(2 * n + 1, len(idx), d, d)
+            for i in range(0, 2 * n, 2):
+                k1 = -M[i] @ V
+                k2 = -M[i + 1] @ (V + 0.5 * h * k1)
+                k3 = -M[i + 1] @ (V + 0.5 * h * k2)
+                k4 = -M[i + 2] @ (V + h * k3)
+                V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[idx] = V
+    return out
 
 
-def transport_with_defect(chart: ManifoldChart, path: SmoothPath, steps: int):
-    """Orthonormal-frame transport matrix and its raw orthogonality defect."""
+def transport_with_defect(chart: ManifoldChart, paths, steps: int):
+    """Orthonormal-frame transport matrices of the paths, one (B, d, d)
+    stack, and their raw orthogonality defects, a list of B floats, both in
+    input order."""
     if steps < 100:
         raise StepTooCoarse(f"{steps} ODE steps; at least 100 are needed")
-    P = _transport_coordinate(chart, path, steps)
-    p = np.asarray(path.map(0.0), dtype=float)
-    q = np.asarray(path.map(1.0), dtype=float)
-    Fp = orthonormal_frame(chart, p)
-    Fq = orthonormal_frame(chart, q)
+    paths = list(paths)
+    d = chart.dim
+    P = _transport_coordinate(chart, paths, steps)
+    Fp = np.reshape([orthonormal_frame(chart, path.map(0.0)) for path in paths], (-1, d, d))
+    Fq = np.reshape([orthonormal_frame(chart, path.map(1.0)) for path in paths], (-1, d, d))
     A = np.linalg.solve(Fq, P @ Fp)
-    defect = float(np.max(np.abs(A.T @ A - np.eye(chart.dim))))
-    return A, defect
+    defects = np.max(np.abs(np.swapaxes(A, 1, 2) @ A - np.eye(d)), axis=(1, 2))
+    return A, defects.tolist()
 
 
 def _check_defect(defect: float) -> None:
@@ -271,10 +314,10 @@ def _check_defect(defect: float) -> None:
 
 
 def parallel_transport(chart: ManifoldChart, path: SmoothPath, steps: int) -> np.ndarray:
-    """Orthonormal-frame parallel transport along the path."""
-    A, defect = transport_with_defect(chart, path, steps)
+    """Orthonormal-frame parallel transport along one path."""
+    A, (defect,) = transport_with_defect(chart, [path], steps)
     _check_defect(defect)
-    return A
+    return A[0]
 
 
 def nearest_orthogonal(A: np.ndarray) -> np.ndarray:
@@ -387,7 +430,8 @@ def loop_family(chart: ManifoldChart, p, kind: str, count: int, scale: float,
 
 def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
                      word_length: int = 1) -> list:
-    """Transport every loop and optionally close under products/inverses.
+    """Transport every loop, in one kernel call, and optionally close under
+    products/inverses.
 
     Products are formed on the polar-corrected matrices; their loops are the
     corresponding path concatenations, so every sample stays independently
@@ -400,14 +444,16 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
     is a read-only view into the stack.
     """
     p = np.asarray(p, dtype=float)
-    # generators +-(i+1): loop i and its reverse, as (matrix, loop, defect)
-    gens = {}
-    for i, loop in enumerate(loops):
+    loops = list(loops)
+    for loop in loops:
         if not loop.closed or not loop.pieces:
             raise ValueError("holonomy sampling needs closed loops that move")
         if np.max(np.abs(np.asarray(loop.map(0.0)) - p)) > 1e-9:
             raise ValueError("loop is not based at p")
-        A, defect = transport_with_defect(chart, loop, steps)
+    # generators +-(i+1): loop i and its reverse, as (matrix, loop, defect)
+    gens = {}
+    mats, defects = transport_with_defect(chart, loops, steps)
+    for i, (loop, A, defect) in enumerate(zip(loops, mats, defects)):
         _check_defect(defect)
         Q = nearest_orthogonal(A)
         gens[i + 1] = (Q, loop, defect)
@@ -469,17 +515,22 @@ def _conformal_sphere_metric(d):
     return metric
 
 
+def _sq_norms(x) -> np.ndarray:
+    """|x_p|^2 of each row, with the bits of np.dot(x_p, x_p)."""
+    return np.vecdot(x, x)
+
+
 def _conformal_sphere_christoffel(d):
     # g = e^{2f} delta with f = log 2 - log(1+|x|^2):
     # Gamma^k_ij = delta_ki w_j + delta_kj w_i - delta_ij w_k, w = grad f
     I = np.eye(d)
 
     def gamma(x):
-        w = -2.0 * x / (1.0 + float(np.dot(x, x)))
-        G = np.zeros((d, d, d))
-        G += I[:, :, None] * w
-        G += I[:, None, :] * w[:, None]
-        G -= I * w[:, None, None]
+        w = -2.0 * x / (1.0 + _sq_norms(x))[:, None]
+        G = np.zeros((len(x), d, d, d))
+        G += I[:, :, None] * w[:, None, None, :]
+        G += I[:, None, :] * w[:, None, :, None]
+        G -= I * w[:, :, None, None]
         return G
     return gamma
 
@@ -515,9 +566,11 @@ def fubini_study_metric(x):
 
 
 def fubini_study_christoffel(x):
-    """Closed-form Christoffels of the Fubini-Study chart."""
+    """Closed-form Christoffels of the Fubini-Study chart at a (P, 4) stack
+    of points."""
     x = np.asarray(x, dtype=float)
-    return (_FS_E @ x) / (1.0 + float(np.dot(x, x)))
+    return (_FS_E @ x[:, None, None, :, None])[..., 0] \
+        / (1.0 + _sq_norms(x))[:, None, None, None]
 
 
 _S2_CHRISTOFFEL = _conformal_sphere_christoffel(2)
@@ -533,10 +586,10 @@ def _product_s2_metric(x):
 
 
 def _product_s2_christoffel(x):
-    G = np.zeros((4, 4, 4))
+    G = np.zeros((len(x), 4, 4, 4))
     for blk in range(2):
         sl = slice(2 * blk, 2 * blk + 2)
-        G[sl, sl, sl] = _S2_CHRISTOFFEL(x[sl])
+        G[:, sl, sl, sl] = _S2_CHRISTOFFEL(x[:, sl])
     return G
 
 
@@ -549,7 +602,7 @@ def catalog(name: str) -> ManifoldChart:
     if name == "flat_torus_4":
         return ManifoldChart(4, lambda x: np.eye(4),
                              [[0.0, 1.0]] * 4,
-                             christoffel=lambda x: np.zeros((4, 4, 4)),
+                             christoffel=lambda x: np.zeros((len(x), 4, 4, 4)),
                              name=name)
     if name == "round_sphere_2":
         return ManifoldChart(2, _conformal_sphere_metric(2),

@@ -246,11 +246,12 @@ def _field_derivatives(field_: GlobalJField, x, scale: float = 1.0):
 
 
 def covariant_constancy_check(field_: GlobalJField, scale: float = 1.0) -> float:
-    """Max-abs entry of the covariant derivative of the field."""
+    """Max-abs entry of the covariant derivative of the field; the
+    Christoffels at every grid point come from one call."""
     worst = 0.0
-    for x in field_.grid:
+    gammas = holonomy.christoffel(field_.chart, np.reshape(field_.grid, (-1, field_.chart.dim)))
+    for x, gamma in zip(field_.grid, gammas):
         J, dJ = _field_derivatives(field_, x, scale)
-        gamma = holonomy.christoffel(field_.chart, np.asarray(x))
         for k in range(field_.chart.dim):
             Gk = gamma[:, k, :]  # (Gk)^i_l = Gamma^i_{k l}
             nabla_k = dJ[k] + Gk @ J - J @ Gk

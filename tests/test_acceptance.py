@@ -206,7 +206,7 @@ def test_criterion_07_holonomy_oracle():
     a = rng.uniform(-1.2, 1.2, size=(3, 4)) / np.array([[1.0], [2.0], [3.0]])
     b = rng.uniform(-1.2, 1.2, size=(3, 4)) / np.array([[1.0], [2.0], [3.0]])
     floop = holonomy.fourier_loop(np.zeros(4), a, b)
-    defects = [holonomy.transport_with_defect(chart4, floop, s)[1]
+    defects = [holonomy.transport_with_defect(chart4, [floop], s)[1][0]
                for s in (500, 1000, 2000)]
     assert defects[0] / defects[1] > 8.0
     assert defects[1] / defects[2] > 8.0

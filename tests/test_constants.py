@@ -256,6 +256,8 @@ _BAD_ENTRIES = {
     "all_nan": '{"delta": NaN, "epsilon": NaN, "inj_lower": NaN}',
     "string_epsilon": '{"delta": 0.7853981633974483, "epsilon": "1", "inj_lower": 10.0}',
     "huge_integer": '{"delta": 1.0, "epsilon": 1%s, "inj_lower": 6.29}' % ("0" * 400),
+    "boolean_epsilon": '{"delta": 0.7853981633974483, "epsilon": true, "inj_lower": 10}',
+    "boolean_inj": '{"delta": 0.5, "epsilon": 0.2625, "inj_lower": true}',
 }
 
 
@@ -324,10 +326,19 @@ def test_probe_with_a_nan_cache_entry_runs_against_a_finite_delta(tmp_path, monk
 @pytest.mark.parametrize("epsilon,inj", [
     (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
     (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1.0),
+    (True, 1.0), (1.0, True),
 ])
 def test_delta_constant_needs_finite_positive_inputs(epsilon, inj):
     with pytest.raises(ValueError, match="finite and positive"):
         DeltaConstant(2, epsilon, inj)
+
+
+def test_delta_constant_holds_floats():
+    """Integer inputs, as a JSON cache entry may hold them, are stored as
+    floats, so the record prints the same whatever the entry held."""
+    d = DeltaConstant(2, 1, 10)
+    assert (repr(d.epsilon_used), repr(d.inj_used)) == ("1.0", "10.0")
+    assert repr(d.delta) == repr(DeltaConstant(2, 1.0, 10.0).delta)
 
 
 def test_cache_entry_in_the_established_layout_is_a_hit(tmp_path, monkeypatch, delta4):

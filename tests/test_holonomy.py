@@ -144,30 +144,32 @@ def test_transport_flat_torus_loop_is_identity():
 
 
 def test_transport_reuses_stage_evaluations():
-    """n RK4 steps evaluate the Christoffels 2n + 1 times per segment: k2 and
-    k3 share t + h/2, and each step's t + h is the next step's k1."""
+    """n RK4 steps evaluate the Christoffels at 2n + 1 points per segment: k2
+    and k3 share t + h/2, and each step's t + h is the next step's k1.  The
+    points of one segment go to the chart in one call."""
     base = holonomy.catalog("round_sphere_4")
     calls = []
 
     def counting(x):
-        calls.append(x)
+        calls.append(len(x))
         return base.christoffel(x)
 
     chart = holonomy.ManifoldChart(base.dim, base.metric, base.domain,
                                    christoffel=counting, name="counted")
     loop = holonomy.rectangle_loop(np.zeros(4), 0, 1, 0.5)
     A = holonomy.parallel_transport(chart, loop, 400)
-    assert len(calls) == 4 * (2 * 100 + 1)
+    assert calls == [2 * 100 + 1] * 4
+    assert sum(calls) == 4 * (2 * 100 + 1)
     assert np.array_equal(A, holonomy.parallel_transport(base, loop, 400))
 
 
 def test_transport_rejects_non_finite_defect():
     base = holonomy.catalog("round_sphere_4")
     chart = holonomy.ManifoldChart(base.dim, base.metric, base.domain,
-                                   christoffel=lambda x: np.full((4, 4, 4), np.nan),
+                                   christoffel=lambda x: np.full((len(x), 4, 4, 4), np.nan),
                                    name="nan_christoffels")
     loop = holonomy.rectangle_loop(np.zeros(4), 0, 1, 0.5)
-    _, defect = holonomy.transport_with_defect(chart, loop, 200)
+    _, (defect,) = holonomy.transport_with_defect(chart, [loop], 200)
     assert math.isnan(defect)
     with pytest.raises(StepTooCoarse, match="non-finite"):
         holonomy.parallel_transport(chart, loop, 200)
@@ -191,7 +193,7 @@ def test_transport_preserves_the_metric():
         span = 0.2 * (chart.domain[:, 1] - chart.domain[:, 0])
         q_target = c + 0.5 * span
         path = holonomy.polyline([c, q_target], {})
-        P = holonomy._transport_coordinate(chart, path, 600)
+        P = holonomy._transport_coordinate(chart, [path], 600)[0]
         gp = chart.metric(c)
         gq = chart.metric(q_target)
         for _ in range(5):
@@ -228,7 +230,7 @@ def test_defect_decays_at_fourth_order():
     a = rng.uniform(-1.2, 1.2, size=(3, 4)) / np.array([[1.0], [2.0], [3.0]])
     b = rng.uniform(-1.2, 1.2, size=(3, 4)) / np.array([[1.0], [2.0], [3.0]])
     loop = holonomy.fourier_loop(np.zeros(4), a, b)
-    defects = [holonomy.transport_with_defect(chart, loop, s)[1]
+    defects = [holonomy.transport_with_defect(chart, [loop], s)[1][0]
                for s in (500, 1000, 2000)]
     assert defects[0] / defects[1] > 8.0
     assert defects[1] / defects[2] > 8.0
@@ -321,7 +323,7 @@ def test_word_closure_products_match_matrices():
         # sample matrices are polar-corrected products, so this is exact
         assert maxabs(s.matrix - expected) < 1e-12
         # and the concatenated loop replays to the same matrix numerically
-        A, _ = holonomy.transport_with_defect(chart, s.loop, 1200)
+        (A,), _ = holonomy.transport_with_defect(chart, [s.loop], 1200)
         assert maxabs(holonomy.nearest_orthogonal(A) - s.matrix) < 1e-6
 
 
@@ -616,7 +618,7 @@ def _closure_transport_with_defect(chart, path, steps):
 
 
 def _assert_same_transport(chart, new_path, old_path, steps):
-    A, defect = holonomy.transport_with_defect(chart, new_path, steps)
+    (A,), (defect,) = holonomy.transport_with_defect(chart, [new_path], steps)
     A_old, defect_old = _closure_transport_with_defect(chart, old_path, steps)
     assert np.array_equal(A, A_old)
     assert defect == defect_old
@@ -643,7 +645,7 @@ def test_fourier_loop_matches_closure_path():
     rng = np.random.default_rng(3)
     a = rng.uniform(-0.5, 0.5, size=(3, 4)) / np.array([[1.0], [2.0], [3.0]])
     b = rng.uniform(-0.5, 0.5, size=(3, 4)) / np.array([[1.0], [2.0], [3.0]])
-    P = holonomy._transport_coordinate(chart, holonomy.fourier_loop(p, a, b), 400)
+    (P,) = holonomy._transport_coordinate(chart, [holonomy.fourier_loop(p, a, b)], 400)
     assert np.array_equal(P, _closure_transport(chart, _closure_fourier(p, a, b), 400))
 
 
@@ -758,7 +760,7 @@ def test_tiny_rectangles_keep_their_four_sides():
 def test_rectangle_side_that_rounds_away_is_an_invalid_loop_family():
     """On a wide chart a side of 1e-14 does not move a coordinate of 500."""
     chart = holonomy.ManifoldChart(4, lambda x: np.eye(4), [[-1e3, 1e3]] * 4,
-                                   christoffel=lambda x: np.zeros((4, 4, 4)))
+                                   christoffel=lambda x: np.zeros((len(x), 4, 4, 4)))
     with pytest.raises(InvalidLoopFamily, match="does not move"):
         holonomy.loop_family(chart, np.full(4, 500.0), "coordinate_rectangles", 1, 1e-14)
 
@@ -809,3 +811,141 @@ def test_concatenation_homomorphism_property(data, p):
     A2 = holonomy.parallel_transport(_SPHERE, l2, 500)
     A12 = holonomy.parallel_transport(_SPHERE, holonomy.concatenate_paths([l1, l2]), 1000)
     assert maxabs(A12 - A2 @ A1) < 1e-6
+
+
+# -- the stacked kernel against the per-path kernel ---------------------------
+
+def _pointwise_fd_christoffel(chart, x):
+    """Central-difference Christoffels at one point, as the per-path kernel
+    took them."""
+    h = np.full(chart.dim, holonomy.FD_STEP)
+    dg = holonomy.central_difference(lambda y: np.asarray(chart.metric(y), dtype=float), x, h)
+    term = dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, 2)
+    return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(chart.metric(x)), term)
+
+
+def _pointwise_sphere_christoffel(x):
+    d = x.size
+    I = np.eye(d)
+    w = -2.0 * x / (1.0 + float(np.dot(x, x)))
+    G = np.zeros((d, d, d))
+    G += I[:, :, None] * w
+    G += I[:, None, :] * w[:, None]
+    G -= I * w[:, None, None]
+    return G
+
+
+def _pointwise_christoffel(chart, x):
+    """Gamma[k, i, j] at one point, from the single-point closed forms the
+    catalog had before its Christoffels were batched."""
+    if chart.christoffel is None:
+        return _pointwise_fd_christoffel(chart, x)
+    if chart.name == "flat_torus_4":
+        return np.zeros((4, 4, 4))
+    if chart.name.startswith("round_sphere"):
+        return _pointwise_sphere_christoffel(x)
+    if chart.name == "fubini_study_cp2":
+        return (holonomy._FS_E @ x) / (1.0 + float(np.dot(x, x)))
+    G = np.zeros((4, 4, 4))  # product_s2_s2
+    for sl in (slice(0, 2), slice(2, 4)):
+        G[sl, sl, sl] = _pointwise_sphere_christoffel(x[sl])
+    return G
+
+
+def _per_path_transport_with_defect(chart, path, steps):
+    """One path, one point at a time: M(t) from a single-point Christoffel
+    and an einsum per stage point, then RK4 on a (d, d) matrix."""
+    m = len(path.pieces)
+    V = np.eye(chart.dim)
+    for k, (pmap, pvel) in enumerate(path.pieces):
+        t0, t1 = k / m, (k + 1) / m
+        n = max(2, int(math.ceil(steps * (t1 - t0))))
+        h = (t1 - t0) / n
+        starts = np.add.accumulate(np.r_[t0, np.full(n, h)])
+        ts = np.empty(2 * n + 1)
+        ts[0::2] = starts
+        ts[1::2] = starts[:-1] + 0.5 * h
+        nudge = 1e-9 * (t1 - t0)
+        s = np.clip(ts, t0 + nudge, t1 - nudge) * m - k
+        M = [np.einsum("kij,i->kj", _pointwise_christoffel(chart, xj), vj)
+             for xj, vj in zip(pmap(s), m * pvel(s))]
+        for i in range(0, 2 * n, 2):
+            k1 = -M[i] @ V
+            k2 = -M[i + 1] @ (V + 0.5 * h * k1)
+            k3 = -M[i + 1] @ (V + 0.5 * h * k2)
+            k4 = -M[i + 2] @ (V + h * k3)
+            V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    Fp = holonomy.orthonormal_frame(chart, path.map(0.0))
+    Fq = holonomy.orthonormal_frame(chart, path.map(1.0))
+    A = np.linalg.solve(Fq, V @ Fp)
+    return A, float(np.max(np.abs(A.T @ A - np.eye(chart.dim))))
+
+
+def _fd_chart(name):
+    base = holonomy.catalog(name)
+    return holonomy.ManifoldChart(base.dim, base.metric, base.domain, name=name + "_fd")
+
+
+_STACK_CHARTS = {**{name: holonomy.catalog(name) for name in holonomy.CATALOG_NAMES},
+                 "fubini_study_cp2_fd": _fd_chart("fubini_study_cp2")}
+
+
+def _draw_stack_loop(draw, chart, p, kind):
+    """A rectangle, a Fourier loop, or a concatenation of two of them, at p."""
+    width = chart.domain[0, 1] - chart.domain[0, 0]
+    if kind == "concatenation":
+        return holonomy.concatenate_paths(
+            [_draw_stack_loop(draw, chart, p, draw(st.sampled_from(["rectangle", "fourier"])))
+             for _ in range(2)])
+    scale = draw(st.floats(0.05, 0.2)) * width * draw(st.sampled_from([1.0, -1.0]))
+    if kind == "rectangle":
+        i, j = draw(st.sampled_from(list(itertools.combinations(range(chart.dim), 2))))
+        return holonomy.rectangle_loop(p, i, j, scale)
+    seed = draw(st.integers(0, 2**20))
+    return holonomy.loop_family(chart, p, "fourier_random", 1, 0.2 * scale, seed=seed)[0]
+
+
+@pytest.mark.parametrize("name", sorted(_STACK_CHARTS))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stacked_transport_slices_match_per_path_kernel(name, data):
+    """Every slice of one stacked transport, matrix and defect, has the bits
+    of its path transported alone by the per-point, per-path kernel; the
+    stack always mixes piece counts (a rectangle has 4, a Fourier loop 1)."""
+    chart = _STACK_CHARTS[name]
+    width = chart.domain[:, 1] - chart.domain[:, 0]
+    u = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=chart.dim, max_size=chart.dim))
+    p = chart.domain.mean(axis=1) + 0.15 * width * np.array(u)
+    kinds = ["rectangle", "fourier"] + data.draw(st.lists(
+        st.sampled_from(["rectangle", "fourier", "concatenation"]), max_size=3))
+    paths = [_draw_stack_loop(data.draw, chart, p, kind)
+             for kind in data.draw(st.permutations(kinds))]
+    paths = [path.reversed() if data.draw(st.booleans()) else path for path in paths]
+    steps = data.draw(st.sampled_from([100, 157]))
+    A, defects = holonomy.transport_with_defect(chart, paths, steps)
+    assert A.shape == (len(paths), chart.dim, chart.dim) and len(defects) == len(paths)
+    for path, A_b, defect in zip(paths, A, defects):
+        A_ref, defect_ref = _per_path_transport_with_defect(chart, path, steps)
+        assert np.array_equal(A_b, A_ref)
+        assert repr(defect) == repr(defect_ref)
+
+
+def test_unbatched_christoffel_is_a_dimension_mismatch():
+    """A chart whose Christoffels answer one point with one (d, d, d) array
+    is named, not a broadcasting error deep in the kernel."""
+    base = holonomy.catalog("flat_torus_4")
+    chart = holonomy.ManifoldChart(base.dim, base.metric, base.domain,
+                                   christoffel=lambda x: np.zeros((4, 4, 4)),
+                                   name="unbatched")
+    with pytest.raises(DimensionMismatch, match="unbatched"):
+        holonomy.christoffel(chart, np.full((3, 4), 0.5))
+    with pytest.raises(DimensionMismatch):
+        holonomy.parallel_transport(chart, holonomy.rectangle_loop([0.5] * 4, 0, 1, 0.2), 100)
+
+
+def test_christoffel_keeps_the_leading_shape():
+    chart = holonomy.catalog("fubini_study_cp2")
+    x = np.linspace(-0.3, 0.3, 24).reshape(2, 3, 4)
+    G = holonomy.christoffel(chart, x)
+    assert G.shape == (2, 3, 4, 4, 4)
+    assert np.array_equal(G[1, 2], holonomy.christoffel(chart, x[1, 2]))

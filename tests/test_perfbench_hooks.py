@@ -1,9 +1,11 @@
 """The benchmark's tracer hooks still fit the package.
 
 ``perfbench/tracer.py`` patches the package's functions by name and reads
-some of their arguments.  It is loaded here from its source, without
-writing anything under ``perfbench/``, so that a rename that would break
-``perfbench/run.py --trace 1`` fails this suite as well.
+some of their arguments.  It and ``perfbench/workloads.py`` are loaded here
+from their source, without writing anything under ``perfbench/``, so that a
+rename that would break ``perfbench/run.py --trace 1``, or a refactor that
+stops calling a traced function where the tracer expects it, fails this
+suite as well.
 """
 
 import dataclasses
@@ -16,17 +18,19 @@ import typing
 
 import pytest
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+def _load(name):
+    source = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(source)
+    exec(compile(source.read_text(), str(source), "exec"), module.__dict__)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
+workloads = _load("workloads")
 
 
 def _resolve(mod_name, attr):
@@ -86,3 +90,31 @@ def test_hooks_read_the_documented_arguments():
     assert reads == {"_samples_attrs": {"loops", "word_length"},
                      "_convexity_attrs": {"s"}, "_mean_attrs": set(),
                      "_dump_attrs": {"path"}, "_ortho_j_attrs": {"self"}}
+
+
+@pytest.mark.parametrize("name", ["fs_perturbed", "sphere_transport_json"])
+def test_traced_operation_fires_every_expected_span(name, tmp_path, monkeypatch):
+    """One set-up and one operation of a gated workload under the installed
+    tracer, as ``perfbench/run.py --trace 1`` runs them: every expected
+    (span, parent) pair fires, so every traced call is still made where the
+    tracer looks for it."""
+    monkeypatch.setenv("KAHLER_PROBE_CACHE", str(tmp_path / "delta_cache.json"))
+    package = importlib.import_module("kahlerprobe")
+    for mod_name in tracer.MODULES:
+        importlib.import_module(f"kahlerprobe.{mod_name}")
+    spans = tracer.Tracer(package)
+    spans.install()
+    try:
+        state = workloads.setup(package, name, 0, str(tmp_path))
+    finally:
+        spans.uninstall()
+    spans.take()
+    assert tracer.missing_spans(spans.fired, tracer.EXPECTED["setup"]) == []
+    spans.fired.clear()
+    spans.install()
+    try:
+        workloads.operation(state)
+    finally:
+        spans.uninstall()
+    spans.take()
+    assert tracer.missing_spans(spans.fired, tracer.expected_spans(name)) == []

@@ -307,7 +307,7 @@ def test_probe_inconclusive_on_non_finite_transport(delta4):
     sampling stage instead of reaching the SVD of the polar correction."""
     base = holonomy.catalog("round_sphere_4")
     chart = holonomy.ManifoldChart(base.dim, base.metric, base.domain,
-                                   christoffel=lambda x: np.full((4, 4, 4), np.nan),
+                                   christoffel=lambda x: np.full((len(x), 4, 4, 4), np.nan),
                                    name="nan_christoffels")
     v = prober.probe(chart, [0.0] * 4, delta=delta4)
     assert v.kind == "Inconclusive"
