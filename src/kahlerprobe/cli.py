@@ -74,7 +74,8 @@ def _add_loop_flags(sub):
     sub.add_argument("--loops", type=int, default=_DEFAULT.loops)
     sub.add_argument("--loop-scale", type=float, default=_DEFAULT.loop_scale)
     sub.add_argument("--ode-steps", type=int, default=_DEFAULT.ode_steps)
-    sub.add_argument("--word-length", type=int, default=_DEFAULT.word_length)
+    sub.add_argument("--word-length", type=_bounded(int, lo=1),
+                     default=_DEFAULT.word_length)
     _add_seed(sub)
 
 

@@ -6,9 +6,11 @@ one point sufficient) and refining the best candidates by local ascent.
 The injectivity radius is lower-bounded by marching along random unit-speed
 geodesics until the geodesic stops minimizing or the log map fails.  Both
 estimators are conservative in the direction that keeps the dichotomy
-sound: a too-large eps or too-small inj only shrinks delta.  A cache entry
-is read through ``DeltaConstant``: one that does not rebuild its own delta
-is a miss.  The cache file is replaced atomically, so a failed or concurrent
+sound: a too-large eps or too-small inj only shrinks delta.  The two
+estimators return plain floats; ``DeltaConstant`` is the one record of
+delta and the one check on its inputs, whether eps is estimated, a user's
+override or read from the cache.  A cache entry that does not rebuild its
+own delta is a miss.  The cache file is replaced atomically, so a failed or concurrent
 write never leaves it torn, and each write re-reads it under a lock, so
 concurrent writers keep each other's entries.
 """
@@ -37,32 +39,6 @@ MARCH_DIRECTIONS = 8  # random geodesics the injectivity march follows
 MARCH_CHUNK = 32  # geodesic times evaluated per stacked step of the injectivity march
 MARCH_T_MAX = 20.0  # the march stops here when no direction breaks before
 DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".kahlerprobe_delta_cache.json")
-
-
-@dataclass(frozen=True)
-class CurvatureBound:
-    n: int
-    epsilon: float
-    method: str  # "refined" (estimate_epsilon) | "user_override"
-    samples: int
-    max_sampled: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, not {self.epsilon!r}")
-        if self.epsilon < self.max_sampled:
-            raise ValueError("epsilon below a recorded sample curvature")
-
-
-@dataclass(frozen=True)
-class InjectivityEstimate:
-    n: int
-    inj_lower: float
-    resolution: float
-
-    def __post_init__(self):
-        if self.inj_lower <= 0.0:
-            raise ValueError("inj_lower must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,9 +76,10 @@ def _random_plane(J, seed):
 
 
 def estimate_epsilon(n: int, num_samples: int = DEFAULT_SAMPLES,
-                     seed: int = 0) -> CurvatureBound:
-    """Sampled upper bound on sectional curvature, refined by local ascent
-    from the ten best sampled planes."""
+                     seed: int = 0) -> float:
+    """Sampled upper bound on sectional curvature: the safety factor times
+    the highest curvature reached by local ascent from the ten best sampled
+    planes."""
     if n < 2:
         raise DimensionTooSmall("no 2-planes for n = 1")
     if num_samples < MIN_SAMPLES:
@@ -117,9 +94,8 @@ def estimate_epsilon(n: int, num_samples: int = DEFAULT_SAMPLES,
             continue
         found.append((acs.sectional_curvature(J, *plane), plane))
     found.sort(key=lambda kv: -kv[0])
-    best = found[0][0]
-    for k0, (phi, psi) in found[:10]:
-        cur, cur_plane = k0, (phi, psi)
+    best = -math.inf
+    for cur, cur_plane in found[:10]:
         step = 0.2
         while step > 1e-6:
             improved = False
@@ -138,12 +114,11 @@ def estimate_epsilon(n: int, num_samples: int = DEFAULT_SAMPLES,
             if not improved:
                 step *= 0.5
         best = max(best, cur)
-    return CurvatureBound(n=n, epsilon=SAFETY_FACTOR * best, method="refined",
-                          samples=num_samples, max_sampled=best)
+    return SAFETY_FACTOR * best
 
 
 def estimate_injectivity(n: int, resolution: float = MAX_RESOLUTION,
-                         seed: int = 0) -> InjectivityEstimate:
+                         seed: int = 0) -> float:
     """Lower bound on the injectivity radius via a geodesic-minimality march."""
     if n < 2:
         raise DimensionTooSmall("zero-dimensional tangent space for n = 1")
@@ -167,8 +142,7 @@ def estimate_injectivity(n: int, resolution: float = MAX_RESOLUTION,
             if broken:
                 first_break = min(first_break, broken[0])
                 break
-    return InjectivityEstimate(n=n, inj_lower=first_break - resolution,
-                               resolution=resolution)
+    return first_break - resolution
 
 
 # -- cached end-to-end computation -------------------------------------------
@@ -184,7 +158,9 @@ def compute_delta(n: int, num_samples: int = DEFAULT_SAMPLES,
     """Delta constant with JSON file caching keyed by parameters.  A cached
     entry is a hit only when ``DeltaConstant`` accepts its epsilon and
     inj_lower and rebuilds its delta; anything else is estimated again and
-    its entry overwritten."""
+    its entry overwritten.  ``DeltaConstant`` also rejects an
+    ``epsilon_override`` that is not finite and positive, with a
+    ValueError."""
     key = f"n={n};seed={seed};ns={num_samples};res={resolution}"
     if epsilon_override is not None:
         key += f";eps={epsilon_override!r}"
@@ -197,13 +173,10 @@ def compute_delta(n: int, num_samples: int = DEFAULT_SAMPLES,
                 return delta
         except (KeyError, OverflowError, TypeError, ValueError):
             pass
-    if epsilon_override is not None:
-        eps = CurvatureBound(n=n, epsilon=epsilon_override, method="user_override",
-                             samples=0)
-    else:
-        eps = estimate_epsilon(n, num_samples=num_samples, seed=seed)
-    inj = estimate_injectivity(n, resolution=resolution, seed=seed)
-    delta = DeltaConstant(n, eps.epsilon, inj.inj_lower)
+    eps = (estimate_epsilon(n, num_samples=num_samples, seed=seed)
+           if epsilon_override is None else epsilon_override)
+    delta = DeltaConstant(n, eps, estimate_injectivity(n, resolution=resolution,
+                                                       seed=seed))
     if use_cache:
         _write_cache(path, key, {"epsilon": delta.epsilon_used,
                                  "inj_lower": delta.inj_used, "delta": delta.delta})

@@ -94,7 +94,9 @@ class LoopEscapesDomain(KahlerProbeError):
 
 
 class InvalidLoopFamily(KahlerProbeError):
-    """Fewer than one loop requested, or an unknown loop family kind."""
+    """Fewer than one loop requested, an unknown loop family kind, a loop
+    scale that does not move the base point, or a holonomy word length
+    below one."""
 
     code = "invalid_loop_family"
 

@@ -443,6 +443,8 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
     kept earlier in a level hides a later duplicate.  Each sample's matrix
     is a read-only view into the stack.
     """
+    if word_length < 1:
+        raise InvalidLoopFamily(f"word length {word_length}; at least 1 is needed")
     p = np.asarray(p, dtype=float)
     loops = list(loops)
     for loop in loops:

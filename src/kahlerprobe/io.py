@@ -110,8 +110,8 @@ def write_text(path: str, text: str) -> None:
 
 
 def dump_json(obj, path: str | None = None) -> str:
-    """Deterministic serialization: sorted keys, fixed separators."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    """Deterministic serialization: sorted keys, one-space indent."""
+    text = json.dumps(obj, sort_keys=True, indent=1)
     if path is not None:
         write_text(path, text + "\n")
     return text

@@ -70,8 +70,6 @@ class MeanResult:
 @dataclass(frozen=True)
 class ConvexityReport:
     ok: bool
-    ball_ok: bool
-    diameter_ok: bool
     ball_radius: float      # max distance from the best-centered sample
     diameter: float
     diameter_bound: float
@@ -146,11 +144,8 @@ def check_convexity(s: WeightedSampleSet, delta: DeltaConstant) -> ConvexityRepo
     radius = float(np.min(np.max(dmat, axis=1))) if m > 1 else 0.0
     diameter = float(np.max(dmat))
     bound = math.pi / (2.0 * math.sqrt(delta.epsilon_used))
-    ball_ok = radius <= 2.0 * delta.delta
-    diameter_ok = diameter <= bound
-    return ConvexityReport(ok=ball_ok and diameter_ok, ball_ok=ball_ok,
-                           diameter_ok=diameter_ok, ball_radius=radius,
-                           diameter=diameter, diameter_bound=bound)
+    return ConvexityReport(ok=radius <= 2.0 * delta.delta and diameter <= bound,
+                           ball_radius=radius, diameter=diameter, diameter_bound=bound)
 
 
 def karcher_mean_checked(s: WeightedSampleSet, delta: DeltaConstant,

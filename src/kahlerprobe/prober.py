@@ -189,17 +189,17 @@ def fixedness_check(J_prime: OrthoComplexStructure, samples) -> float:
 
 
 def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStructure,
-                   grid_res: int = ProbeConfig.grid_res,
-                   steps: int = ProbeConfig.field_steps,
-                   probe_points: int = ProbeConfig.probe_points,
-                   seed: int = ProbeConfig.seed) -> GlobalJField:
+                   config: ProbeConfig = ProbeConfig()) -> GlobalJField:
     """Extend J' over the central sub-box by canonical-path transport.
 
-    Probe points are drawn from the interior nodes of a grid_res-per-axis
-    grid; the field itself is evaluated lazily wherever the certificate
-    stencils need it.  Path independence is measured by re-deriving the
-    value along the reversed axis order at every probe point.
+    ``config.probe_points`` probe points are drawn, with ``config.seed``,
+    from the interior nodes of a ``config.grid_res``-per-axis grid; the
+    field itself is evaluated lazily wherever the certificate stencils need
+    it, each value transported in ``config.field_steps`` RK4 steps.  Path
+    independence is measured by re-deriving the value along the reversed
+    axis order at every probe point.
     """
+    grid_res, probe_points = config.grid_res, config.probe_points
     if grid_res < 9:
         raise GridTooCoarse("grid_res must be >= 9")
     if probe_points < 1:
@@ -213,7 +213,7 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
     half = 0.5 * SUB_BOX * (hi - lo)
     box_lo, box_hi = c - half, c + half
     h = (box_hi - box_lo) / (grid_res - 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     # interior grid nodes, stencil-safe
     idx_pool = [tuple(v) for v in
                 rng.integers(2, grid_res - 2, size=(4 * probe_points, chart.dim))]
@@ -227,7 +227,7 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
         if len(probes) == probe_points:
             break
     field_ = GlobalJField(chart=chart, base_point=p, base_J=J_prime,
-                          grid=tuple(probes), h=h, steps=steps)
+                          grid=tuple(probes), h=h, steps=config.field_steps)
     reversed_order = list(range(chart.dim))[::-1]
     worst = 0.0
     for x in probes:
@@ -370,10 +370,7 @@ def probe(chart: holonomy.ManifoldChart, p, J_p=None,
                                  f"fixedness residual {fix_res:.3e} >= {TOL_FIX}")
 
         stage = "build_global_j"
-        field_ = build_global_j(chart, p, mean.mean, grid_res=config.grid_res,
-                                steps=config.field_steps,
-                                probe_points=config.probe_points,
-                                seed=config.seed)
+        field_ = build_global_j(chart, p, mean.mean, config)
         residual = field_.path_independence_residual
         if residual >= TOL_PATH_INDEP:
             return _inconclusive(delta, stage,

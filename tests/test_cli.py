@@ -420,6 +420,10 @@ def test_config_can_supply_required_keys(capsys, tmp_path, form):
     ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
      "--loop-kind", "fourier_random", "--seed", "-1"],
     ["mean", "--input", "points.json", "--seed", "0"],
+    ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+     "--word-length", "0"],
+    ["probe", "--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5",
+     "--word-length", "-3"],
 ])
 def test_out_of_range_delta_and_seed_inputs_are_usage_errors(capsys, argv):
     code, out, err = run_cli_exit(capsys, *argv)

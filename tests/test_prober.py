@@ -209,8 +209,8 @@ def test_stacked_fixedness_matches_pairwise_loop(fs_orbit):
 def test_global_field_flat_torus(delta4):
     chart = holonomy.catalog("flat_torus_4")
     J = acs.canonical_j(2)
-    field = prober.build_global_j(chart, np.full(4, 0.5), J, grid_res=9,
-                                  steps=150, probe_points=5)
+    config = prober.ProbeConfig(grid_res=9, field_steps=150, probe_points=5)
+    field = prober.build_global_j(chart, np.full(4, 0.5), J, config)
     assert field.path_independence_residual < 1e-10
     for x in field.grid:
         assert maxabs(field.ortho_j(x) - J.mat) < 1e-10
@@ -335,13 +335,16 @@ def test_probe_inconclusive_on_orbit_error(delta4, monkeypatch):
 
 
 @pytest.mark.parametrize("config", [prober.ProbeConfig(loops=0),
-                                    prober.ProbeConfig(loop_kind="circles")])
+                                    prober.ProbeConfig(loop_kind="circles"),
+                                    prober.ProbeConfig(word_length=0)])
 def test_probe_inconclusive_on_invalid_loop_family(delta4, config):
+    """Zero loops, an unknown kind and a word length below 1 (which once
+    ran as 1) end Inconclusive at holonomy_samples."""
     v = prober.probe(holonomy.catalog("flat_torus_4"), [0.5] * 4, config=config,
                      delta=delta4)
     assert v.kind == "Inconclusive"
     assert v.failing_stage == "holonomy_samples"
-    assert v.detail.startswith(("0 loops", "unknown loop family"))
+    assert v.detail.startswith(("0 loops", "unknown loop family", "word length 0"))
 
 
 def test_probe_inconclusive_on_indefinite_metric(delta4):

@@ -1,0 +1,63 @@
+"""Source hygiene of the package, with the standard library only.
+
+Read with ``ast``: every import is used, and every module-level private
+function or class is referenced in its module.  Read off the loaded
+classes: every domain error declares its own stable ``code``; the CLI
+prints these codes, so two errors must never share one.
+"""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+from kahlerprobe.errors import KahlerProbeError
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kahlerprobe"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _loaded_names(tree) -> set:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    assert imported - _loaded_names(tree) == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_definition_is_referenced(path):
+    tree = _tree(path)
+    private = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    assert private - _loaded_names(tree) == set()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_declares_its_own_code():
+    for path in MODULES:
+        importlib.import_module(f"kahlerprobe.{path.stem}")
+    errors = sorted(set(_subclasses(KahlerProbeError)), key=lambda c: c.__name__)
+    assert [c.__name__ for c in errors if "code" not in vars(c)] == []
+    codes = [c.code for c in errors] + [KahlerProbeError.code]
+    assert len(set(codes)) == len(codes)
