@@ -23,7 +23,7 @@ import numpy as np
 from . import holonomy, io, karcher, prober
 from .constants import (DEFAULT_SAMPLES, MAX_RESOLUTION, MIN_RESOLUTION,
                         MIN_SAMPLES, compute_delta)
-from .errors import KahlerProbeError, MalformedInput
+from .errors import KahlerProbeError, MalformedInput, OddDimension
 
 _DEFAULT = prober.ProbeConfig()
 
@@ -89,7 +89,7 @@ def build_parser():
 
     p = subs.add_parser("delta",
                         help="estimate the dichotomy constant")
-    p.add_argument("--dim", type=int, default=4, help="ambient dimension 2n")
+    p.add_argument("--dim", type=_bounded(int, lo=2), default=4, help="ambient dimension 2n")
     p.add_argument("--samples", type=_bounded(int, lo=MIN_SAMPLES),
                    default=DEFAULT_SAMPLES)
     p.add_argument("--resolution",
@@ -181,6 +181,8 @@ def _delta_json(delta) -> dict:
 
 
 def _cmd_delta(args) -> dict:
+    if args.dim % 2:
+        raise OddDimension(f"dimension {args.dim} is odd; a complex structure needs 2n")
     delta = compute_delta(args.dim // 2, num_samples=args.samples,
                           resolution=args.resolution, seed=args.seed,
                           epsilon_override=args.epsilon_override,

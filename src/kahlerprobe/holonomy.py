@@ -2,17 +2,17 @@
 
 A manifold is a single coordinate chart: a box domain, a smooth metric
 coefficient function, and optionally analytic Christoffel symbols.  The
-metric takes one point; the Christoffel callable is batched: it takes a
-(P, d) array of points and returns Gamma as (P, d, d, d), and
-``christoffel`` serves any (..., d) array from one call.  Without it,
-central differences of the metric are taken point by point.  Parallel
-transport integrates the first-order transport ODE with classical RK4 for
-every coordinate basis vector at once, then expresses the transport matrix
-in g-orthonormal frames at the endpoints, where it is orthogonal up to the
-integration defect.  A path is stored once, as a tuple of pieces (straight
-polyline moves or smooth curves); joining and reversing paths are
-operations on that tuple.  There is one transport kernel, and it is
-stacked: paths with the same piece count share their stage times, so B of
+chart layer takes (..., d) stacks of points: ``metric`` reads the user's
+one-point metric once per point, and ``orthonormal_frame``, ``christoffel``
+(a batched (P, d) callable, else central differences of the metric) and
+``central_difference`` (one call on every point's stencil) each answer a
+stack at once.  Parallel transport integrates the first-order transport ODE
+with classical RK4 for every coordinate basis vector at once, then expresses
+the transport matrix in g-orthonormal frames at the endpoints, where it is
+orthogonal up to the integration defect.  A path is stored once, as a tuple
+of pieces (straight polyline moves or smooth curves); joining and reversing
+paths are operations on that tuple.  There is one transport kernel, and it
+is stacked: paths with the same piece count share their stage times, so B of
 them step through one RK4 loop as a (B, d, d) stack.  The kernel steps each
 piece on its own parameter interval, evaluates the piece of every path at
 all its stage times, checks those points against the box in one call and
@@ -23,10 +23,10 @@ transported alone.  Holonomy is sampled by transporting families of closed
 loops in one kernel call and optionally closing the sample under products
 and inverses; the closure keeps its matrices in one (N, d, d) stack and
 drops a product within 1e-9 of a kept one by a single vectorized max-abs
-test against that stack, and a product's loop only refers to its
-generators' pieces.  The catalog charts have closed-form metrics and
-batched Christoffels without Python loops; Fubini-Study's come from its
-complex connection realified through a constant basis.
+test against that stack, and a product's loop only refers to its generators'
+pieces.  The catalog charts have closed-form metrics and batched
+Christoffels without Python loops; Fubini-Study's come from its complex
+connection realified through a constant basis.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _straight(a, b) -> tuple:
     return lambda s: a + s[:, None] * d, lambda s: np.broadcast_to(d, (s.size, d.size))
 
 
-def polyline(vertices, description) -> SmoothPath:
+def polyline(vertices) -> SmoothPath:
     """Straight pieces through the vertices; a coordinate that would move by
     at most ``MIN_MOVE`` stays put, and a move left with none is dropped."""
     start = a = np.asarray(vertices[0], dtype=float)
@@ -142,7 +142,7 @@ def polyline(vertices, description) -> SmoothPath:
         if np.any(b != a):
             pieces.append(_straight(a, b))
             a = b
-    return SmoothPath(tuple(pieces), _ends_meet(start, a), description)
+    return SmoothPath(tuple(pieces), _ends_meet(start, a))
 
 
 def curve(map, velocity) -> SmoothPath:
@@ -178,31 +178,38 @@ class HolonomySample:
 
 # -- Christoffel symbols ------------------------------------------------------
 
-def _metric_at(chart: ManifoldChart, x) -> np.ndarray:
-    g = np.asarray(chart.metric(np.asarray(x, dtype=float)), dtype=float)
-    return g
+def metric(chart: ManifoldChart, x) -> np.ndarray:
+    """g at every point of x, shape (..., d, d): the chart's single-point
+    ``metric`` read once per point."""
+    x = chart.coords(x)
+    g = np.array([chart.metric(y) for y in x.reshape(-1, chart.dim)], dtype=float)
+    if len(g) and g.shape[1:] != (chart.dim, chart.dim):
+        raise DimensionMismatch(f"metric of {chart.name} gave shape {g.shape[1:]} at a point")
+    return g.reshape(x.shape + (chart.dim,))
 
 
-def central_difference(f, x, h) -> np.ndarray:
-    """Stack over axes k of (f(x + h_k e_k) - f(x - h_k e_k)) / (2 h_k)."""
+def central_difference(f, x, h):
+    """f(x) and df[..., k, :] = (f(x + h_k e_k) - f(x - h_k e_k)) / (2 h_k) at each
+    point of x, (..., d), for the step array h, from one f call on the (..., 2d + 1,
+    d) stencil, each point's rows adjacent: x, then x +- h_k e_k for k in order."""
     x = np.asarray(x, dtype=float)
-    out = []
-    for k in range(x.size):
-        e = np.zeros(x.size)
-        e[k] = h[k]
-        out.append((f(x + e) - f(x - e)) / (2.0 * e[k]))
-    return np.stack(out)
+    pts = np.repeat(x[..., None, :], 2 * len(h) + 1, axis=-2)
+    pts[..., 1::2, :] += np.diag(h)
+    pts[..., 2::2, :] -= np.diag(h)
+    F = np.moveaxis(f(pts), x.ndim - 1, 0)  # stencil axis first
+    df = (F[1::2] - F[2::2]) / (2.0 * h).reshape((-1,) + (1,) * (F.ndim - 1))
+    return F[0], np.moveaxis(df, 0, x.ndim - 1)
 
 
 def christoffel(chart: ManifoldChart, x) -> np.ndarray:
     """Gamma[..., k, i, j] at every point of x, shape (..., d): the chart's
-    analytic Christoffels in one call on the (P, d) stack of points, else
-    central differences of the metric point by point."""
+    analytic Christoffels, else central differences of the metric, in one
+    call on the (P, d) stack of points."""
     x = chart.coords(x)
     d = chart.dim
     pts = x.reshape(-1, d)
     if chart.christoffel is None:
-        return np.array([_fd_christoffel(chart, y) for y in pts]).reshape(x.shape + (d, d))
+        return _fd_christoffel(chart, pts).reshape(x.shape + (d, d))
     G = np.asarray(chart.christoffel(pts), dtype=float)
     if G.shape != (len(pts), d, d, d):
         raise DimensionMismatch(
@@ -212,32 +219,32 @@ def christoffel(chart: ManifoldChart, x) -> np.ndarray:
 
 
 def _fd_christoffel(chart: ManifoldChart, x) -> np.ndarray:
-    """Gamma[k, i, j] at one point x by central differences of the metric."""
+    """Gamma[p, k, i, j] at a (P, d) stack of points by central differences of
+    the metric; OutsideDomain names the first point too near the boundary."""
     h = FD_STEP
-    if not chart.contains(x, margin=2.0 * h):
-        raise OutsideDomain(f"{x} too close to the domain boundary for step {h}")
-    # dg[l, i, j] = d g_ij / d x_l
-    dg = central_difference(lambda y: _metric_at(chart, y), x, np.full(chart.dim, h))
-    g = _metric_at(chart, x)
+    near = ~np.all((x >= chart.domain[:, 0] + 2.0 * h) & (x <= chart.domain[:, 1] - 2.0 * h), -1)
+    if near.any():
+        raise OutsideDomain(f"{x[near.argmax()]} too close to the domain boundary for step {h}")
+    # dg[p, l, i, j] = d g_ij / d x_l
+    g, dg = central_difference(lambda y: metric(chart, y), x, np.full(chart.dim, h))
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise MetricNotInvertible(str(exc)) from exc
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), term[i, j, l]
-    term = dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, 2)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, term)
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), term[p, i, j, l]
+    term = dg + np.swapaxes(dg, 1, 2) - np.moveaxis(dg, 1, 3)
+    return 0.5 * np.einsum("pkl,pijl->pkij", ginv, term)
 
 
 def orthonormal_frame(chart: ManifoldChart, x) -> np.ndarray:
-    """Columns form a g(x)-orthonormal basis (Gram-Schmidt on coordinate
-    basis vectors, realized as the inverse transposed Cholesky factor)."""
-    g = _metric_at(chart, chart.coords(x))
+    """Columns form a g-orthonormal basis at every point of x, (..., d, d):
+    Gram-Schmidt on the coordinate basis, as the inverse transposed Cholesky factor."""
+    g = metric(chart, x)
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise MetricNotInvertible(f"metric not positive definite at {x}") from exc
-    d = chart.dim
-    return np.linalg.solve(L, np.eye(d)).T  # L^{-T}, upper triangular
+    return np.swapaxes(np.linalg.solve(L, np.eye(chart.dim)), -1, -2)  # L^{-T}, upper triangular
 
 
 # -- parallel transport -------------------------------------------------------
@@ -299,8 +306,8 @@ def transport_with_defect(chart: ManifoldChart, paths, steps: int):
     paths = list(paths)
     d = chart.dim
     P = _transport_coordinate(chart, paths, steps)
-    Fp = np.reshape([orthonormal_frame(chart, path.map(0.0)) for path in paths], (-1, d, d))
-    Fq = np.reshape([orthonormal_frame(chart, path.map(1.0)) for path in paths], (-1, d, d))
+    Fp = orthonormal_frame(chart, np.reshape([path.map(0.0) for path in paths], (-1, d)))
+    Fq = orthonormal_frame(chart, np.reshape([path.map(1.0) for path in paths], (-1, d)))
     A = np.linalg.solve(Fq, P @ Fp)
     defects = np.max(np.abs(np.swapaxes(A, 1, 2) @ A - np.eye(d)), axis=(1, 2))
     return A, defects.tolist()

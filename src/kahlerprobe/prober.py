@@ -91,7 +91,7 @@ class GlobalJField:
         for ax in order:
             corners.append(corners[-1].copy())
             corners[-1][ax] = x[ax]
-        return holonomy.polyline(corners, {"kind": "axes", "order": order})
+        return holonomy.polyline(corners)
 
     def ortho_j(self, x, axis_order=None) -> np.ndarray:
         """Orthonormal-frame expression of the field at x."""
@@ -109,9 +109,11 @@ class GlobalJField:
         return val
 
     def coordinate_j(self, x) -> np.ndarray:
-        """Coordinate-frame expression F(x) J(x) F(x)^{-1}."""
+        """Coordinate-frame expression F(x) J(x) F(x)^{-1} at every point of
+        x, shape (..., d, d); the values are read point by point, in order."""
         F = holonomy.orthonormal_frame(self.chart, x)
-        return F @ self.ortho_j(x) @ np.linalg.inv(F)
+        J = np.reshape([self.ortho_j(y) for y in np.reshape(x, (-1, self.chart.dim))], F.shape)
+        return F @ J @ np.linalg.inv(F)
 
 
 def orbit(J_p: OrthoComplexStructure, samples) -> OrbitReport:
@@ -239,55 +241,34 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
     return field_
 
 
-def _field_derivatives(field_: GlobalJField, x, scale: float = 1.0):
-    """J_coord at x and its central-difference gradient dJ[k, i, j]."""
-    return (field_.coordinate_j(x),
-            holonomy.central_difference(field_.coordinate_j, x, scale * field_.h))
-
-
 def covariant_constancy_check(field_: GlobalJField, scale: float = 1.0) -> float:
-    """Max-abs entry of the covariant derivative of the field; the
-    Christoffels at every grid point come from one call."""
-    worst = 0.0
-    gammas = holonomy.christoffel(field_.chart, np.reshape(field_.grid, (-1, field_.chart.dim)))
-    for x, gamma in zip(field_.grid, gammas):
-        J, dJ = _field_derivatives(field_, x, scale)
-        for k in range(field_.chart.dim):
-            Gk = gamma[:, k, :]  # (Gk)^i_l = Gamma^i_{k l}
-            nabla_k = dJ[k] + Gk @ J - J @ Gk
-            worst = max(worst, float(np.max(np.abs(nabla_k))))
-    return worst
+    """Max-abs entry of the covariant derivative of the field; the field's
+    stencil and the Christoffels at every grid point come from one call each."""
+    J, dJ = holonomy.central_difference(field_.coordinate_j, field_.grid, scale * field_.h)
+    # G[p, k] = Gamma[p, :, k, :], (Gk)^i_l = Gamma^i_{k l}
+    G = np.swapaxes(holonomy.christoffel(field_.chart, field_.grid), 1, 2)
+    return float(np.max(np.abs(dJ + G @ J[:, None] - J[:, None] @ G)))
 
 
 def nijenhuis_check(field_: GlobalJField, scale: float = 1.0) -> float:
     """Max-abs component of the integrability obstruction tensor."""
-    worst = 0.0
-    for x in field_.grid:
-        J, dJ = _field_derivatives(field_, x, scale)
-        t1 = np.einsum("kj,kil->ijl", J, dJ)
-        t2 = np.einsum("kl,kij->ijl", J, dJ)
-        t3 = np.einsum("ik,jkl->ijl", J, dJ) - np.einsum("ik,lkj->ijl", J, dJ)
-        N = t1 - t2 - t3
-        worst = max(worst, float(np.max(np.abs(N))))
-    return worst
+    J, dJ = holonomy.central_difference(field_.coordinate_j, field_.grid, scale * field_.h)
+    t1 = np.einsum("pkj,pkil->pijl", J, dJ)
+    t2 = np.einsum("pkl,pkij->pijl", J, dJ)
+    t3 = np.einsum("pik,pjkl->pijl", J, dJ) - np.einsum("pik,plkj->pijl", J, dJ)
+    return float(np.max(np.abs(t1 - t2 - t3)))
 
 
 def kahler_form_check(field_: GlobalJField, scale: float = 1.0) -> float:
     """Antisymmetry of omega = g J and max-abs component of d omega."""
-    worst = 0.0
-
-    def omega(x):
-        return holonomy._metric_at(field_.chart, x) @ field_.coordinate_j(x)
-
-    for x in field_.grid:
-        w = omega(np.asarray(x))
-        if float(np.max(np.abs(w + w.T))) > 1e-8:
-            raise FormNotAntisymmetric(
-                "fundamental 2-form is not antisymmetric at a probe point")
-        dw = holonomy.central_difference(omega, x, scale * field_.h)
-        ext = dw + np.einsum("jki->ijk", dw) + np.einsum("kij->ijk", dw)
-        worst = max(worst, float(np.max(np.abs(ext))))
-    return worst
+    w, dw = holonomy.central_difference(
+        lambda x: holonomy.metric(field_.chart, x) @ field_.coordinate_j(x),
+        field_.grid, scale * field_.h)
+    if float(np.max(np.abs(w + np.swapaxes(w, 1, 2)))) > 1e-8:
+        raise FormNotAntisymmetric(
+            "fundamental 2-form is not antisymmetric at a probe point")
+    ext = dw + np.einsum("pjki->pijk", dw) + np.einsum("pkij->pijk", dw)
+    return float(np.max(np.abs(ext)))
 
 
 @dataclass

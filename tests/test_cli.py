@@ -416,6 +416,8 @@ def test_config_can_supply_required_keys(capsys, tmp_path, form):
     ["delta", "--epsilon-override", "0", "--no-cache"],
     ["delta", "--epsilon-override", "-1", "--no-cache"],
     ["delta", "--seed", "-1"],
+    ["delta", "--dim", "0", "--no-cache"],
+    ["delta", "--dim", "-4", "--no-cache"],
     ["probe", "--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5", "--seed", "-1"],
     ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
      "--loop-kind", "fourier_random", "--seed", "-1"],
@@ -429,6 +431,26 @@ def test_out_of_range_delta_and_seed_inputs_are_usage_errors(capsys, argv):
     code, out, err = run_cli_exit(capsys, *argv)
     assert (code, out) == (1, "")
     assert "Traceback" not in err
+
+
+def test_delta_dim_from_a_config_goes_through_the_bound(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 0}))
+    code, out, err = run_cli_exit(capsys, "delta", "--config", str(cfg), "--no-cache")
+    assert (code, out) == (1, "")
+    assert "argument --dim: 0 is outside [2, inf]" in err
+
+
+@pytest.mark.parametrize("dim,error", [("5", "odd_dimension"), ("3", "odd_dimension"),
+                                       ("2", "dimension_too_small")])
+def test_odd_or_n1_delta_dim_is_a_dimension_error(capsys, monkeypatch, dim, error):
+    """An odd --dim is rejected before any estimate; --dim 2 reaches the
+    estimator, which has no 2-planes to sample for n = 1."""
+    if error == "odd_dimension":
+        monkeypatch.setattr(cli, "compute_delta", lambda *a, **kw: pytest.fail("estimated"))
+    code, out, err = run_cli_exit(capsys, "delta", "--dim", dim, "--no-cache")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
 
 
 def test_n1_probe_is_a_dimension_error(capsys):

@@ -101,6 +101,14 @@ def test_christoffel_rejects_boundary_point():
         holonomy.christoffel(chart, [0.0, 0.5])
 
 
+def test_fd_christoffel_names_the_first_point_near_the_boundary():
+    """Before any metric is read, a stack with points at the boundary is
+    rejected naming the first of them."""
+    chart = holonomy.ManifoldChart(2, lambda x: pytest.fail("metric read"), [[0.0, 1.0]] * 2)
+    with pytest.raises(OutsideDomain, match=r"^\[0\.5 1\. *\] too close"):
+        holonomy.christoffel(chart, [[0.5, 0.5], [0.5, 1.0], [0.0, 0.5]])
+
+
 # -- orthonormal frames -------------------------------------------------------
 
 def test_frame_identity_metric():
@@ -124,6 +132,45 @@ def test_frame_orthonormalizes_the_metric(name):
         assert maxabs(np.asarray(g) - np.asarray(g).T) < 1e-12
         F = holonomy.orthonormal_frame(chart, x)
         assert maxabs(F.T @ g @ F - np.eye(chart.dim)) < 1e-10
+
+
+@pytest.mark.parametrize("name", holonomy.CATALOG_NAMES)
+def test_frame_and_metric_of_a_stack_match_single_points(name):
+    chart = holonomy.catalog(name)
+    x = np.reshape(random_interior_points(chart, 6, seed=5), (2, 3, chart.dim))
+    F, g = holonomy.orthonormal_frame(chart, x), holonomy.metric(chart, x)
+    assert F.shape == g.shape == (2, 3, chart.dim, chart.dim)
+    for i, j in itertools.product(range(2), range(3)):
+        assert np.array_equal(F[i, j], holonomy.orthonormal_frame(chart, x[i, j]))
+        assert np.array_equal(g[i, j], chart.metric(x[i, j]))
+
+
+@pytest.mark.parametrize("g", [1.0, np.ones(4), np.eye(3)], ids=["scalar", "vector", "3x3"])
+def test_metric_of_the_wrong_shape_is_a_dimension_mismatch(g):
+    """A user metric that does not return (d, d) at a point is named, not a
+    reshape, Cholesky or solve error."""
+    chart = holonomy.ManifoldChart(4, lambda x: g, [[0.0, 1.0]] * 4, name="bad_metric")
+    for call in (holonomy.metric, holonomy.orthonormal_frame, holonomy.christoffel):
+        with pytest.raises(DimensionMismatch, match="bad_metric"):
+            call(chart, np.full((2, 4), 0.5))
+
+
+def test_central_difference_of_a_quadratic_is_exact():
+    """f(x) and its central differences on a (2, 3, d) stack, with integer
+    points and power-of-two steps so that every difference is exact."""
+    A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, -1.0, 1.0]])
+
+    def f(y):  # (..., 3) -> (..., 2)
+        return np.stack([np.einsum("...i,ij,...j->...", y, A, y), y[..., 0] * y[..., 2]], axis=-1)
+
+    x = np.arange(18.0).reshape(2, 3, 3) - 7.0
+    h = np.array([0.5, 0.25, 1.0])
+    fx, df = holonomy.central_difference(f, x, h)
+    assert np.array_equal(fx, f(x))
+    grad = np.stack([2.0 * x @ A, np.stack([x[..., 2], 0.0 * x[..., 1], x[..., 0]], axis=-1)],
+                    axis=-1)
+    assert df.shape == (2, 3, 3, 2)
+    assert np.array_equal(df, grad)
 
 
 # -- transport ----------------------------------------------------------------
@@ -192,7 +239,7 @@ def test_transport_preserves_the_metric():
         c = chart.domain.mean(axis=1)
         span = 0.2 * (chart.domain[:, 1] - chart.domain[:, 0])
         q_target = c + 0.5 * span
-        path = holonomy.polyline([c, q_target], {})
+        path = holonomy.polyline([c, q_target])
         P = holonomy._transport_coordinate(chart, [path], 600)[0]
         gp = chart.metric(c)
         gq = chart.metric(q_target)
@@ -418,7 +465,7 @@ def test_end_point_of_many_pieces(count):
     p = np.array([0.1, 0.2, 0.3, 0.4])
     path = holonomy.concatenate_paths(
         [holonomy.rectangle_loop(p, 0, 1, 0.25)] * (count - 1)
-        + [holonomy.polyline([p, p + 0.5], {})])
+        + [holonomy.polyline([p, p + 0.5])])
     assert len(path.pieces) == 4 * count - 3
     assert maxabs(path.map(1.0) - (p + 0.5)) < 1e-14
     assert not path.closed
@@ -426,7 +473,7 @@ def test_end_point_of_many_pieces(count):
 
 def test_samples_reject_open_loops():
     chart = holonomy.catalog("flat_torus_4")
-    seg = holonomy.polyline([np.full(4, 0.2), np.full(4, 0.6)], {})
+    seg = holonomy.polyline([np.full(4, 0.2), np.full(4, 0.6)])
     with pytest.raises(ValueError):
         holonomy.holonomy_samples(chart, np.full(4, 0.2), [seg], 200)
 
@@ -434,7 +481,7 @@ def test_samples_reject_open_loops():
 def test_samples_reject_loops_without_pieces():
     """A polyline that never moves drops all its moves."""
     chart = holonomy.catalog("flat_torus_4")
-    loop = holonomy.polyline([[0.5] * 4, [0.5] * 4], {})
+    loop = holonomy.polyline([[0.5] * 4, [0.5] * 4])
     assert loop.closed and loop.pieces == ()
     with pytest.raises(ValueError, match="move"):
         holonomy.holonomy_samples(chart, [0.5] * 4, [loop], 200)
@@ -711,7 +758,7 @@ def test_canonical_paths_match_closure_paths():
 
 def test_transport_rejects_straight_path_leaving_the_box():
     chart = holonomy.catalog("fubini_study_cp2")
-    path = holonomy.polyline([np.zeros(4), [0.7, 0.0, 0.0, 0.0]], {})
+    path = holonomy.polyline([np.zeros(4), [0.7, 0.0, 0.0, 0.0]])
     with pytest.raises(OutsideDomain):
         holonomy.parallel_transport(chart, path, 200)
 
@@ -818,8 +865,13 @@ def test_concatenation_homomorphism_property(data, p):
 def _pointwise_fd_christoffel(chart, x):
     """Central-difference Christoffels at one point, as the per-path kernel
     took them."""
-    h = np.full(chart.dim, holonomy.FD_STEP)
-    dg = holonomy.central_difference(lambda y: np.asarray(chart.metric(y), dtype=float), x, h)
+    dg = []
+    for k in range(chart.dim):
+        e = np.zeros(chart.dim)
+        e[k] = holonomy.FD_STEP
+        dg.append((np.asarray(chart.metric(x + e), dtype=float)
+                   - np.asarray(chart.metric(x - e), dtype=float)) / (2.0 * e[k]))
+    dg = np.stack(dg)
     term = dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, 2)
     return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(chart.metric(x)), term)
 

@@ -278,13 +278,76 @@ def test_twisted_field_nijenhuis_sympy_oracle():
                           for k in range(4)))
 
     field = make_twisted_field([point])
-    Jf, dJf = prober._field_derivatives(field, point)
+    Jf, dJf = holonomy.central_difference(field.coordinate_j, point, field.h)
     t1 = np.einsum("kj,kil->ijl", Jf, dJf)
     t2 = np.einsum("kl,kij->ijl", Jf, dJf)
     t3 = np.einsum("ik,jkl->ijl", Jf, dJf) - np.einsum("ik,lkj->ijl", Jf, dJf)
     N_num = t1 - t2 - t3
     assert maxabs(N_num - N_sym) < 1e-6
     assert maxabs(N_sym) > 0.5  # genuinely non-integrable at this point
+
+
+def _pointwise_difference(f, x, h):
+    """dF[k] = (f(x + h_k e_k) - f(x - h_k e_k)) / (2 h_k) at one point."""
+    out = []
+    for k in range(x.size):
+        e = np.zeros(x.size)
+        e[k] = h[k]
+        out.append((f(x + e) - f(x - e)) / (2.0 * e[k]))
+    return np.stack(out)
+
+
+def _pointwise_checks(field, scale):
+    """The three certificates as per-point loops with a running max: one
+    stencil per probe point, one point at a time."""
+    h = scale * field.h
+    nabla = nij = d_omega = 0.0
+
+    def omega(y):
+        return np.asarray(field.chart.metric(y), dtype=float) @ field.coordinate_j(y)
+
+    for x in field.grid:
+        J, dJ = field.coordinate_j(x), _pointwise_difference(field.coordinate_j, x, h)
+        gamma = holonomy.christoffel(field.chart, x)
+        for k in range(field.chart.dim):
+            Gk = gamma[:, k, :]
+            nabla = max(nabla, maxabs(dJ[k] + Gk @ J - J @ Gk))
+        t1 = np.einsum("kj,kil->ijl", J, dJ)
+        t2 = np.einsum("kl,kij->ijl", J, dJ)
+        t3 = np.einsum("ik,jkl->ijl", J, dJ) - np.einsum("ik,lkj->ijl", J, dJ)
+        nij = max(nij, maxabs(t1 - t2 - t3))
+        dw = _pointwise_difference(omega, x, h)
+        ext = dw + np.einsum("jki->ijk", dw) + np.einsum("kij->ijk", dw)
+        d_omega = max(d_omega, maxabs(ext))
+    return nabla, nij, d_omega
+
+
+def _fs_field():
+    chart = holonomy.catalog("fubini_study_cp2")
+    J = prober.default_structure(chart, [0.0] * 4)
+    return prober.build_global_j(chart, [0.0] * 4, J,
+                                 prober.ProbeConfig(field_steps=100, probe_points=3))
+
+
+def _twisted_field():
+    return make_twisted_field([np.full(4, 0.5), np.array([0.3, 0.5, 0.6, 0.4]),
+                               np.array([0.45, 0.4, 0.5, 0.6])])
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("build", [_twisted_field, _fs_field], ids=["twisted", "fubini_study"])
+def test_stacked_certificates_match_pointwise_loops(build, scale):
+    """One stencil call over all probe points, the (P, 2d + 1, d) stack,
+    gives each certificate the bits of the per-point loops, on fresh fields
+    of the same build."""
+    field, calls = build(), []
+    stencil = field.coordinate_j
+    field.coordinate_j = lambda x: calls.append(np.shape(x)) or stencil(x)
+    stacked = tuple(check(field, scale=scale) for check in (
+        prober.covariant_constancy_check, prober.nijenhuis_check, prober.kahler_form_check))
+    assert calls == [(3, 9, 4)] * 3  # one stencil call per check
+    assert repr(stacked) == repr(_pointwise_checks(build(), scale))
+    assert min(stacked) > 0.0
 
 
 # -- probe --------------------------------------------------------------------

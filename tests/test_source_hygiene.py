@@ -1,7 +1,8 @@
 """Source hygiene of the package, with the standard library only.
 
-Read with ``ast``: every import is used, and every module-level private
-function or class is referenced in its module.  Read off the loaded
+Read with ``ast``: every import is used, every module-level private
+function or class is referenced in its module, and no module reads another
+package module's private name.  Read off the loaded
 classes: every domain error declares its own stable ``code``; the CLI
 prints these codes, so two errors must never share one.
 """
@@ -20,6 +21,10 @@ MODULES = sorted(SRC.glob("*.py"))
 
 def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _private(name) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
 
 def _loaded_names(tree) -> set:
@@ -43,9 +48,25 @@ def test_every_import_is_used(path):
 def test_every_private_definition_is_referenced(path):
     tree = _tree(path)
     private = {node.name for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.startswith("__")}
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name)}
     assert private - _loaded_names(tree) == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_name(path):
+    """Neither ``mod._name`` on a module bound by ``from . import mod`` nor
+    ``from .mod import _name``."""
+    tree = _tree(path)
+    relative = [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level >= 1]
+    modules = {a.asname or a.name for node in relative if node.module is None
+               for a in node.names}
+    reads = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules and _private(node.attr)]
+    reads += [f"{node.module}.{a.name}" for node in relative if node.module is not None
+              for a in node.names if _private(a.name)]
+    assert reads == []
 
 
 def _subclasses(cls):
