@@ -132,9 +132,13 @@ def project_tangent(J: OrthoComplexStructure, A: np.ndarray) -> TangentPhi:
     A = np.asarray(A, dtype=float)
     if A.shape != J.mat.shape:
         raise OddDimension(f"shape mismatch: {A.shape} vs {J.mat.shape}")
-    S = 0.5 * (A - A.T)
-    phi = 0.5 * (S + J.mat @ S @ J.mat)
-    return TangentPhi(J, phi)
+    return TangentPhi(J, _project(J, A))
+
+
+def _project(J: OrthoComplexStructure, A: np.ndarray) -> np.ndarray:
+    """The projection of project_tangent on a (d, d) or (N, d, d) array."""
+    S = 0.5 * (A - A.swapaxes(-1, -2))
+    return 0.5 * (S + J.mat @ S @ J.mat)
 
 
 def exp_maps(J: OrthoComplexStructure, phi: TangentPhi, ts) -> np.ndarray:
@@ -369,27 +373,47 @@ def conjugate(Q: np.ndarray, J: OrthoComplexStructure) -> OrthoComplexStructure:
     return OrthoComplexStructure(conjugates(np.asarray(Q, dtype=float)[None], J)[0])
 
 
-def sectional_curvature(J: OrthoComplexStructure, phi: TangentPhi, psi: TangentPhi) -> float:
-    """Curvature of the 2-plane spanned by phi and psi.
+def sectional_curvatures(J: OrthoComplexStructure, phis, psis):
+    """Curvature of the 2-plane spanned by phis[k] and psis[k], for every
+    slice of two (N, d, d) stacks of tangents at J.
 
     Uses the compact-type homogeneous-space formula on the generators
     X = -phi J/2, Y = -psi J/2 with the inner product Q(A, B) = 4 tr(A B^T),
     which matches the tangent metric under phi <-> X:
 
         sec = Q([X, Y], [X, Y]) / (Q(X,X) Q(Y,Y) - Q(X,Y)^2)
+
+    Returns the (N,) curvatures, NaN where a slice is degenerate, and a
+    list of N entries, each None or the DegeneratePlane of that slice.
     """
+    X = -0.5 * np.asarray(phis, dtype=float) @ J.mat
+    Y = -0.5 * np.asarray(psis, dtype=float) @ J.mat
+    N, d = len(X), J.dim
+
+    def q(A, B):  # 4 tr(A B^T) per slice, each summed as np.sum sums one (d, d) array
+        return 4.0 * (A * B).reshape(N, d * d).sum(axis=1)
+
+    qxy = q(X, Y)
+    gram = q(X, X) * q(Y, Y) - qxy * qxy
+    degenerate = gram < 1e-14
+    B = X @ Y - Y @ X
+    curvatures = q(B, B) / np.where(degenerate, 1.0, gram)
+    curvatures[degenerate] = math.nan
+    errors = [None] * N
+    for k in np.flatnonzero(degenerate):
+        errors[k] = DegeneratePlane(f"Gram determinant {gram[k]:.3e} below threshold")
+    return curvatures, errors
+
+
+def sectional_curvature(J: OrthoComplexStructure, phi: TangentPhi, psi: TangentPhi) -> float:
+    """Curvature of the 2-plane spanned by phi and psi (the single-plane
+    case of sectional_curvatures); raises DegeneratePlane for a degenerate
+    plane."""
     if not (phi.base.same_point(J) and psi.base.same_point(J)):
         raise BasePointMismatch("tangents are not based at J")
-    X = -0.5 * phi.mat @ J.mat
-    Y = -0.5 * psi.mat @ J.mat
-    qxx = 4.0 * float(np.sum(X * X))
-    qyy = 4.0 * float(np.sum(Y * Y))
-    qxy = 4.0 * float(np.sum(X * Y))
-    gram = qxx * qyy - qxy * qxy
-    if gram < 1e-14:
-        raise DegeneratePlane(f"Gram determinant {gram:.3e} below threshold")
-    B = X @ Y - Y @ X
-    return 4.0 * float(np.sum(B * B)) / gram
+    curvatures, errors = sectional_curvatures(J, phi.mat[None], psi.mat[None])
+    _first_error(errors)
+    return float(curvatures[0])
 
 
 def random_j(n: int, seed: int) -> OrthoComplexStructure:
@@ -405,15 +429,27 @@ def random_j(n: int, seed: int) -> OrthoComplexStructure:
     return conjugate(Q, canonical_j(n))
 
 
-def random_tangent(J: OrthoComplexStructure, seed: int, norm: float = 1.0) -> TangentPhi:
-    """Seeded random tangent at J rescaled to the requested norm."""
-    if norm <= 0.0:
-        raise ZeroProjection("norm must be positive")
-    rng = np.random.default_rng(seed)
-    phi = project_tangent(J, rng.standard_normal(J.mat.shape))
-    nrm = phi.norm()
-    if not nrm > 1e-12:
+def random_tangents(J: OrthoComplexStructure, seeds, norm: float = 1.0) -> np.ndarray:
+    """Seeded random tangents at J rescaled to the requested norm, as an
+    (N, d, d) stack: slice k projects the standard normal matrix drawn by
+    np.random.default_rng(seeds[k]) onto T_J."""
+    if not 0.0 < norm < math.inf:
+        raise ZeroProjection(f"norm must be positive and finite, got {norm!r}")
+    d = J.dim
+    A = np.empty((len(seeds), d, d))
+    for k, seed in enumerate(seeds):
+        A[k] = np.random.default_rng(seed).standard_normal((d, d))
+    phis = _project(J, A)
+    flat = phis.reshape(len(A), d * d)
+    nrms = np.sqrt(np.vecdot(flat, flat))  # the bits of np.linalg.norm per slice
+    if not np.all(nrms > 1e-12):
         raise ZeroProjection(
             "projection of a random matrix onto the tangent space vanished "
             "(the tangent space is zero-dimensional for n = 1)")
-    return phi.scaled(norm / nrm)
+    return (norm / nrms)[:, None, None] * phis
+
+
+def random_tangent(J: OrthoComplexStructure, seed: int, norm: float = 1.0) -> TangentPhi:
+    """Seeded random tangent at J rescaled to the requested norm (the
+    single-seed case of random_tangents)."""
+    return TangentPhi(J, random_tangents(J, (seed,), norm)[0])

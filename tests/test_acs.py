@@ -607,6 +607,32 @@ def test_sectional_curvature_degenerate_plane():
         acs.sectional_curvature(J, phi, phi.scaled(2.0))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sectional_curvatures_slices_match_single_planes(n):
+    """Slice k of the stacked kernel has the bits of sectional_curvature on
+    plane k; a degenerate slice reads NaN, carries its DegeneratePlane and
+    leaves the other slices as they are."""
+    J = acs.canonical_j(n)
+    phis = acs.random_tangents(J, range(7))
+    psis = acs.random_tangents(J, range(100, 107))
+    psis[3] = 2.0 * phis[3]
+    curvatures, errors = acs.sectional_curvatures(J, phis, psis)
+    assert curvatures.shape == (7,)
+    assert [type(e) for e in errors] == [type(None)] * 3 + [DegeneratePlane] + [type(None)] * 3
+    assert math.isnan(curvatures[3])
+    for k in (0, 1, 2, 4, 5, 6):
+        phi, psi = acs.TangentPhi(J, phis[k]), acs.TangentPhi(J, psis[k])
+        assert repr(float(curvatures[k])) == repr(acs.sectional_curvature(J, phi, psi))
+    with pytest.raises(DegeneratePlane, match="Gram determinant"):
+        acs.sectional_curvature(J, acs.TangentPhi(J, phis[3]), acs.TangentPhi(J, psis[3]))
+
+
+def test_sectional_curvatures_of_no_planes():
+    J = acs.canonical_j(2)
+    curvatures, errors = acs.sectional_curvatures(J, np.zeros((0, 4, 4)), np.zeros((0, 4, 4)))
+    assert curvatures.shape == (0,) and errors == []
+
+
 def test_sectional_curvature_jacobi_field_oracle():
     """Independent geodesic-deviation oracle.
 
@@ -691,6 +717,28 @@ def test_random_tangent_fails_for_n1():
     """The tangent space at n = 1 is zero-dimensional per component."""
     with pytest.raises(ZeroProjection):
         acs.random_tangent(acs.canonical_j(1), 0)
+
+
+@pytest.mark.parametrize("norm", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_random_tangent_needs_a_finite_positive_norm(norm):
+    """A NaN or infinite norm once gave a NaN or infinite tangent."""
+    J = acs.canonical_j(2)
+    with pytest.raises(ZeroProjection, match="positive and finite"):
+        acs.random_tangent(J, 0, norm)
+    with pytest.raises(ZeroProjection, match="positive and finite"):
+        acs.random_tangents(J, [0, 1], norm)
+
+
+@pytest.mark.parametrize("n,norm", [(2, 1.0), (3, 0.3), (4, 1e-3)])
+def test_random_tangents_slices_match_single_seeds(n, norm):
+    """Slice k has the bits of random_tangent(J, seeds[k], norm)."""
+    J = acs.canonical_j(n)
+    seeds = [5, 2**31 - 2, 0, 5, 77]
+    phis = acs.random_tangents(J, seeds, norm)
+    assert phis.shape == (5, 2 * n, 2 * n)
+    for phi, seed in zip(phis, seeds):
+        assert np.array_equal(phi, acs.random_tangent(J, seed, norm).mat)
+    assert acs.random_tangents(J, [], norm).shape == (0, 2 * n, 2 * n)
 
 
 def test_transitivity_constructive():

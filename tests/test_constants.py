@@ -49,9 +49,12 @@ def test_epsilon_covers_every_sample():
     """The bound is at least the safety factor times the curvature of every
     sampled plane, recomputed here from the same plane seeds."""
     J = acs.canonical_j(2)
-    seeds = np.random.default_rng(3).integers(0, 2**31 - 1, size=100)
-    planes = [constants._random_plane(J, int(ps)) for ps in seeds]
-    sampled = max(acs.sectional_curvature(J, *pl) for pl in planes if pl is not None)
+    seeds = np.random.default_rng(3).integers(0, 2**31 - 1, size=100).tolist()
+    phis = acs.random_tangents(J, seeds)
+    psis = acs.random_tangents(J, [s + 500_009 for s in seeds])
+    psis = [psi - float(np.sum(phi * psi)) * phi for phi, psi in zip(phis, psis)]
+    psis = np.array([(1.0 / float(np.linalg.norm(psi))) * psi for psi in psis])
+    sampled = np.max(acs.sectional_curvatures(J, phis, psis)[0])
     assert estimate_epsilon(2, num_samples=100, seed=3) >= SAFETY_FACTOR * sampled
 
 
@@ -63,6 +66,101 @@ def test_epsilon_matches_constant_curvature_for_n2():
     """n = 2 has constant sectional curvature 1/4; the sampled maximum must
     land on it and the 1.05 safety factor on top."""
     assert estimate_epsilon(2, num_samples=100, seed=1) == pytest.approx(0.2625, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed,bits", [
+    (0, "0.2624999999747195"), (1, "0.2624999999851881"), (2, "0.26249999999369966"),
+])
+def test_epsilon_bits_at_n3(seed, bits):
+    """At n = 3 ascent trials are taken, so these pins cover the replay of
+    the trials after a taken one."""
+    assert repr(estimate_epsilon(3, num_samples=100, seed=seed)) == bits
+
+
+def _plain_tangent(J, seed, norm=1.0):
+    A = np.random.default_rng(seed).standard_normal(J.shape)
+    S = 0.5 * (A - A.T)
+    phi = 0.5 * (S + J @ S @ J)
+    return (norm / float(np.linalg.norm(phi))) * phi
+
+
+def _plain_curvature(J, phi, psi):
+    """The curvature of span(phi, psi), or None for a degenerate plane."""
+    X = -0.5 * phi @ J
+    Y = -0.5 * psi @ J
+    qxx = 4.0 * float(np.sum(X * X))
+    qyy = 4.0 * float(np.sum(Y * Y))
+    qxy = 4.0 * float(np.sum(X * Y))
+    gram = qxx * qyy - qxy * qxy
+    if gram < 1e-14:
+        return None
+    B = X @ Y - Y @ X
+    return 4.0 * float(np.sum(B * B)) / gram
+
+
+def _sequential_epsilon(n, num_samples, seed):
+    """estimate_epsilon one plane and one ascent trial at a time, as it was
+    before the planes were stacked, on plain (d, d) arrays; also returns
+    how many ascent trials were taken."""
+    J = acs.canonical_j(n).mat
+    rng = np.random.default_rng(seed)
+    found = []
+    for ps in rng.integers(0, 2**31 - 1, size=num_samples):
+        phi = _plain_tangent(J, int(ps))
+        psi = _plain_tangent(J, int(ps) + 500_009)
+        psi = psi - float(np.sum(phi * psi)) * phi
+        nrm = float(np.linalg.norm(psi))
+        if nrm < 1e-8:
+            continue
+        psi = (1.0 / nrm) * psi
+        found.append((_plain_curvature(J, phi, psi), (phi, psi)))
+    found.sort(key=lambda kv: -kv[0])
+    best, taken = -math.inf, 0
+    for cur, (phi, psi) in found[:10]:
+        step = 0.2
+        while step > 1e-6:
+            improved = False
+            for _ in range(20):
+                a = phi + _plain_tangent(J, int(rng.integers(0, 2**31 - 1)), step)
+                b = psi + _plain_tangent(J, int(rng.integers(0, 2**31 - 1)), step)
+                k = _plain_curvature(J, a, b)
+                if k is not None and k > cur + 1e-10:
+                    cur, phi, psi = k, a, b
+                    improved, taken = True, taken + 1
+            if not improved:
+                step *= 0.5
+        best = max(best, cur)
+    return SAFETY_FACTOR * best, taken
+
+
+@pytest.mark.parametrize("n,seed", [(3, 3), (4, 0)])
+def test_stacked_epsilon_matches_sequential(n, seed):
+    eps, taken = _sequential_epsilon(n, 100, seed)
+    assert taken > 0
+    assert repr(estimate_epsilon(n, num_samples=100, seed=seed)) == repr(eps)
+
+
+def test_epsilon_measures_each_round_in_one_call(monkeypatch):
+    """At n = 2 the curvature is constant, so no trial is taken and each of
+    the ten ascents runs 18 rounds: one stacked call measures the sampled
+    planes and one measures each round's trials, and one call draws the
+    sampled planes' tangents and one each round's perturbations."""
+    calls = {"curvatures": [], "tangents": []}
+    curvatures, tangents = acs.sectional_curvatures, acs.random_tangents
+
+    def counting_curvatures(J, phis, psis):
+        calls["curvatures"].append(len(phis))
+        return curvatures(J, phis, psis)
+
+    def counting_tangents(J, seeds, norm=1.0):
+        calls["tangents"].append(len(seeds))
+        return tangents(J, seeds, norm)
+
+    monkeypatch.setattr(acs, "sectional_curvatures", counting_curvatures)
+    monkeypatch.setattr(acs, "random_tangents", counting_tangents)
+    assert repr(estimate_epsilon(2, seed=0)) == "0.26250000000000007"
+    assert calls["curvatures"] == [300] + [20] * 180
+    assert calls["tangents"] == [600] + [40] * 180
 
 
 def test_injectivity_march_finds_2pi_for_n2(delta4):
