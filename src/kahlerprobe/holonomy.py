@@ -21,12 +21,14 @@ piece evaluates the Christoffels at 2n + 1 points per path, not 4n, with the
 same result bit for bit.  Each slice of the stack has the bits of the path
 transported alone.  Holonomy is sampled by transporting families of closed
 loops in one kernel call and optionally closing the sample under products
-and inverses; the closure keeps its matrices in one (N, d, d) stack and
-drops a product within 1e-9 of a kept one by a single vectorized max-abs
-test against that stack, and a product's loop only refers to its generators'
-pieces.  The catalog charts have closed-form metrics and batched
-Christoffels without Python loops; Fubini-Study's come from its complex
-connection realified through a constant basis.
+and inverses.  The closure runs level by level: one stacked matmul forms a
+level's products, one test finds which of them lie within 1e-9 of a kept
+matrix or of each other (comparing in full only the pairs that a sorted
+linear key leaves possible), and one pass in word order keeps the first of
+each.  The kept matrices live in one (N, d, d) stack, and a product's loop
+only refers to its generators' pieces.  The catalog charts have closed-form
+metrics and batched Christoffels without Python loops; Fubini-Study's come
+from its complex connection realified through a constant basis.
 """
 
 from __future__ import annotations
@@ -435,6 +437,57 @@ def loop_family(chart: ManifoldChart, p, kind: str, count: int, scale: float,
     return loops
 
 
+CLOSE = 1e-9        # a product within this of a kept matrix in every entry is a duplicate
+PAIR_CHUNK = 8192   # matrix pairs compared entry by entry at once
+
+
+def _near_pairs(flat, key, width, rows, cols):
+    """Yield, chunk by chunk, the pairs (r, c) of ``rows`` and ``cols``
+    (indices into the flattened matrices ``flat``) that lie within CLOSE of
+    each other in every entry.  Only the pairs whose keys differ by at most
+    ``width`` are compared, PAIR_CHUNK at a time."""
+    cols = cols[np.argsort(key[cols])]
+    lo = np.searchsorted(key[cols], key[rows] - width)
+    n = np.searchsorted(key[cols], key[rows] + width, side="right") - lo
+    cuts = np.searchsorted(np.cumsum(n), range(PAIR_CHUNK, int(n.sum()), PAIR_CHUNK))
+    for part in np.split(np.arange(rows.size), cuts):
+        k = n[part]
+        r = np.repeat(rows[part], k)
+        c = cols[np.repeat(lo[part] - np.cumsum(k) + k, k) + np.arange(k.sum())]
+        near = np.max(np.abs(flat[r] - flat[c]), axis=1) < CLOSE
+        yield r[near], c[near]
+
+
+def _new_in_order(old, cands) -> list:
+    """Whether each of the (M, d, d) candidates is new, decided in order: a
+    candidate is a duplicate when an ``old`` matrix or an earlier new
+    candidate is within CLOSE of it in every entry, so a matrix with a NaN
+    or inf entry is never one.  Pairs are found through the keys w . a:
+    |w . (a - b)| <= sum(w) max|a - b|, and the width allows for the keys'
+    rounding.  Candidates near an old matrix are dropped first and never
+    compared with each other, so a level of products that all repeat one
+    old matrix (a flat chart's identities) costs no pairs among them."""
+    m = len(old)
+    flat = np.concatenate([old, cands]).reshape(-1, old.shape[-1] ** 2)
+    w = np.linspace(1.0, 2.0, flat.shape[1])
+    key = flat @ w
+    rows = np.flatnonzero(np.isfinite(key))
+    width = 2.0 * CLOSE * w.sum() + 1e-13 * np.max(np.abs(flat[rows]) @ w, initial=0.0)
+    dup = np.zeros(len(flat), dtype=bool)  # within CLOSE of an old matrix
+    for r, _ in _near_pairs(flat, key, width, rows[rows >= m], rows[rows < m]):
+        dup[r] = True
+    rest = rows[(rows >= m) & ~dup[rows]]
+    earlier = {}  # candidate -> the earlier candidates within CLOSE
+    for r, c in _near_pairs(flat, key, width, rest, rest):
+        before = c < r
+        for x, y in zip(c[before].tolist(), r[before].tolist()):
+            earlier.setdefault(y - m, []).append(x - m)
+    new = []
+    for i in range(len(cands)):
+        new.append(not dup[m + i] and not any(new[j] for j in earlier.get(i, ())))
+    return new
+
+
 def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
                      word_length: int = 1) -> list:
     """Transport every loop, in one kernel call, and optionally close under
@@ -442,17 +495,21 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
 
     Products are formed on the polar-corrected matrices; their loops are the
     corresponding path concatenations, so every sample stays independently
-    replayable.  Kept matrices live in one (N, d, d) stack that grows by
-    doubling.  A candidate is a duplicate when some kept matrix is within
-    1e-9 of it in every entry, found by one vectorized max-abs test against
-    the filled part of the stack; a NaN candidate is never a duplicate.
-    Candidates are tested and kept one at a time in word order, so a product
-    kept earlier in a level hides a later duplicate.  Each sample's matrix
-    is a read-only view into the stack.
+    replayable.  The closure runs level by level.  A level's candidates are
+    each word of the previous level times each generator, in that order,
+    without an immediate cancellation, all formed in one stacked matmul.  A
+    candidate is a duplicate when a kept matrix, of an earlier level or
+    earlier in its own level, is within 1e-9 of it in every entry; a NaN
+    candidate is never a duplicate.  The whole level is tested at once and
+    then kept in word order, so a product kept earlier in a level hides a
+    later duplicate and a dropped one hides nothing.  Kept matrices live in
+    one (N, d, d) stack that grows by doubling, and each sample's matrix is
+    a read-only view into it.
     """
     if word_length < 1:
         raise InvalidLoopFamily(f"word length {word_length}; at least 1 is needed")
     p = np.asarray(p, dtype=float)
+    d = p.size
     loops = list(loops)
     for loop in loops:
         if not loop.closed or not loop.pieces:
@@ -468,46 +525,41 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
         gens[i + 1] = (Q, loop, defect)
         gens[-(i + 1)] = (Q.T, loop.reversed(), defect)
     k = len(gens) // 2
+    ids = list(gens)
+    G = np.reshape([gens[g][0] for g in ids], (-1, d, d))
 
-    stack = np.empty((max(2 * k, 1), p.size, p.size))
+    stack = np.empty((max(2 * k, 1), d, d))
     kept = []  # (word, loop, defect) of stack[i]
 
-    def seen(mat) -> bool:
-        diff = np.max(np.abs(stack[:len(kept)] - mat), axis=(1, 2))
-        return bool(np.any(diff < 1e-9))
-
-    def keep(word, mat, loop, defect) -> np.ndarray:
+    def keep(word, mat, loop, defect) -> None:
         nonlocal stack
-        i = len(kept)
-        if i == len(stack):
+        if len(kept) == len(stack):
             stack = np.concatenate([stack, np.empty_like(stack)])
-        stack[i] = mat
+        stack[len(kept)] = mat
         kept.append((word, loop, defect))
-        return stack[i]
 
-    order = [g for g in gens if g > 0] + [g for g in gens if g < 0]
+    order = [g for g in ids if g > 0] + [g for g in ids if g < 0]
     for g in order[:k]:
         keep((g,), *gens[g])
+    frontier = [((g,), *gens[g][1:]) for g in order]  # every generator, kept or not
+    F = np.reshape([gens[g][0] for g in order], (-1, d, d))
     if word_length > 1:
-        for g in order[k:]:
-            if not seen(gens[g][0]):
+        for g, new in zip(order[k:], _new_in_order(stack[:k], F[k:])):
+            if new:
                 keep((g,), *gens[g])
-    frontier = [((g,), *gens[g]) for g in order]
     for _ in range(word_length - 1):
-        new_frontier = []
-        for word, mat_s, loop_s, defect_s in frontier:
-            for g_idx, (mat_g, loop_g, defect_g) in gens.items():
-                if g_idx == -word[-1]:
-                    continue  # immediate cancellation
-                mat = mat_s @ mat_g
-                if seen(mat):
-                    continue
-                word_g = word + (g_idx,)
-                loop = concatenate_paths([loop_g, loop_s])
-                defect = max(defect_s, defect_g)
-                new_frontier.append(
-                    (word_g, keep(word_g, mat, loop, defect), loop, defect))
-        frontier = new_frontier
+        pairs = [(i, j) for i, (word, _, _) in enumerate(frontier)
+                 for j, g in enumerate(ids) if g != -word[-1]]
+        rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+        cands = (F[:, None] @ G)[rows, cols]
+        start = len(kept)
+        for (i, j), mat, new in zip(pairs, cands, _new_in_order(stack[:start], cands)):
+            if new:
+                word_s, loop_s, defect_s = frontier[i]
+                _, loop_g, defect_g = gens[ids[j]]
+                keep(word_s + (ids[j],), mat, concatenate_paths([loop_g, loop_s]),
+                     max(defect_s, defect_g))
+        frontier, F = kept[start:], stack[start:len(kept)]
 
     stack = stack[:len(kept)].copy()  # drop the doubling slack
     stack.setflags(write=False)

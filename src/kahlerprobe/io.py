@@ -8,7 +8,9 @@ subcommand that consumes that artifact type.
 from __future__ import annotations
 
 import json
+import math
 import os
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,7 +23,7 @@ READ_TOL = 1e-8  # J^2 = -I and orthogonality of a structure read from JSON
 
 def matrix_to_json(mat: np.ndarray) -> dict:
     mat = np.asarray(mat, dtype=float)
-    return {"dim": int(mat.shape[0]), "rows": [[float(v) for v in row] for row in mat]}
+    return {"dim": int(mat.shape[0]), "rows": mat.tolist()}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -64,7 +66,7 @@ def sample_set_from_json(obj: dict) -> WeightedSampleSet:
 
 
 def holonomy_sample_to_json(sample) -> dict:
-    return {"base_point": [float(v) for v in sample.base_point],
+    return {"base_point": np.asarray(sample.base_point, dtype=float).tolist(),
             "matrix": matrix_to_json(sample.matrix),
             "ode_steps": int(sample.ode_steps),
             "orthogonality_defect": float(sample.orthogonality_defect),
@@ -109,9 +111,48 @@ def write_text(path: str, text: str) -> None:
         raise OutputNotWritable(f"cannot write {path}: {exc}") from exc
 
 
+def _json_text(obj) -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=1)``, byte for
+    byte, for dicts with string keys, lists, tuples, strings, ints, floats,
+    bools and None.  A dict is encoded once per depth: a product loop's
+    description holds its generators' description dicts.  The memo is keyed
+    on (id, depth) and holds the dict, so no other object can take its id."""
+    memo = {}
+
+    def enc(o, depth):
+        if isinstance(o, float):
+            if o != o or o in (math.inf, -math.inf):
+                return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+            return float.__repr__(o)
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None or o is True or o is False:
+            return "null" if o is None else "true" if o else "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        ind = "\n" + " " * depth
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            return "[" + ind + " " + ("," + ind + " ").join(
+                [enc(v, depth + 1) for v in o]) + ind + "]"
+        if not isinstance(o, dict):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if not o:
+            return "{}"
+        if (id(o), depth) not in memo:
+            memo[id(o), depth] = (o, "{" + ind + " " + ("," + ind + " ").join(
+                [encode_basestring_ascii(k) + ": " + enc(v, depth + 1)
+                 for k, v in sorted(o.items())]) + ind + "}")
+        return memo[id(o), depth][1]
+
+    return enc(obj, 0)
+
+
 def dump_json(obj, path: str | None = None) -> str:
-    """Deterministic serialization: sorted keys, one-space indent."""
-    text = json.dumps(obj, sort_keys=True, indent=1)
+    """Deterministic serialization: sorted keys, one-space indent
+    (``_json_text``), written to path with a final newline when given."""
+    text = _json_text(obj)
     if path is not None:
         write_text(path, text + "\n")
     return text

@@ -71,6 +71,61 @@ def test_unwritable_output_is_a_domain_error(tmp_path):
         (tmp_path / "x.json").read_text()[:-1]
 
 
+_JSON_LEAVES = (st.none() | st.booleans()
+                | st.integers(-2**80, 2**80)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324])
+                | st.text())
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_JSON_DOCS)
+@example(doc={"\u00e9\x00\n": ["\u2603\t\x1f\"\\", (), {}, [], -0.0, 10**30]})
+def test_writer_matches_json_dumps(doc):
+    """dump_json writes json.dumps(sort_keys=True, indent=1) byte for byte,
+    also when one dict is reached at several depths and twice at one."""
+    for obj in (doc, {"doc": doc, "again": [doc, {"deeper": doc}, doc]}):
+        assert io.dump_json(obj) == json.dumps(obj, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "--dim", "4"],
+    ["mean", "--input", "{points}"],
+    ["mean", "--input", "{weighted}"],
+    ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+     "--loops", "2", "--word-length", "3", "--ode-steps", "100"],
+    ["orbit", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+     "--loops", "2", "--word-length", "2", "--ode-steps", "100"],
+    ["probe", "--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5"],
+    ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+     "--ode-steps", "50"],  # the error payload
+], ids=["delta", "mean", "mean_weighted", "transport", "orbit", "probe", "error"])
+def test_writer_matches_json_dumps_on_every_command(capsys, tmp_path, monkeypatch,
+                                                    argv):
+    J = acs.canonical_j(2)
+    pts = [io.structure_to_json(acs.exp_map(J, acs.random_tangent(J, k, 0.3), 1.0))
+           for k in range(3)]
+    files = {"points": tmp_path / "points.json", "weighted": tmp_path / "weighted.json"}
+    files["points"].write_text(json.dumps(pts))
+    files["weighted"].write_text(json.dumps({"points": pts, "weights": [0.5, 0.25, 0.25]}))
+    written = []
+    dump = io.dump_json
+
+    def checked(obj, path=None):
+        written.append((dump(obj, path), json.dumps(obj, sort_keys=True, indent=1)))
+        return written[-1][0]
+
+    monkeypatch.setattr(io, "dump_json", checked)
+    run_cli(capsys, *[a.format(**files) for a in argv], "--no-timestamp")
+    assert len(written) == 1
+    assert written[0][0] == written[0][1]
+
+
 _J1 = io.structure_to_json(acs.canonical_j(1))
 _J2 = io.structure_to_json(acs.canonical_j(2))
 

@@ -419,6 +419,7 @@ def _pairwise_closure(base, word_length):
 @pytest.mark.parametrize("name,loops,scale,word_length", [
     ("round_sphere_4", 5, 0.5, 3),
     ("fubini_study_cp2", 6, 0.45, 2),
+    ("round_sphere_4", 2, 0.5, 4),
 ])
 def test_word_closure_matches_pairwise_scan(name, loops, scale, word_length):
     """The stacked, vectorized duplicate test keeps the same words in the
@@ -435,6 +436,58 @@ def test_word_closure_matches_pairwise_scan(name, loops, scale, word_length):
         assert np.array_equal(s.matrix, mat)
         assert not s.matrix.flags.writeable
     assert len({len(s.word) for s in samples}) == word_length
+
+
+def _rotation(i, j, angle):
+    R = np.eye(4)
+    R[i, i] = R[j, j] = math.cos(angle)
+    R[j, i] = math.sin(angle)
+    R[i, j] = -R[j, i]
+    return R
+
+
+_NAN_GEN = _rotation(2, 3, 0.5)
+_NAN_GEN[2, 3] = math.nan
+
+
+# Planted generators, and words the keep-first rule must keep and drop.
+# same_level_pair: words 1.1 and -1.-1 are both R(pi) in the (0, 1)-plane,
+# within 1e-9 of each other and of nothing shorter.  chain: 1.2 and 2.1 lie
+# 7e-10 from 1.1 and from 2.2, which lie 1.2e-9 apart, so 2.2 is kept because
+# its only near neighbours were dropped.  nan_generator: the chain behind a
+# generator with a NaN entry, whose products are never duplicates.
+@pytest.mark.parametrize("planted,kept,dropped", [
+    pytest.param([_rotation(0, 1, math.pi / 2), _rotation(2, 3, math.pi / 2)],
+                 [(1, 1)], [(-1, -1)], id="same_level_pair"),
+    pytest.param([_rotation(0, 1, 0.3), _rotation(0, 1, 0.3 + 7e-10)],
+                 [(1, 1), (2, 2)], [(1, 2), (2, 1)], id="chain"),
+    pytest.param([_NAN_GEN, _rotation(0, 1, 0.3), _rotation(0, 1, 0.3 + 7e-10)],
+                 [(-1,), (1, 1), (2, 2), (3, 3)], [(2, 3), (3, 2)],
+                 id="nan_generator"),
+])
+def test_word_closure_keeps_first_like_pairwise_scan(monkeypatch, planted, kept,
+                                                     dropped):
+    """On planted transports the level-by-level duplicate test keeps the
+    same words, with the same matrices, as the pairwise scan."""
+    planted = np.array(planted)
+    polar = holonomy.nearest_orthogonal
+    monkeypatch.setattr(holonomy, "transport_with_defect",
+                        lambda chart, paths, steps: (planted, [0.0] * len(planted)))
+    monkeypatch.setattr(holonomy, "nearest_orthogonal",
+                        lambda A: A if np.isnan(A).any() else polar(A))
+    monkeypatch.setattr(holonomy, "PAIR_CHUNK", 3)  # many chunks per level
+    chart = holonomy.catalog("flat_torus_4")
+    p = np.full(4, 0.5)
+    family = holonomy.loop_family(chart, p, "coordinate_rectangles", len(planted), 0.1)
+    base = holonomy.holonomy_samples(chart, p, family, 100)
+    samples = holonomy.holonomy_samples(chart, p, family, 100, word_length=3)
+    expected = _pairwise_closure(base, 3)
+    words = [s.word for s in samples]
+    assert words == [w for w, _ in expected]
+    for s, (_, mat) in zip(samples, expected):
+        assert np.array_equal(s.matrix, mat, equal_nan=True)
+    assert set(kept) <= set(words)
+    assert not set(dropped) & set(words)
 
 
 def test_word_closure_of_no_loops_is_empty():
