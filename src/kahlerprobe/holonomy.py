@@ -19,7 +19,8 @@ all its stage times, checks those points against the box in one call and
 evaluates their Christoffels in one call.  RK4 reuses stages: an n-step
 piece evaluates the Christoffels at 2n + 1 points per path, not 4n, with the
 same result bit for bit.  Each slice of the stack has the bits of the path
-transported alone.  Holonomy is sampled by transporting families of closed
+transported alone; ``parallel_transports`` rejects the first slice whose
+orthogonality defect reaches the limit.  Holonomy is sampled by transporting families of closed
 loops in one kernel call and optionally closing the sample under products
 and inverses.  The closure runs level by level: one stacked matmul forms a
 level's products, one test finds which of them lie within 1e-9 of a kept
@@ -322,11 +323,20 @@ def _check_defect(defect: float) -> None:
         raise StepTooCoarse(f"{kind} defect {defect:.3e} >= {DEFECT_LIMIT}; raise steps")
 
 
+def parallel_transports(chart: ManifoldChart, paths, steps: int) -> np.ndarray:
+    """Orthonormal-frame parallel transport along each path, one (B, d, d)
+    stack in input order; StepTooCoarse for the first path whose defect is
+    not below the limit."""
+    A, defects = transport_with_defect(chart, paths, steps)
+    for defect in defects:
+        _check_defect(defect)
+    return A
+
+
 def parallel_transport(chart: ManifoldChart, path: SmoothPath, steps: int) -> np.ndarray:
-    """Orthonormal-frame parallel transport along one path."""
-    A, (defect,) = transport_with_defect(chart, [path], steps)
-    _check_defect(defect)
-    return A[0]
+    """Orthonormal-frame parallel transport along one path (the one-path
+    case of parallel_transports)."""
+    return parallel_transports(chart, [path], steps)[0]
 
 
 def nearest_orthogonal(A: np.ndarray) -> np.ndarray:

@@ -75,36 +75,35 @@ class ConvexityReport:
     diameter_bound: float
 
 
-def karcher_energy(y: OrthoComplexStructure, s: WeightedSampleSet) -> float:
-    """Weighted average squared distance: (1/2) sum_i w_i d(x_i, y)^2."""
-    dists = acs.distances(s.points, y.mat).tolist()
-    return 0.5 * sum(w * d ** 2 for w, d in zip(s.weights, dists))
-
-
-def karcher_gradient(y: OrthoComplexStructure, s: WeightedSampleSet) -> TangentPhi:
-    """Riemannian gradient of the energy at y: -sum_i w_i log_y(x_i)."""
-    g = np.zeros_like(y.mat)
+def karcher_terms(y: OrthoComplexStructure, s: WeightedSampleSet):
+    """The energy (1/2) sum_i w_i d(x_i, y)^2 and its Riemannian gradient
+    -sum_i w_i log_y(x_i) at y, both from one log-map stack on base y that
+    skips the points of weight 0."""
     used = [i for i, w in enumerate(s.weights) if w != 0.0]
     logs = acs.log_maps(y.mat, s.points[used])
+    flat = logs.reshape(len(used), -1)
+    dists = np.sqrt(np.vecdot(flat, flat)).tolist()  # the bits of np.linalg.norm
+    g = np.zeros_like(y.mat)
     for i, log in zip(used, logs):
         g -= s.weights[i] * log
-    return TangentPhi(y, g)
+    energy = 0.5 * sum(s.weights[i] * d ** 2 for i, d in zip(used, dists))
+    return energy, TangentPhi(y, g)
 
 
 def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER,
                  start: OrthoComplexStructure = None) -> MeanResult:
     """Gradient descent with Armijo halving, started at ``start`` or the
-    heaviest sample."""
+    heaviest sample.  Each trial point is log-mapped once: an accepted
+    trial's gradient is the next iterate's."""
     if not tol >= MIN_TOL:
         raise ToleranceTooSmall(f"tol must be >= {MIN_TOL}")
     if max_iter < 1:
         raise IterationLimitTooSmall(f"max_iter must be >= 1, got {max_iter}")
     y = (OrthoComplexStructure(s.points[int(np.argmax(s.weights))])
          if start is None else start)
-    energy = karcher_energy(y, s)
+    energy, grad = karcher_terms(y, s)
     for it in range(1, max_iter + 1):
-        grad = karcher_gradient(y, s)
         gn = grad.norm()
         if gn < tol:
             return MeanResult(y, it, gn, energy, True)
@@ -112,20 +111,20 @@ def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
         while step > 1e-8:
             y_new = acs.exp_map(y, grad, -step)
             try:
-                e_new = karcher_energy(y_new, s)
+                e_new, g_new = karcher_terms(y_new, s)
             except ComponentMismatch:
                 step *= 0.5
                 continue
             # near the optimum the energy plateaus at machine precision;
             # accept the step if it still shrinks the gradient norm
-            if e_new < energy or karcher_gradient(y_new, s).norm() < gn:
-                y, energy = y_new, e_new
+            if e_new < energy or g_new.norm() < gn:
+                y, energy, grad = y_new, e_new, g_new
                 break
             step *= 0.5
         else:
             # no acceptable step found; gradient norm is the honest residual
             return MeanResult(y, it, gn, energy, gn < tol)
-    gn = karcher_gradient(y, s).norm()
+    gn = grad.norm()
     return MeanResult(y, max_iter, gn, energy, gn < tol)
 
 

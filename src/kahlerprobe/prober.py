@@ -93,26 +93,48 @@ class GlobalJField:
             corners[-1][ax] = x[ax]
         return holonomy.polyline(corners)
 
+    def _key(self, x, axis_order=None) -> tuple:
+        return (tuple(np.round(x, 12)), tuple(axis_order) if axis_order else None)
+
+    def _transported(self, A: np.ndarray) -> np.ndarray:
+        """The base structure carried by the transport matrix A, polar-corrected."""
+        P = holonomy.nearest_orthogonal(A)
+        return P @ self.base_J.mat @ P.T
+
     def ortho_j(self, x, axis_order=None) -> np.ndarray:
         """Orthonormal-frame expression of the field at x."""
-        key = (tuple(np.round(x, 12)), tuple(axis_order) if axis_order else None)
+        key = self._key(x, axis_order)
         if key in self._cache:
             return self._cache[key]
         path = self._canonical_path(x, axis_order)
         if not path.pieces:
             val = self.base_J.mat
         else:
-            P = holonomy.parallel_transport(self.chart, path, self.steps)
-            P = holonomy.nearest_orthogonal(P)
-            val = P @ self.base_J.mat @ P.T
+            val = self._transported(holonomy.parallel_transport(self.chart, path, self.steps))
         self._cache[key] = val
         return val
 
     def coordinate_j(self, x) -> np.ndarray:
         """Coordinate-frame expression F(x) J(x) F(x)^{-1} at every point of
-        x, shape (..., d, d); the values are read point by point, in order."""
+        x, shape (..., d, d).  The points missing from the cache are
+        transported in one call, the first point in C order of each rounded
+        key deciding its value; then the values are read point by point."""
         F = holonomy.orthonormal_frame(self.chart, x)
-        J = np.reshape([self.ortho_j(y) for y in np.reshape(x, (-1, self.chart.dim))], F.shape)
+        pts = np.reshape(x, (-1, self.chart.dim))
+        paths = {}
+        for y in pts:
+            key = self._key(y)
+            if key not in self._cache and key not in paths:
+                paths[key] = self._canonical_path(y)
+        moving = [key for key, path in paths.items() if path.pieces]
+        moved = {}
+        if moving:
+            moved = dict(zip(moving, holonomy.parallel_transports(
+                self.chart, [paths[key] for key in moving], self.steps)))
+        for key in paths:
+            self._cache[key] = (self._transported(moved[key]) if key in moved
+                                else self.base_J.mat)
+        J = np.reshape([self.ortho_j(y) for y in pts], F.shape)
         return F @ J @ np.linalg.inv(F)
 
 

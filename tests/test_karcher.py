@@ -1,19 +1,19 @@
 """Tests for the Riemannian center of mass."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from kahlerprobe import acs, karcher
+from kahlerprobe import acs, cli, io, karcher
 from kahlerprobe.karcher import (
     ConvexityReport,
     WeightedSampleSet,
     check_convexity,
-    karcher_energy,
-    karcher_gradient,
     karcher_mean,
     karcher_mean_checked,
+    karcher_terms,
 )
 from kahlerprobe.errors import ConvexityViolation, IterationLimitTooSmall
 
@@ -94,7 +94,7 @@ def test_points_that_are_not_one_stack_are_rejected(points):
 def test_energy_at_the_single_point():
     J = acs.random_j(2, 0)
     s = WeightedSampleSet((J,), (1.0,))
-    assert karcher_energy(J, s) == 0.0
+    assert karcher_terms(J, s)[0] == 0.0
 
 
 def test_energy_at_midpoint():
@@ -104,7 +104,7 @@ def test_energy_at_midpoint():
     J2 = acs.exp_map(J1, phi, 1.0)
     mid = acs.exp_map(J1, phi, 0.5)
     s = WeightedSampleSet((J1, J2), (0.5, 0.5))
-    assert karcher_energy(mid, s) == pytest.approx(0.6 ** 2 / 8.0, abs=1e-12)
+    assert karcher_terms(mid, s)[0] == pytest.approx(0.6 ** 2 / 8.0, abs=1e-12)
 
 
 def test_energy_conjugation_invariance():
@@ -114,8 +114,8 @@ def test_energy_conjugation_invariance():
     s = WeightedSampleSet.uniform(pts)
     Q = random_so(4, 3)
     sq = WeightedSampleSet.uniform([acs.conjugate(Q, p) for p in pts])
-    assert karcher_energy(acs.conjugate(Q, y), sq) == pytest.approx(
-        karcher_energy(y, s), abs=1e-9)
+    assert karcher_terms(acs.conjugate(Q, y), sq)[0] == pytest.approx(
+        karcher_terms(y, s)[0], abs=1e-9)
 
 
 # -- gradient -----------------------------------------------------------------
@@ -123,14 +123,14 @@ def test_energy_conjugation_invariance():
 def test_gradient_vanishes_on_coincident_points():
     J = acs.random_j(2, 1)
     s = WeightedSampleSet.uniform([J, J, J])
-    assert karcher_gradient(J, s).norm() < 1e-14
+    assert karcher_terms(J, s)[1].norm() < 1e-14
 
 
 def test_gradient_single_point_recovery():
     J1 = acs.canonical_j(2)
     x = acs.exp_map(J1, acs.random_tangent(J1, 2, 0.5), 1.0)
     s = WeightedSampleSet((x,), (1.0,))
-    g = karcher_gradient(J1, s)
+    g = karcher_terms(J1, s)[1]
     assert acs.exp_map(J1, g, -1.0).same_point(x, tol=1e-10)
 
 
@@ -144,10 +144,10 @@ def test_gradient_finite_difference():
         s = WeightedSampleSet.uniform(pts)
         y = acs.exp_map(J, acs.random_tangent(J, seed + 77, 0.1), 1.0)
         psi = acs.random_tangent(y, seed + 200)
-        fd = (karcher_energy(acs.exp_map(y, psi, h), s)
-              - karcher_energy(acs.exp_map(y, psi, -h), s)) / (2.0 * h)
+        fd = (karcher_terms(acs.exp_map(y, psi, h), s)[0]
+              - karcher_terms(acs.exp_map(y, psi, -h), s)[0]) / (2.0 * h)
         assert fd == pytest.approx(
-            acs.metric_inner(karcher_gradient(y, s), psi), abs=1e-6)
+            acs.metric_inner(karcher_terms(y, s)[1], psi), abs=1e-6)
 
 
 # -- mean ---------------------------------------------------------------------
@@ -189,7 +189,7 @@ def test_mean_energy_not_above_samples():
            for k in range(4)]
     s = WeightedSampleSet.uniform(pts)
     res = karcher_mean(s)
-    assert all(res.energy <= karcher_energy(p, s) + 1e-12 for p in pts)
+    assert all(res.energy <= karcher_terms(p, s)[0] + 1e-12 for p in pts)
 
 
 def test_mean_uniqueness_from_multiple_starts():
@@ -284,25 +284,90 @@ def _pairwise_convexity(s, delta):
 
 
 def test_stacked_karcher_terms_match_pairwise_loops(fs_orbit, delta4):
-    """Energy, gradient and convexity report on the Fubini-Study orbit have
-    the bits of the per-pair loops, also with zero weights."""
+    """On the Fubini-Study orbit, also with zero weights, the gradient and
+    the convexity report have the bits of the per-pair loops; the energy,
+    read off the gradient's log maps on base y instead of distances on base
+    x_i, is within 1e-12 relative of the per-pair sum."""
     pts = fs_orbit.orbit
     w = np.array([0.0 if k % 3 == 0 else 1.0 for k in range(len(pts))])
     for s in (WeightedSampleSet.uniform(pts), WeightedSampleSet(pts, w / w.sum())):
         for y in (pts[0], pts[17], fs_orbit.base_J):
-            assert repr(karcher_energy(y, s)) == repr(_pairwise_energy(y, s))
-            assert (karcher_gradient(y, s).mat.tobytes()
-                    == _pairwise_gradient(y, s).mat.tobytes())
+            energy, grad = karcher_terms(y, s)
+            assert energy == pytest.approx(_pairwise_energy(y, s), rel=1e-12, abs=0.0)
+            assert grad.mat.tobytes() == _pairwise_gradient(y, s).mat.tobytes()
         assert check_convexity(s, delta4) == _pairwise_convexity(s, delta4)
 
 
-def test_stacked_karcher_mean_matches_pairwise_loops(fs_orbit, monkeypatch):
-    """The Armijo iteration sees the same energies and gradients, so the
-    mean, its iteration count and its residuals are bit-identical."""
-    s = WeightedSampleSet.uniform(fs_orbit.orbit)
-    stacked = karcher_mean(s)
-    monkeypatch.setattr(karcher, "karcher_energy", _pairwise_energy)
-    monkeypatch.setattr(karcher, "karcher_gradient", _pairwise_gradient)
-    pairwise = karcher_mean(s)
-    assert stacked.mean.mat.tobytes() == pairwise.mean.mat.tobytes()
-    assert repr(stacked) == repr(pairwise)
+def _two_stack_energy(y, s):
+    dists = acs.distances(s.points, y.mat).tolist()
+    return 0.5 * sum(w * d ** 2 for w, d in zip(s.weights, dists))
+
+
+def _two_stack_gradient(y, s):
+    used = [i for i, w in enumerate(s.weights) if w != 0.0]
+    g = np.zeros_like(y.mat)
+    for i, log in zip(used, acs.log_maps(y.mat, s.points[used])):
+        g -= s.weights[i] * log
+    return acs.TangentPhi(y, g)
+
+
+def _two_stack_mean(s, tol=karcher.DEFAULT_TOL, max_iter=karcher.DEFAULT_MAX_ITER):
+    """The iteration that log-maps each trial twice: the energy from
+    distances on base x_i, the gradient from log maps on base y."""
+    y = acs.OrthoComplexStructure(s.points[int(np.argmax(s.weights))])
+    energy = _two_stack_energy(y, s)
+    for it in range(1, max_iter + 1):
+        grad = _two_stack_gradient(y, s)
+        gn = grad.norm()
+        if gn < tol:
+            return karcher.MeanResult(y, it, gn, energy, True)
+        step = 1.0
+        while step > 1e-8:
+            y_new = acs.exp_map(y, grad, -step)
+            e_new = _two_stack_energy(y_new, s)
+            if e_new < energy or _two_stack_gradient(y_new, s).norm() < gn:
+                y, energy = y_new, e_new
+                break
+            step *= 0.5
+        else:
+            return karcher.MeanResult(y, it, gn, energy, gn < tol)
+    gn = _two_stack_gradient(y, s).norm()
+    return karcher.MeanResult(y, max_iter, gn, energy, gn < tol)
+
+
+@pytest.mark.parametrize("zero_weights", [False, True], ids=["uniform", "zero_weighted"])
+def test_karcher_mean_matches_two_stack_iteration(fs_orbit, zero_weights):
+    """One log-map stack per trial point takes the same Armijo steps as the
+    two-stack iteration: the same mean bits, iteration count, final gradient
+    norm and convergence, and the energy within 1e-12 relative."""
+    pts = fs_orbit.orbit
+    w = np.array([float(not (zero_weights and k % 3 == 0)) for k in range(len(pts))])
+    s = WeightedSampleSet(pts, w / w.sum())
+    one, two = karcher_mean(s), _two_stack_mean(s)
+    assert one.mean.mat.tobytes() == two.mean.mat.tobytes()
+    assert (one.iterations, repr(one.final_grad_norm), one.converged) == \
+        (two.iterations, repr(two.final_grad_norm), two.converged)
+    assert one.iterations > 1
+    assert one.energy == pytest.approx(two.energy, rel=1e-12, abs=0.0)
+
+
+def test_zero_weight_point_in_the_other_component_is_skipped(tmp_path):
+    """A weight-0 sample is never log-mapped, so one in the other component
+    leaves the mean of the rest, and the CLI mean exits 0."""
+    J = acs.canonical_j(2)
+    a = acs.exp_map(J, acs.random_tangent(J, 3, 0.3), 1.0)
+    b = acs.exp_map(J, acs.random_tangent(J, 4, 0.3), 1.0)
+    D = np.diag([1.0, 1.0, 1.0, -1.0])
+    c = acs.validate_j(D @ J.mat @ D)
+    with_c = karcher_mean(WeightedSampleSet((a, b, c), (0.5, 0.5, 0.0)))
+    without = karcher_mean(WeightedSampleSet((a, b), (0.5, 0.5)))
+    assert with_c.converged
+    assert with_c.mean.mat.tobytes() == without.mean.mat.tobytes()
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"points": [io.structure_to_json(p) for p in (a, b, c)],
+                                "weights": [0.5, 0.5, 0.0]}))
+    out = tmp_path / "mean.json"
+    assert cli.main(["mean", "--input", str(path), "--no-timestamp", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["converged"] is True
+    assert result["mean"]["rows"] == without.mean.mat.tolist()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kahlerprobe import acs, holonomy, karcher, prober
-from kahlerprobe.errors import DeterminantAnomaly, DimensionMismatch
+from kahlerprobe.errors import DeterminantAnomaly, DimensionMismatch, StepTooCoarse
 
 
 def maxabs(a):
@@ -348,6 +348,65 @@ def test_stacked_certificates_match_pointwise_loops(build, scale):
     assert calls == [(3, 9, 4)] * 3  # one stencil call per check
     assert repr(stacked) == repr(_pointwise_checks(build(), scale))
     assert min(stacked) > 0.0
+
+
+def _fresh_fs_field():
+    chart = holonomy.catalog("fubini_study_cp2")
+    J = prober.default_structure(chart, [0.0] * 4)
+    return prober.GlobalJField(chart=chart, base_point=np.zeros(4), base_J=J,
+                               grid=(np.array([0.1, -0.05, 0.08, 0.02]),),
+                               h=np.full(4, 0.01), steps=100)
+
+
+def test_coordinate_j_stack_matches_pointwise_ortho_j():
+    """The misses of one stack are transported in one call with the bytes
+    of the per-point ortho_j loop: a repeated point, two points within
+    1e-12 (the first decides) and the base point (empty path) included."""
+    x = np.array([0.1, -0.05, 0.08, 0.02])
+    near = x + np.array([2e-13, 0.0, -1e-13, 0.0])
+    pts = np.concatenate([np.repeat(x[None], 9, axis=0), [x, near, np.zeros(4)]])
+    pts[1::2][:4] += np.diag([0.01, 0.02, 0.03, 0.04])
+    pts[2::2][:4] -= np.diag([0.01, 0.02, 0.03, 0.04])
+    stack = pts.reshape(3, 4, 4)
+    stacked, pointwise = _fresh_fs_field(), _fresh_fs_field()
+    assert stacked._key(near) == stacked._key(x) and not np.array_equal(near, x)
+    F = holonomy.orthonormal_frame(pointwise.chart, stack)
+    J = np.reshape([pointwise.ortho_j(y) for y in pts], F.shape)
+    assert stacked.coordinate_j(stack).tobytes() == (F @ J @ np.linalg.inv(F)).tobytes()
+    assert len(stacked._cache) == len(pointwise._cache) == 10
+    for key, val in pointwise._cache.items():
+        assert stacked._cache[key].tobytes() == val.tobytes()
+    assert stacked._cache[stacked._key(np.zeros(4))] is stacked.base_J.mat
+
+
+def test_one_certificate_scale_transports_its_misses_once(monkeypatch):
+    """A certificate's stencil reaches the kernel in one stacked call; the
+    next certificates at the same scale find every point cached and make
+    none."""
+    field, calls = _fresh_fs_field(), []
+    stacked = holonomy.parallel_transports
+    monkeypatch.setattr(holonomy, "parallel_transports",
+                        lambda chart, paths, steps: calls.append(len(paths))
+                        or stacked(chart, paths, steps))
+    monkeypatch.setattr(holonomy, "parallel_transport", None)  # never the one-path call
+    prober.covariant_constancy_check(field)
+    assert calls == [9]
+    prober.nijenhuis_check(field)
+    prober.kahler_form_check(field)
+    assert calls == [9]
+    prober.covariant_constancy_check(field, scale=0.5)
+    assert calls == [9, 8]  # the probe point itself is cached
+
+
+def test_certificate_misses_check_each_defect(monkeypatch):
+    """A built field's certificate transports new points, and a defect past
+    the limit raises StepTooCoarse there, as ortho_j does on a new point."""
+    field = _fs_field()
+    monkeypatch.setattr(holonomy, "DEFECT_LIMIT", 1e-300)
+    with pytest.raises(StepTooCoarse):
+        prober.covariant_constancy_check(field)
+    with pytest.raises(StepTooCoarse):
+        field.ortho_j(np.array([0.01, 0.02, 0.03, 0.04]))
 
 
 # -- probe --------------------------------------------------------------------
