@@ -71,8 +71,8 @@ class OrthoComplexStructure:
     def n(self) -> int:
         return self.dim // 2
 
-    def same_point(self, other: "OrthoComplexStructure", tol: float = TOL_ALG) -> bool:
-        return self.dim == other.dim and _maxabs(self.mat - other.mat) <= tol
+    def same_point(self, other: "OrthoComplexStructure") -> bool:
+        return self.dim == other.dim and _maxabs(self.mat - other.mat) <= TOL_ALG
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +89,6 @@ class TangentPhi:
     def norm(self) -> float:
         """Riemannian norm sqrt(tr(phi phi^T)) = Frobenius norm."""
         return float(np.linalg.norm(self.mat))
-
-    def scaled(self, c: float) -> "TangentPhi":
-        return TangentPhi(self.base, c * self.mat)
 
 
 def canonical_j(n: int) -> OrthoComplexStructure:
@@ -403,17 +400,6 @@ def sectional_curvatures(J: OrthoComplexStructure, phis, psis):
     for k in np.flatnonzero(degenerate):
         errors[k] = DegeneratePlane(f"Gram determinant {gram[k]:.3e} below threshold")
     return curvatures, errors
-
-
-def sectional_curvature(J: OrthoComplexStructure, phi: TangentPhi, psi: TangentPhi) -> float:
-    """Curvature of the 2-plane spanned by phi and psi (the single-plane
-    case of sectional_curvatures); raises DegeneratePlane for a degenerate
-    plane."""
-    if not (phi.base.same_point(J) and psi.base.same_point(J)):
-        raise BasePointMismatch("tangents are not based at J")
-    curvatures, errors = sectional_curvatures(J, phi.mat[None], psi.mat[None])
-    _first_error(errors)
-    return float(curvatures[0])
 
 
 def random_j(n: int, seed: int) -> OrthoComplexStructure:

@@ -20,16 +20,19 @@ evaluates their Christoffels in one call.  RK4 reuses stages: an n-step
 piece evaluates the Christoffels at 2n + 1 points per path, not 4n, with the
 same result bit for bit.  Each slice of the stack has the bits of the path
 transported alone; ``parallel_transports`` rejects the first slice whose
-orthogonality defect reaches the limit.  Holonomy is sampled by transporting families of closed
-loops in one kernel call and optionally closing the sample under products
-and inverses.  The closure runs level by level: one stacked matmul forms a
-level's products, one test finds which of them lie within 1e-9 of a kept
-matrix or of each other (comparing in full only the pairs that a sorted
-linear key leaves possible), and one pass in word order keeps the first of
-each.  The kept matrices live in one (N, d, d) stack, and a product's loop
-only refers to its generators' pieces.  The catalog charts have closed-form
-metrics and batched Christoffels without Python loops; Fubini-Study's come
-from its complex connection realified through a constant basis.
+orthogonality defect reaches the limit.  ``holonomy_samples`` is the one
+place that checks that a path is a loop at the base point: it admits a path
+that has pieces and whose ends both lie within 1e-9 of that point.  Holonomy
+is sampled by transporting families of such loops in one kernel call and
+optionally closing the sample under products and inverses.  The closure runs
+level by level: one stacked matmul forms a level's products, one test finds
+which of them lie within 1e-9 of a kept matrix or of each other (comparing
+in full only the pairs that a sorted linear key leaves possible), and one
+pass in word order keeps the first of each.  The kept matrices live in one
+(N, d, d) stack, and a product's loop only refers to its generators' pieces.
+The catalog charts have closed-form metrics and batched Christoffels without
+Python loops; Fubini-Study's come from its complex connection realified
+through a constant basis.
 """
 
 from __future__ import annotations
@@ -84,11 +87,10 @@ class ManifoldChart:
                 f"point of shape {x.shape} on the {self.dim}-dimensional {self.name}")
         return x
 
-    def contains(self, x, margin: float = 0.0) -> bool:
-        """Whether every point of x lies in the box, ``margin`` inside it."""
+    def contains(self, x) -> bool:
+        """Whether every point of x lies in the box."""
         x = self.coords(x)
-        return bool(np.all(x >= self.domain[:, 0] + margin)
-                    and np.all(x <= self.domain[:, 1] - margin))
+        return bool(np.all(x >= self.domain[:, 0]) and np.all(x <= self.domain[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,6 @@ class SmoothPath:
     """
 
     pieces: tuple
-    closed: bool = False
     description: dict = field(default_factory=dict)
 
     def map(self, t: float) -> np.ndarray:
@@ -117,16 +118,11 @@ class SmoothPath:
         return SmoothPath(
             tuple((lambda s, f=f: f(1.0 - s), lambda s, v=v: -v(1.0 - s))
                   for f, v in reversed(self.pieces)),
-            closed=self.closed,
             description={"kind": "reversed", "of": self.description},
         )
 
 
 MIN_MOVE = 1e-15  # a polyline coordinate moving by at most this stays put
-
-
-def _ends_meet(a, b) -> bool:
-    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-12)
 
 
 def _straight(a, b) -> tuple:
@@ -138,30 +134,27 @@ def _straight(a, b) -> tuple:
 def polyline(vertices) -> SmoothPath:
     """Straight pieces through the vertices; a coordinate that would move by
     at most ``MIN_MOVE`` stays put, and a move left with none is dropped."""
-    start = a = np.asarray(vertices[0], dtype=float)
+    a = np.asarray(vertices[0], dtype=float)
     pieces = []
     for b in vertices[1:]:
         b = np.where(np.abs(b - a) > MIN_MOVE, b, a)
         if np.any(b != a):
             pieces.append(_straight(a, b))
             a = b
-    return SmoothPath(tuple(pieces), _ends_meet(start, a))
+    return SmoothPath(tuple(pieces))
 
 
 def curve(map, velocity) -> SmoothPath:
     """One piece from a scalar curve t -> point on [0, 1] and its velocity
-    t -> d map / dt, closed when its ends agree within 1e-12."""
-    path = SmoothPath(((lambda s: np.array([map(t) for t in s.tolist()], dtype=float),
+    t -> d map / dt."""
+    return SmoothPath(((lambda s: np.array([map(t) for t in s.tolist()], dtype=float),
                         lambda s: np.array([velocity(t) for t in s.tolist()], dtype=float)),))
-    return SmoothPath(path.pieces, _ends_meet(path.map(0.0), path.map(1.0)))
 
 
 def concatenate_paths(paths) -> SmoothPath:
-    """Join paths end to end; their pieces share [0, 1] evenly, and the
-    result is closed when its ends agree within 1e-12."""
+    """Join paths end to end; their pieces share [0, 1] evenly."""
     paths = list(paths)
     return SmoothPath(tuple(pc for p in paths for pc in p.pieces),
-                      closed=_ends_meet(paths[0].map(0.0), paths[-1].map(1.0)),
                       description={"kind": "concatenation",
                                    "parts": [p.description for p in paths]})
 
@@ -367,7 +360,6 @@ def rectangle_loop(p, axis_i: int, axis_j: int, scale: float) -> SmoothPath:
     ei[axis_i] = ej[axis_j] = scale
     corners = [p, p + ei, p + ei + ej, p + ej, p]
     return SmoothPath(tuple(_straight(a, b) for a, b in zip(corners, corners[1:])),
-                      closed=True,
                       description={"kind": "rectangle", "base": p.tolist(),
                                    "axes": [axis_i, axis_j], "scale": scale})
 
@@ -393,7 +385,7 @@ def fourier_loop(p, coeffs_a: np.ndarray, coeffs_b: np.ndarray) -> SmoothPath:
             v = v + w * (a[k] * math.cos(w * t) - b[k] * math.sin(w * t))
         return v
 
-    return SmoothPath(curve(fmap, fvel).pieces, closed=True,
+    return SmoothPath(curve(fmap, fvel).pieces,
                       description={"kind": "fourier", "base": p.tolist(),
                                    "a": a.tolist(), "b": b.tolist()})
 
@@ -503,6 +495,10 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
     """Transport every loop, in one kernel call, and optionally close under
     products/inverses.
 
+    A loop is admitted when it has pieces and its points at t = 0 and t = 1
+    both lie within 1e-9 of p in every coordinate, the one check that a path
+    is a loop at p; the products of admitted loops are not checked again.
+
     Products are formed on the polar-corrected matrices; their loops are the
     corresponding path concatenations, so every sample stays independently
     replayable.  The closure runs level by level.  A level's candidates are
@@ -522,10 +518,10 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
     d = p.size
     loops = list(loops)
     for loop in loops:
-        if not loop.closed or not loop.pieces:
-            raise ValueError("holonomy sampling needs closed loops that move")
-        if np.max(np.abs(np.asarray(loop.map(0.0)) - p)) > 1e-9:
-            raise ValueError("loop is not based at p")
+        if not loop.pieces:
+            raise ValueError("holonomy sampling needs loops that move")
+        if not np.all(np.abs(np.array([loop.map(0.0), loop.map(1.0)]) - p) <= 1e-9):
+            raise ValueError("loop does not start and end within 1e-9 of p")
     # generators +-(i+1): loop i and its reverse, as (matrix, loop, defect)
     gens = {}
     mats, defects = transport_with_defect(chart, loops, steps)

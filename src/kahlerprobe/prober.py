@@ -216,8 +216,9 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
                    config: ProbeConfig = ProbeConfig()) -> GlobalJField:
     """Extend J' over the central sub-box by canonical-path transport.
 
-    ``config.probe_points`` probe points are drawn, with ``config.seed``,
-    from the interior nodes of a ``config.grid_res``-per-axis grid; the
+    ``config.probe_points`` distinct probe points are drawn, with
+    ``config.seed``, from the interior nodes of a ``config.grid_res``-per-axis
+    grid, in 4 ``probe_points`` draws; GridTooCoarse when fewer are found.  The
     field itself is evaluated lazily wherever the certificate stencils need
     it, each value transported in ``config.field_steps`` RK4 steps.  Path
     independence is measured by re-deriving the value along the reversed
@@ -250,6 +251,10 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
         probes.append(box_lo + np.array(iv) * h)
         if len(probes) == probe_points:
             break
+    if len(probes) < probe_points:
+        raise GridTooCoarse(
+            f"{len(probes)} of {probe_points} probe points drawn from the "
+            f"{(grid_res - 4) ** chart.dim} interior nodes; raise grid_res")
     field_ = GlobalJField(chart=chart, base_point=p, base_J=J_prime,
                           grid=tuple(probes), h=h, steps=config.field_steps)
     reversed_order = list(range(chart.dim))[::-1]

@@ -304,7 +304,6 @@ def test_small_equator_rectangle_rotation_angle():
 
 def test_rectangle_loops_closed_at_base():
     loop = holonomy.rectangle_loop([0.5] * 4, 0, 3, 0.2)
-    assert loop.closed
     assert maxabs(np.asarray(loop.map(0.0)) - 0.5) == 0.0
     assert maxabs(np.asarray(loop.map(1.0)) - 0.5) < 1e-12
 
@@ -506,7 +505,6 @@ def test_word_closure_of_length_six():
     longest = [s for s in samples if len(s.word) == 6]
     assert longest and all(len(s.loop.pieces) == 24 for s in longest)
     for s in longest:
-        assert s.loop.closed
         assert maxabs(s.loop.map(0.0) - p) == 0.0
         assert maxabs(s.loop.map(1.0) - p) < 1e-15
 
@@ -520,8 +518,8 @@ def test_end_point_of_many_pieces(count):
         [holonomy.rectangle_loop(p, 0, 1, 0.25)] * (count - 1)
         + [holonomy.polyline([p, p + 0.5])])
     assert len(path.pieces) == 4 * count - 3
+    assert maxabs(path.map(0.0) - p) == 0.0
     assert maxabs(path.map(1.0) - (p + 0.5)) < 1e-14
-    assert not path.closed
 
 
 def test_samples_reject_open_loops():
@@ -535,9 +533,28 @@ def test_samples_reject_loops_without_pieces():
     """A polyline that never moves drops all its moves."""
     chart = holonomy.catalog("flat_torus_4")
     loop = holonomy.polyline([[0.5] * 4, [0.5] * 4])
-    assert loop.closed and loop.pieces == ()
+    assert loop.pieces == ()
     with pytest.raises(ValueError, match="move"):
         holonomy.holonomy_samples(chart, [0.5] * 4, [loop], 200)
+
+
+def test_samples_admit_loops_whose_ends_lie_within_1e_9_of_p():
+    """Both ends are compared with p, 1e-9 in every coordinate, and only
+    there: an end 5e-10 off p is admitted, 1e-8 off is not, and a loop that
+    never moves is rejected before its ends are read."""
+    chart = holonomy.catalog("flat_torus_4")
+    p = np.full(4, 0.5)
+    corners = [p, p + [0.1, 0, 0, 0], p + [0.1, 0.1, 0, 0], p + [0, 0.1, 0, 0]]
+    near = holonomy.polyline(corners + [p + [5e-10, 0, 0, 0]])
+    far = holonomy.polyline(corners + [p + [1e-8, 0, 0, 0]])
+    assert maxabs(near.map(1.0) - p) == pytest.approx(5e-10, rel=1e-3)
+    assert maxabs(far.map(1.0) - p) == pytest.approx(1e-8, rel=1e-3)
+    [sample] = holonomy.holonomy_samples(chart, p, [near], 200)
+    assert sample.loop is near
+    with pytest.raises(ValueError, match="of p"):
+        holonomy.holonomy_samples(chart, p, [far], 200)
+    with pytest.raises(ValueError, match="move"):
+        holonomy.holonomy_samples(chart, p, [holonomy.polyline([p, p])], 200)
 
 
 def test_fubini_study_holonomy_is_unitary():
@@ -851,7 +868,8 @@ def test_tiny_rectangles_keep_their_four_sides():
     for loop in loops:
         i, j = loop.description["axes"]
         moves = [vel(np.zeros(1))[0] for _, vel in loop.pieces]
-        assert loop.closed and len(moves) == 4
+        assert len(moves) == 4
+        assert maxabs(loop.map(0.0) - p) == 0.0 and maxabs(loop.map(1.0) - p) < 1e-15
         assert moves[0][i] > 0.0 and moves[1][j] > 0.0
     samples = holonomy.holonomy_samples(chart, p, loops, 100, word_length=2)
     assert all(s.orthogonality_defect < 1e-12 for s in samples)

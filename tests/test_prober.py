@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from kahlerprobe import acs, holonomy, karcher, prober
-from kahlerprobe.errors import DeterminantAnomaly, DimensionMismatch, StepTooCoarse
+from kahlerprobe.errors import (DeterminantAnomaly, DimensionMismatch, GridTooCoarse,
+                                StepTooCoarse)
 
 
 def maxabs(a):
@@ -117,7 +118,7 @@ def test_average_two_point_involution_orbit(delta4):
     mean = prober.average_to_fixed(report, delta4, tol=1e-11)
     assert mean.converged
     assert acs.distance(mean.mean, acs.conjugate(Q, mean.mean)) < 1e-9
-    mid = acs.exp_map(J, acs.log_map(J, report.orbit[1]).scaled(0.5), 1.0)
+    mid = acs.exp_map(J, acs.log_map(J, report.orbit[1]), 0.5)
     assert acs.distance(mean.mean, mid) < 1e-8
 
 
@@ -519,6 +520,25 @@ def test_probe_needs_a_probe_point(delta4):
     assert v.kind == "Inconclusive"
     assert v.failing_stage == "build_global_j"
     assert v.detail.startswith("0 probe points")
+
+
+@pytest.mark.parametrize("probe_points", [25, 30])
+def test_global_field_raises_when_it_draws_too_few_probe_points(probe_points):
+    """At grid_res 9 round_sphere_2 has 25 interior nodes, and the draws find
+    24 of them for 25 points and 25 for 30: no field on fewer points."""
+    config = prober.ProbeConfig(grid_res=9, probe_points=probe_points)
+    with pytest.raises(GridTooCoarse, match=f"of {probe_points} probe points"):
+        prober.build_global_j(holonomy.catalog("round_sphere_2"), [0.0, 0.0],
+                              acs.canonical_j(1), config)
+
+
+def test_probe_with_more_probe_points_than_interior_nodes(delta4):
+    """flat_torus_4 at grid_res 9 has 5^4 = 625 interior nodes."""
+    config = prober.ProbeConfig(grid_res=9, probe_points=626)
+    v = prober.probe(holonomy.catalog("flat_torus_4"), [0.5] * 4, config=config,
+                     delta=delta4)
+    assert (v.kind, v.failing_stage) == ("Inconclusive", "build_global_j")
+    assert "of 626 probe points" in v.detail
 
 
 @pytest.mark.parametrize("name", ["fubini_study_cp2", "round_sphere_4"])

@@ -1,7 +1,8 @@
 """Source hygiene of the package, with the standard library only.
 
 Read with ``ast``: every import is used, every module-level private
-function or class is referenced in its module, and no module reads another
+function or class is referenced in its module, every public one and every
+public method is read by some package module, and no module reads another
 package module's private name.  Read off the loaded
 classes: every domain error declares its own stable ``code``; the CLI
 prints these codes, so two errors must never share one.
@@ -50,6 +51,32 @@ def test_every_private_definition_is_referenced(path):
     private = {node.name for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name)}
     assert private - _loaded_names(tree) == set()
+
+
+# public names no package module reads: the paper's acceptance criteria in
+# tests/test_acceptance.py are stated through them
+ACCEPTANCE_ONLY = {"metric_inner", "project_tangent", "random_j"}
+
+
+def test_every_public_definition_is_read_by_the_package():
+    """Each public top-level function or class, and each public method, is
+    loaded by name (an ``ast.Name`` or ``ast.Attribute``) in some package
+    module, so no wrapper is kept for the tests alone."""
+    loaded, public = set(), set()
+    for path in MODULES:
+        tree = _tree(path)
+        loaded |= _loaded_names(tree)
+        loaded |= {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.add((path.stem, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                public |= {(path.stem, f"{node.name}.{m.name}", m.name) for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
+    unread = {f"{module}.{qualname}" for module, qualname, name in public
+              if name not in loaded | ACCEPTANCE_ONLY}
+    assert unread == set()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
