@@ -26,7 +26,10 @@ runs, in order:
   ``mean`` command's ``energy``) is reported as its largest relative and
   absolute difference.
 
-Every child process has one BLAS thread and a fresh delta cache.
+Every child process has one BLAS thread and a fresh delta cache.  The
+Fubini-Study config, the perturbed loop scale, the tangent seed and the
+sphere loop count are read from this checkout's ``perfbench/workloads.py``,
+so the panel runs the benchmark's probes.
 """
 
 from __future__ import annotations
@@ -40,13 +43,28 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 
 WORKLOADS = ("fs_perturbed", "sphere_transport_json")
 METRICS = ("op_max_s", "setup_s", "peak_rss_mb")
 # (chart, point) of the default catalog probes, as criterion 08 places them
 PROBES = (("fubini_study_cp2", "0,0,0,0"), ("product_s2_s2", "0,0,0,0"),
           ("flat_torus_4", "0.5,0.5,0.5,0.5"), ("round_sphere_4", "0,0,0,0"))
-FS_CONFIG = {"word_length": 2, "ode_steps": 100, "field_steps": 100, "probe_points": 1}
+
+
+def _load_workloads():
+    """perfbench/workloads.py, executed from its source without importing
+    the perfbench directory or writing anything under it."""
+    source = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench", "workloads.py")
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = source
+    with open(source) as fh:
+        exec(compile(fh.read(), source, "exec"), module.__dict__)
+    return module
+
+
+workloads = _load_workloads()
 
 
 def _env(side, cache):
@@ -154,14 +172,16 @@ def answers():
         return rec
 
     def perturbed(delta, seed):
-        return acs.exp_map(J_fs, acs.random_tangent(J_fs, 42 + seed, delta.delta / 4.0), 1.0)
+        return acs.exp_map(J_fs, acs.random_tangent(
+            J_fs, workloads.TANGENT_SEED + seed, delta.delta / 4.0), 1.0)
 
     out = {}
     for seed in range(10):
         delta = compute_delta(2, seed=seed)
-        cfg = prober.ProbeConfig(**FS_CONFIG, seed=seed)
+        cfg = prober.ProbeConfig(**workloads.FS_CONFIG, seed=seed)
         out[f"fs_witness/{seed}"] = record(prober.probe(fs, origin, config=cfg, delta=delta))
-        cfg = prober.ProbeConfig(**FS_CONFIG, seed=seed, loop_scale=0.45)
+        cfg = prober.ProbeConfig(**workloads.FS_CONFIG, seed=seed,
+                                 loop_scale=workloads.PERTURBED_LOOP_SCALE)
         out[f"fs_perturbed/{seed}"] = record(prober.probe(
             fs, origin, J_p=perturbed(delta, seed), config=cfg, delta=delta), pullback=True)
     delta = compute_delta(2, seed=0)
@@ -170,7 +190,8 @@ def answers():
         out[f"criterion_08/{chart}"] = record(prober.probe(holonomy.catalog(chart), point,
                                                            delta=delta))
     out["criterion_09"] = record(prober.probe(
-        fs, origin, J_p=perturbed(delta, 0), config=prober.ProbeConfig(loop_scale=0.45),
+        fs, origin, J_p=perturbed(delta, 0),
+        config=prober.ProbeConfig(loop_scale=workloads.PERTURBED_LOOP_SCALE),
         delta=delta), pullback=True)
     json.dump(out, sys.stdout)
 
@@ -205,13 +226,15 @@ def _cli_runs(side, tmp, name):
     commands = {
         "delta": ["delta", "--dim", "4"],
         "transport": ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
-                      "--loops", "5", "--out", where.format("transport.json")],
+                      "--loops", str(workloads.SPHERE_LOOPS),
+                      "--out", where.format("transport.json")],
         "orbit": ["orbit", "--manifold", "fubini_study_cp2", "--point", "0,0,0,0",
                   "--loops", "3", "--csv", where.format("orbit.csv")],
         "probe_fs_perturbed_config": [
             "probe", "--manifold", "fubini_study_cp2", "--point", "0,0,0,0",
-            "--word-length", "2", "--ode-steps", "100", "--field-steps", "100",
-            "--probe-points", "1", "--loop-scale", "0.45"],
+            *[arg for key, value in workloads.FS_CONFIG.items()
+              for arg in ("--" + key.replace("_", "-"), str(value))],
+            "--loop-scale", str(workloads.PERTURBED_LOOP_SCALE)],
     }
     for m in ("weighted", "bare", "zero_weight_other_component"):
         commands[f"mean_{m}"] = ["mean", "--input", os.path.join(tmp, f"{m}.json")]

@@ -32,7 +32,7 @@ pass in word order keeps the first of each.  The kept matrices live in one
 (N, d, d) stack, and a product's loop only refers to its generators' pieces.
 The catalog charts have closed-form metrics and batched Christoffels without
 Python loops; Fubini-Study's come from its complex connection realified
-through a constant basis.
+through a constant basis, one matmul for a whole stack.
 """
 
 from __future__ import annotations
@@ -608,15 +608,16 @@ _FS_J0 = canonical_j(2).mat
 
 
 def _fs_connection_basis() -> np.ndarray:
-    """Constant E with Gamma[k, i, j] = (E @ x)[k, i, j] / (1 + |x|^2): the
-    complex connection Gamma^c_ab = -(delta^c_a zbar_b + delta^c_b zbar_a) /
-    (1 + |z|^2), taken on real axes u_i = 1 or i of z_a(i) and realified."""
+    """Constant E, shape (4, 64), with Gamma[k, i, j] = (x @ E)[16 k + 4 i +
+    j] / (1 + |x|^2): the complex connection Gamma^c_ab = -(delta^c_a zbar_b +
+    delta^c_b zbar_a) / (1 + |z|^2), taken on real axes u_i = 1 or i of z_a(i)
+    and realified."""
     A = np.repeat(np.eye(2), 2, axis=1)        # A[a, i] = 1 iff a(i) = a
     u = np.tile([1.0, 1j], 2)
     Z = (A.T @ A) * u.conj()                   # Z[i, l]: d zbar_{a(i)} / d x_l
     N = -(np.einsum("ci,jl->cijl", A, Z) + np.einsum("cj,il->cijl", A, Z)) \
         * np.outer(u, u)[None, :, :, None]
-    return np.stack([N.real, N.imag], axis=1).reshape(4, 4, 4, 4)
+    return np.stack([N.real, N.imag], axis=1).reshape(64, 4).T
 
 
 _FS_E = _fs_connection_basis()
@@ -636,8 +637,7 @@ def fubini_study_christoffel(x):
     """Closed-form Christoffels of the Fubini-Study chart at a (P, 4) stack
     of points."""
     x = np.asarray(x, dtype=float)
-    return (_FS_E @ x[:, None, None, :, None])[..., 0] \
-        / (1.0 + _sq_norms(x))[:, None, None, None]
+    return (x @ _FS_E).reshape(-1, 4, 4, 4) / (1.0 + _sq_norms(x))[:, None, None, None]
 
 
 _S2_CHRISTOFFEL = _conformal_sphere_christoffel(2)

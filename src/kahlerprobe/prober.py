@@ -72,7 +72,8 @@ class GlobalJField:
 
     Values are computed on demand by transporting the base structure along
     the canonical axis-ordered path and cached; ``grid`` holds the probe
-    points at which the finite-difference certificates are evaluated."""
+    points at which the finite-difference certificates are evaluated, from
+    one stencil per scale, also cached."""
 
     chart: holonomy.ManifoldChart
     base_point: np.ndarray
@@ -82,6 +83,7 @@ class GlobalJField:
     steps: int
     path_independence_residual: float = math.nan
     _cache: dict = field(default_factory=dict)
+    _stencils: dict = field(default_factory=dict)
 
     def _canonical_path(self, x, axis_order=None):
         """The axis-parallel polyline from the base point to x, one axis
@@ -136,6 +138,18 @@ class GlobalJField:
                                 else self.base_J.mat)
         J = np.reshape([self.ortho_j(y) for y in pts], F.shape)
         return F @ J @ np.linalg.inv(F)
+
+    def stencil(self, scale: float):
+        """(J, dJ, omega, d omega) at the probe points, omega = g J, for the
+        step ``scale * h``: J from one ``coordinate_j`` call on the (P, 2d + 1,
+        d) stencil, both pairs from one ``central_difference`` call."""
+        if scale not in self._stencils:
+            def j_and_omega(x):
+                J = self.coordinate_j(x)
+                return np.stack([J, holonomy.metric(self.chart, x) @ J], axis=-3)
+            F, dF = holonomy.central_difference(j_and_omega, self.grid, scale * self.h)
+            self._stencils[scale] = (F[:, 0], dF[:, :, 0], F[:, 1], dF[:, :, 1])
+        return self._stencils[scale]
 
 
 def orbit(J_p: OrthoComplexStructure, samples) -> OrbitReport:
@@ -218,11 +232,12 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
 
     ``config.probe_points`` distinct probe points are drawn, with
     ``config.seed``, from the interior nodes of a ``config.grid_res``-per-axis
-    grid, in 4 ``probe_points`` draws; GridTooCoarse when fewer are found.  The
-    field itself is evaluated lazily wherever the certificate stencils need
-    it, each value transported in ``config.field_steps`` RK4 steps.  Path
-    independence is measured by re-deriving the value along the reversed
-    axis order at every probe point.
+    grid, in 4 ``probe_points`` draws; GridTooCoarse before the draws when
+    the grid has fewer interior nodes than that, and after them when fewer
+    distinct nodes are found.  The field itself is evaluated lazily wherever
+    the certificate stencils need it, each value transported in
+    ``config.field_steps`` RK4 steps.  Path independence is measured by
+    re-deriving the value along the reversed axis order at every probe point.
     """
     grid_res, probe_points = config.grid_res, config.probe_points
     if grid_res < 9:
@@ -238,6 +253,10 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
     half = 0.5 * SUB_BOX * (hi - lo)
     box_lo, box_hi = c - half, c + half
     h = (box_hi - box_lo) / (grid_res - 1)
+    interior = (grid_res - 4) ** chart.dim
+    if probe_points > interior:
+        raise GridTooCoarse(f"the {interior} interior nodes cannot hold all of "
+                            f"{probe_points} probe points; raise grid_res")
     rng = np.random.default_rng(config.seed)
     # interior grid nodes, stencil-safe
     idx_pool = [tuple(v) for v in
@@ -254,7 +273,7 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
     if len(probes) < probe_points:
         raise GridTooCoarse(
             f"{len(probes)} of {probe_points} probe points drawn from the "
-            f"{(grid_res - 4) ** chart.dim} interior nodes; raise grid_res")
+            f"{interior} interior nodes; raise grid_res")
     field_ = GlobalJField(chart=chart, base_point=p, base_J=J_prime,
                           grid=tuple(probes), h=h, steps=config.field_steps)
     reversed_order = list(range(chart.dim))[::-1]
@@ -269,9 +288,9 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
 
 
 def covariant_constancy_check(field_: GlobalJField, scale: float = 1.0) -> float:
-    """Max-abs entry of the covariant derivative of the field; the field's
-    stencil and the Christoffels at every grid point come from one call each."""
-    J, dJ = holonomy.central_difference(field_.coordinate_j, field_.grid, scale * field_.h)
+    """Max-abs entry of the covariant derivative of the field; the
+    Christoffels at every grid point come from one call."""
+    J, dJ, _, _ = field_.stencil(scale)
     # G[p, k] = Gamma[p, :, k, :], (Gk)^i_l = Gamma^i_{k l}
     G = np.swapaxes(holonomy.christoffel(field_.chart, field_.grid), 1, 2)
     return float(np.max(np.abs(dJ + G @ J[:, None] - J[:, None] @ G)))
@@ -279,7 +298,7 @@ def covariant_constancy_check(field_: GlobalJField, scale: float = 1.0) -> float
 
 def nijenhuis_check(field_: GlobalJField, scale: float = 1.0) -> float:
     """Max-abs component of the integrability obstruction tensor."""
-    J, dJ = holonomy.central_difference(field_.coordinate_j, field_.grid, scale * field_.h)
+    J, dJ, _, _ = field_.stencil(scale)
     t1 = np.einsum("pkj,pkil->pijl", J, dJ)
     t2 = np.einsum("pkl,pkij->pijl", J, dJ)
     t3 = np.einsum("pik,pjkl->pijl", J, dJ) - np.einsum("pik,plkj->pijl", J, dJ)
@@ -288,9 +307,7 @@ def nijenhuis_check(field_: GlobalJField, scale: float = 1.0) -> float:
 
 def kahler_form_check(field_: GlobalJField, scale: float = 1.0) -> float:
     """Antisymmetry of omega = g J and max-abs component of d omega."""
-    w, dw = holonomy.central_difference(
-        lambda x: holonomy.metric(field_.chart, x) @ field_.coordinate_j(x),
-        field_.grid, scale * field_.h)
+    _, _, w, dw = field_.stencil(scale)
     if float(np.max(np.abs(w + np.swapaxes(w, 1, 2)))) > 1e-8:
         raise FormNotAntisymmetric(
             "fundamental 2-form is not antisymmetric at a probe point")

@@ -80,6 +80,38 @@ def test_fubini_study_metric_matches_hermitian_form():
         assert maxabs(chart.metric(x) - _fs_hermitian_reference(x)) < 1e-15
 
 
+# the Fubini-Study connection basis as E[k, i, j, l], Gamma[k, i, j] = E[k, i, j] @ x / (1 + |x|^2)
+_FS_E4 = holonomy._FS_E.T.reshape(4, 4, 4, 4)
+
+
+def _fs_christoffel_broadcast(x):
+    """The Fubini-Study Christoffels as P * 16 broadcast dot products of
+    length 4: an oracle for the one-matmul form."""
+    return (_FS_E4 @ x[:, None, None, :, None])[..., 0] \
+        / (1.0 + np.vecdot(x, x))[:, None, None, None]
+
+
+def _fs_christoffel_inputs():
+    rng = np.random.default_rng(11)
+    for size in (2, 17, 300, 3000):
+        yield rng.uniform(-2.0, 2.0, size=(size, 4))
+    signed = rng.uniform(-1.0, 1.0, size=(400, 4))
+    signed[rng.random((400, 4)) < 0.3] = 0.0
+    signed[rng.random((400, 4)) < 0.2] = -0.0
+    yield signed
+    yield np.array([[0.0, 0.0, 0.0, 0.0], [-0.0, -0.0, -0.0, -0.0],
+                    [0.0, -0.0, -0.5, 0.25], [-1e-300, 0.0, 3.0, -0.0]])
+    yield np.array([[-0.3, 0.0, -0.0, 1.7]])  # P = 1
+    yield np.zeros((0, 4))
+
+
+def test_fubini_study_christoffel_has_the_bytes_of_the_broadcast_form():
+    for x in _fs_christoffel_inputs():
+        G = holonomy.fubini_study_christoffel(x)
+        assert G.shape == (len(x), 4, 4, 4)
+        assert G.tobytes() == _fs_christoffel_broadcast(x).tobytes()
+
+
 def test_christoffel_spherical_chart_closed_form():
     """Classical sphere in (theta, phi) coordinates: g = diag(1, sin^2).
 
@@ -968,7 +1000,7 @@ def _pointwise_christoffel(chart, x):
     if chart.name.startswith("round_sphere"):
         return _pointwise_sphere_christoffel(x)
     if chart.name == "fubini_study_cp2":
-        return (holonomy._FS_E @ x) / (1.0 + float(np.dot(x, x)))
+        return (_FS_E4 @ x) / (1.0 + float(np.dot(x, x)))
     G = np.zeros((4, 4, 4))  # product_s2_s2
     for sl in (slice(0, 2), slice(2, 4)):
         G[sl, sl, sl] = _pointwise_sphere_christoffel(x[sl])

@@ -337,16 +337,20 @@ def _twisted_field():
 
 @pytest.mark.parametrize("scale", [1.0, 0.5])
 @pytest.mark.parametrize("build", [_twisted_field, _fs_field], ids=["twisted", "fubini_study"])
-def test_stacked_certificates_match_pointwise_loops(build, scale):
-    """One stencil call over all probe points, the (P, 2d + 1, d) stack,
-    gives each certificate the bits of the per-point loops, on fresh fields
-    of the same build."""
-    field, calls = build(), []
+def test_stacked_certificates_match_pointwise_loops(build, scale, monkeypatch):
+    """One stencil per scale, one field call and one difference call over
+    all probe points' (P, 2d + 1, d) stack, gives the three certificates the
+    bits of the per-point loops, on fresh fields of the same build."""
+    field, calls, differences = build(), [], []
     stencil = field.coordinate_j
     field.coordinate_j = lambda x: calls.append(np.shape(x)) or stencil(x)
+    difference = holonomy.central_difference
+    monkeypatch.setattr(holonomy, "central_difference",
+                        lambda f, x, h: differences.append(h) or difference(f, x, h))
     stacked = tuple(check(field, scale=scale) for check in (
         prober.covariant_constancy_check, prober.nijenhuis_check, prober.kahler_form_check))
-    assert calls == [(3, 9, 4)] * 3  # one stencil call per check
+    assert calls == [(3, 9, 4)]  # one stencil for the three checks
+    assert len(differences) == 1 and differences[0].tobytes() == (scale * field.h).tobytes()
     assert repr(stacked) == repr(_pointwise_checks(build(), scale))
     assert min(stacked) > 0.0
 
@@ -382,8 +386,7 @@ def test_coordinate_j_stack_matches_pointwise_ortho_j():
 
 def test_one_certificate_scale_transports_its_misses_once(monkeypatch):
     """A certificate's stencil reaches the kernel in one stacked call; the
-    next certificates at the same scale find every point cached and make
-    none."""
+    next certificates at the same scale share that stencil and make none."""
     field, calls = _fresh_fs_field(), []
     stacked = holonomy.parallel_transports
     monkeypatch.setattr(holonomy, "parallel_transports",
@@ -397,6 +400,38 @@ def test_one_certificate_scale_transports_its_misses_once(monkeypatch):
     assert calls == [9]
     prober.covariant_constancy_check(field, scale=0.5)
     assert calls == [9, 8]  # the probe point itself is cached
+
+
+def _field_calls_of_probe(monkeypatch, chart, point, **kw):
+    calls = []
+    coordinate_j = prober.GlobalJField.coordinate_j
+    monkeypatch.setattr(prober.GlobalJField, "coordinate_j",
+                        lambda self, x: calls.append(np.shape(x)) or coordinate_j(self, x))
+    v = prober.probe(holonomy.catalog(chart), point, **kw)
+    assert v.kind == "KahlerWitness"
+    return v, calls
+
+
+def test_a_probe_without_refinement_reads_the_field_once(monkeypatch, delta4):
+    """The default flat-torus probe: no certificate is above the floor, so
+    the three certificates share the one stencil at scale 1."""
+    v, calls = _field_calls_of_probe(monkeypatch, "flat_torus_4", [0.5] * 4, delta=delta4)
+    assert not any(k.endswith("_refined") for k in v.certificates)
+    assert calls == [(10, 9, 4)]
+
+
+def test_a_refined_certificate_reads_the_field_once_more(monkeypatch, delta4):
+    """The benchmark's perturbed Fubini-Study probe refines d omega only:
+    one stencil at scale 1 and one at scale 1/2."""
+    chart = holonomy.catalog("fubini_study_cp2")
+    J_fs = prober.default_structure(chart, [0.0] * 4)
+    J_p = acs.exp_map(J_fs, acs.random_tangent(J_fs, 42, delta4.delta / 4.0), 1.0)
+    config = prober.ProbeConfig(word_length=2, ode_steps=100, field_steps=100,
+                                probe_points=1, loop_scale=0.45)
+    v, calls = _field_calls_of_probe(monkeypatch, "fubini_study_cp2", [0.0] * 4,
+                                     J_p=J_p, config=config, delta=delta4)
+    assert [k for k in v.certificates if k.endswith("_refined")] == ["d_omega_refined"]
+    assert calls == [(1, 9, 4)] * 2
 
 
 def test_certificate_misses_check_each_defect(monkeypatch):
@@ -539,6 +574,18 @@ def test_probe_with_more_probe_points_than_interior_nodes(delta4):
                      delta=delta4)
     assert (v.kind, v.failing_stage) == ("Inconclusive", "build_global_j")
     assert "of 626 probe points" in v.detail
+
+
+def test_global_field_checks_the_interior_nodes_before_it_draws(monkeypatch):
+    """More probe points than interior nodes can never be found, so no
+    generator is made and no draw is taken."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew probe points")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    config = prober.ProbeConfig(grid_res=9, probe_points=5 ** 4 + 1)
+    with pytest.raises(GridTooCoarse, match="the 625 interior nodes cannot hold all of 626"):
+        prober.build_global_j(holonomy.catalog("flat_torus_4"), [0.5] * 4,
+                              acs.canonical_j(2), config)
 
 
 @pytest.mark.parametrize("name", ["fubini_study_cp2", "round_sphere_4"])

@@ -1,10 +1,11 @@
 """Pinned outcomes of the benchmark's probes.
 
 Speed-ups of the pipeline claim to leave its answers as they are.  These
-tests keep that claim in the suite: the verdict and failing stage exactly,
-and every certificate, the orbit's largest distance and the pull-back
-distance as literals within 1e-12 relative.  A change with a stated bound
-updates the literals in the same commit and says why in CHANGES.md.
+tests keep that claim in the suite: the verdict, failing stage and witness
+word exactly, and every certificate, the orbit's largest distance, the
+witness distance and the pull-back distance as literals within 1e-12
+relative.  A change with a stated bound updates the literals in the same
+commit and says why in CHANGES.md.
 """
 
 import pytest
@@ -13,6 +14,8 @@ from kahlerprobe import acs, holonomy, prober
 
 ORIGIN = [0.0] * 4
 REL = 1e-12
+# the Fubini-Study workloads' config, as in perfbench/workloads.py
+FS_CONFIG = dict(word_length=2, ode_steps=100, field_steps=100, probe_points=1, seed=0)
 
 
 def test_fs_perturbed_seed0_outcome(delta4):
@@ -21,8 +24,7 @@ def test_fs_perturbed_seed0_outcome(delta4):
     chart = holonomy.catalog("fubini_study_cp2")
     J_fs = prober.default_structure(chart, ORIGIN)
     J_p = acs.exp_map(J_fs, acs.random_tangent(J_fs, 42, delta4.delta / 4.0), 1.0)
-    config = prober.ProbeConfig(word_length=2, ode_steps=100, field_steps=100,
-                                probe_points=1, loop_scale=0.45, seed=0)
+    config = prober.ProbeConfig(**FS_CONFIG, loop_scale=0.45)
     v = prober.probe(chart, ORIGIN, J_p=J_p, config=config, delta=delta4)
     assert (v.kind, v.failing_stage) == ("KahlerWitness", "")
     assert v.certificates == pytest.approx({
@@ -36,3 +38,36 @@ def test_fs_perturbed_seed0_outcome(delta4):
     assert v.orbit_report.max_distance == pytest.approx(0.6260786234214778, rel=REL, abs=0.0)
     assert acs.distance(v.mean_result.mean, J_fs) == pytest.approx(
         4.569406336228466e-06, rel=REL, abs=0.0)
+
+
+def test_fs_witness_seed0_outcome(delta4):
+    """Criterion 08's Fubini-Study probe at the benchmark's ``fs_witness``
+    config, seed 0: the canonical structure is fixed exactly."""
+    chart = holonomy.catalog("fubini_study_cp2")
+    v = prober.probe(chart, ORIGIN, config=prober.ProbeConfig(**FS_CONFIG), delta=delta4)
+    assert (v.kind, v.failing_stage) == ("KahlerWitness", "")
+    assert v.certificates == pytest.approx({
+        "fixedness": 0.0,
+        "path_independence": 6.566237664599217e-16,
+        "nabla_j": 5.159761506945415e-14,
+        "nijenhuis": 4.12340210017926e-14,
+        "d_omega": 0.00016059059664021158,
+        "d_omega_refined": 4.038835026073939e-05,
+    }, rel=REL, abs=0.0)
+    assert v.orbit_report.max_distance == 0.0
+    assert len(v.orbit_report.samples) == 62
+    assert acs.distance(v.mean_result.mean, prober.default_structure(chart, ORIGIN)) == 0.0
+
+
+def test_sphere_obstruction_seed0_outcome(delta4):
+    """The round 4-sphere probe at the benchmark's ``sphere_obstruction``
+    config (5 loops), seed 0: the witness loop, its word and its distance."""
+    v = prober.probe(holonomy.catalog("round_sphere_4"), ORIGIN,
+                     config=prober.ProbeConfig(loops=5, seed=0), delta=delta4)
+    assert (v.kind, v.failing_stage) == ("HolonomyObstruction", "")
+    assert len(v.orbit_report.samples) == 758
+    assert v.witness_loop_index == 185
+    assert v.orbit_report.samples[185].word == (2, 2, 2)
+    assert v.witness_distance == pytest.approx(4.513648130739961, rel=REL, abs=0.0)
+    assert v.orbit_report.max_distance == v.witness_distance
+    assert v.certificates == {}
