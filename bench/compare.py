@@ -17,9 +17,13 @@ runs, in order:
 * ``trace``: one ``--trace 1`` run of ``fs_perturbed`` per side.
 * ``probe_control``: the wall time of a fresh ``kahler-probe probe``
   process on each default catalog probe, twice per side, alternating, with
-  a warm per-side delta cache; the stdout bytes are compared too.
+  a warm per-side delta cache; the stdout bytes are compared too.  Process
+  start-up dominates that time, so each probe's warm in-process wall time
+  (a fresh process runs the probe once untimed, then once timed) is
+  recorded next to it, best of 3 per side, alternating.
 * ``same_answers``: ``fs_perturbed`` and ``fs_witness`` at seeds 0-9
-  (perfbench's configs), criteria 08 and 09 at their full configs, and the
+  (perfbench's configs), criteria 08 and 09 at their full configs (with
+  ``product_s2_s2`` beside criterion 08's three charts), and the
   ``--no-timestamp`` output of every CLI command, on both sides.  Verdicts,
   failing stages, certificate and distance reprs, mean bytes and Karcher
   iteration counts must agree exactly; ``MeanResult.energy`` (and the
@@ -91,14 +95,17 @@ def _summary(parent, change):
                      "change": [round(v, 4) for v in change]}}
 
 
+def _alternating(i):
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def pairs(sides, n, seconds):
     out = {}
     for workload in WORKLOADS:
         for seed in (0, 1):
             runs = {"parent": [], "change": []}
             for i in range(n):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for name in order:
+                for name in _alternating(i):
                     runs[name].append(_perfbench(sides[name], "--workload", workload,
                                                  "--seed", str(seed),
                                                  "--seconds", str(seconds)))
@@ -130,6 +137,27 @@ def _probe_cli(side, cache, chart, point):
     return time.perf_counter() - t, res.stdout
 
 
+def warm_probe(chart, point):
+    """In a child process with one side's src on the path: the wall time of
+    the default probe of chart at point, run once untimed and then timed."""
+    from kahlerprobe import holonomy, prober
+    from kahlerprobe.constants import compute_delta
+
+    c = holonomy.catalog(chart)
+    p = [float(v) for v in point.split(",")]
+    delta = compute_delta(c.dim // 2, seed=0)
+    prober.probe(c, p, delta=delta)
+    t = time.perf_counter()
+    prober.probe(c, p, delta=delta)
+    print(time.perf_counter() - t)
+
+
+def _warm_probe(side, cache, chart, point):
+    return float(subprocess.run([sys.executable, __file__, "--warm-probe", chart, point],
+                                env=_env(side, cache), capture_output=True, text=True,
+                                check=True).stdout)
+
+
 def probe_control(sides, tmp):
     caches = {name: os.path.join(tmp, f"{name}_control_cache.json") for name in sides}
     for name, side in sides.items():  # fill the delta cache, untimed
@@ -138,10 +166,16 @@ def probe_control(sides, tmp):
     for chart, point in PROBES:
         times, stdout = {"parent": [], "change": []}, {}
         for i in range(2):
-            for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            for name in _alternating(i):
                 t, stdout[name] = _probe_cli(sides[name], caches[name], chart, point)
                 times[name].append(round(t, 3))
-        out[chart] = dict(times, same_stdout=stdout["parent"] == stdout["change"])
+        warm = {"parent": [], "change": []}
+        for i in range(3):
+            for name in _alternating(i):
+                warm[name].append(_warm_probe(sides[name], caches[name], chart, point))
+        out[chart] = dict(times, same_stdout=stdout["parent"] == stdout["change"],
+                          warm_in_process_best_s={k: round(min(v), 4)
+                                                  for k, v in warm.items()})
     return out
 
 
@@ -186,7 +220,7 @@ def answers():
             fs, origin, J_p=perturbed(delta, seed), config=cfg, delta=delta), pullback=True)
     delta = compute_delta(2, seed=0)
     for chart, point in (("flat_torus_4", [0.5] * 4), ("fubini_study_cp2", origin),
-                         ("round_sphere_4", origin)):
+                         ("product_s2_s2", origin), ("round_sphere_4", origin)):
         out[f"criterion_08/{chart}"] = record(prober.probe(holonomy.catalog(chart), point,
                                                            delta=delta))
     out["criterion_09"] = record(prober.probe(
@@ -315,9 +349,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="BENCH.json")
     ap.add_argument("--answers", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--mean-inputs", help=argparse.SUPPRESS)
+    ap.add_argument("--warm-probe", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.answers:
         answers()
+        return 0
+    if args.warm_probe:
+        warm_probe(*args.warm_probe)
         return 0
     if args.mean_inputs:
         _mean_inputs(args.mean_inputs)

@@ -38,6 +38,7 @@ from .errors import (
 )
 
 TOL_ALG = 1e-10   # algebraic invariants (J^2 = -I, orthogonality, skewness)
+TOL_INPUT = 1e-8  # the same invariants of a structure from outside: J_p, JSON, AUTO
 TOL_LOG = 1e-8    # log-map round-trip verification
 TOL_CUT = 1e-8    # rotation angle this close to pi: on the cut locus
 TOL_BLOCK = 1e-12 # Schur subdiagonal entry that opens a 2x2 rotation block

@@ -18,8 +18,6 @@ from . import acs
 from .errors import DimensionMismatch, MalformedInput, OutputNotWritable
 from .karcher import WeightedSampleSet
 
-READ_TOL = 1e-8  # J^2 = -I and orthogonality of a structure read from JSON
-
 
 def matrix_to_json(mat: np.ndarray) -> dict:
     mat = np.asarray(mat, dtype=float)
@@ -44,7 +42,7 @@ def structure_to_json(J: acs.OrthoComplexStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> acs.OrthoComplexStructure:
-    return acs.validate_j(matrix_from_json(obj), tol=READ_TOL)
+    return acs.validate_j(matrix_from_json(obj), tol=acs.TOL_INPUT)
 
 
 def sample_set_from_json(obj: dict) -> WeightedSampleSet:

@@ -70,10 +70,11 @@ class OrbitReport:
 class GlobalJField:
     """Almost complex structure field built by parallel transport.
 
-    Values are computed on demand by transporting the base structure along
-    the canonical axis-ordered path and cached; ``grid`` holds the probe
-    points at which the finite-difference certificates are evaluated, from
-    one stencil per scale, also cached."""
+    ``ortho_j`` is the field's one read: it answers a stack of points,
+    transporting the base structure along each uncached point's axis-ordered
+    path in one kernel call, and caches every value; ``grid`` holds the
+    probe points at which the finite-difference certificates are evaluated,
+    from one stencil per scale, also cached."""
 
     chart: holonomy.ManifoldChart
     base_point: np.ndarray
@@ -104,40 +105,33 @@ class GlobalJField:
         return P @ self.base_J.mat @ P.T
 
     def ortho_j(self, x, axis_order=None) -> np.ndarray:
-        """Orthonormal-frame expression of the field at x."""
-        key = self._key(x, axis_order)
-        if key in self._cache:
-            return self._cache[key]
-        path = self._canonical_path(x, axis_order)
-        if not path.pieces:
-            val = self.base_J.mat
-        else:
-            val = self._transported(holonomy.parallel_transport(self.chart, path, self.steps))
-        self._cache[key] = val
-        return val
-
-    def coordinate_j(self, x) -> np.ndarray:
-        """Coordinate-frame expression F(x) J(x) F(x)^{-1} at every point of
-        x, shape (..., d, d).  The points missing from the cache are
-        transported in one call, the first point in C order of each rounded
-        key deciding its value; then the values are read point by point."""
-        F = holonomy.orthonormal_frame(self.chart, x)
-        pts = np.reshape(x, (-1, self.chart.dim))
+        """Orthonormal-frame expression of the field at every point of x,
+        shape (..., d, d), each value transported along the path in
+        ``axis_order``.  The points missing from the cache are transported
+        in one call, the first point in C order of each rounded key deciding
+        its value; then the values are read point by point."""
+        d = self.chart.dim
+        pts = np.reshape(x, (-1, d))
+        keys = [self._key(y, axis_order) for y in pts]
         paths = {}
-        for y in pts:
-            key = self._key(y)
+        for key, y in zip(keys, pts):
             if key not in self._cache and key not in paths:
-                paths[key] = self._canonical_path(y)
+                paths[key] = self._canonical_path(y, axis_order)
         moving = [key for key, path in paths.items() if path.pieces]
         moved = {}
         if moving:
-            moved = dict(zip(moving, holonomy.parallel_transports(
+            moved = dict(zip(moving, holonomy.parallel_transport(
                 self.chart, [paths[key] for key in moving], self.steps)))
         for key in paths:
             self._cache[key] = (self._transported(moved[key]) if key in moved
                                 else self.base_J.mat)
-        J = np.reshape([self.ortho_j(y) for y in pts], F.shape)
-        return F @ J @ np.linalg.inv(F)
+        return np.reshape([self._cache[key] for key in keys], np.shape(x) + (d,))
+
+    def coordinate_j(self, x) -> np.ndarray:
+        """Coordinate-frame expression F(x) J(x) F(x)^{-1} at every point of
+        x, shape (..., d, d)."""
+        F = holonomy.orthonormal_frame(self.chart, x)
+        return F @ self.ortho_j(x) @ np.linalg.inv(F)
 
     def stencil(self, scale: float):
         """(J, dJ, omega, d omega) at the probe points, omega = g J, for the
@@ -237,7 +231,8 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
     distinct nodes are found.  The field itself is evaluated lazily wherever
     the certificate stencils need it, each value transported in
     ``config.field_steps`` RK4 steps.  Path independence is measured by
-    re-deriving the value along the reversed axis order at every probe point.
+    re-deriving the values at all probe points along the reversed axis
+    order: one ``ortho_j`` call per order.
     """
     grid_res, probe_points = config.grid_res, config.probe_points
     if grid_res < 9:
@@ -276,14 +271,11 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
             f"{interior} interior nodes; raise grid_res")
     field_ = GlobalJField(chart=chart, base_point=p, base_J=J_prime,
                           grid=tuple(probes), h=h, steps=config.field_steps)
-    reversed_order = list(range(chart.dim))[::-1]
-    worst = 0.0
-    for x in probes:
-        A = field_.ortho_j(x)
-        B = field_.ortho_j(x, axis_order=reversed_order)
-        worst = max(worst, float(np.max(np.abs(A - B))))
-        acs.validate_j(A, tol=1e-6)
-    field_.path_independence_residual = worst
+    A = field_.ortho_j(probes)
+    B = field_.ortho_j(probes, axis_order=list(range(chart.dim))[::-1])
+    for J in A:
+        acs.validate_j(J, tol=1e-6)
+    field_.path_independence_residual = float(np.max(np.abs(A - B)))
     return field_
 
 
@@ -341,7 +333,7 @@ def default_structure(chart: holonomy.ManifoldChart, p) -> OrthoComplexStructure
     n = chart.dim // 2
     Jc = acs.canonical_j(n).mat
     F = holonomy.orthonormal_frame(chart, np.asarray(p, dtype=float))
-    return acs.validate_j(np.linalg.solve(F, Jc @ F), tol=1e-8)
+    return acs.validate_j(np.linalg.solve(F, Jc @ F), tol=acs.TOL_INPUT)
 
 
 def _inconclusive(delta, stage: str, why) -> DichotomyVerdict:
@@ -355,10 +347,11 @@ def probe(chart: holonomy.ManifoldChart, p, J_p=None,
     """Run the full dichotomy pipeline at base point p.
 
     Each stage is named once, as it starts; ``compute_delta`` is skipped
-    when ``delta`` is given and ``default_structure`` when ``J_p`` is.  One
-    boundary turns a KahlerProbeError from any stage into an Inconclusive
-    verdict naming that stage; a residual past its tolerance does the same,
-    and a failed certificate is named by its key (``nabla_j``, ...)."""
+    when ``delta`` is given, and ``default_structure`` validates a given
+    ``J_p`` instead of building one.  One boundary turns a KahlerProbeError
+    from any stage into an Inconclusive verdict naming that stage; a residual
+    past its tolerance does the same, and a failed certificate is named by
+    its key (``nabla_j``, ...)."""
     p = np.asarray(p, dtype=float)
     stage = "compute_delta"
     try:
@@ -368,6 +361,8 @@ def probe(chart: holonomy.ManifoldChart, p, J_p=None,
         stage = "default_structure"
         if J_p is None:
             J_p = default_structure(chart, p)
+        else:
+            acs.validate_j(J_p.mat, tol=acs.TOL_INPUT)
 
         stage = "holonomy_samples"
         loops = holonomy.loop_family(chart, p, config.loop_kind, config.loops,

@@ -196,7 +196,7 @@ def test_criterion_07_holonomy_oracle():
     4000 steps; raw defect decays at fourth order across {500, 1000, 2000}."""
     chart = holonomy.catalog("round_sphere_2")
     loop, excess = _sphere_triangle()
-    A = holonomy.parallel_transport(chart, loop, 4000)
+    A = holonomy.parallel_transport(chart, [loop], 4000)[0]
     angle = abs(math.atan2(A[1, 0], A[0, 0]))
     assert abs(angle - excess) < 1e-5
 
@@ -243,7 +243,7 @@ def test_criterion_08_end_to_end_dichotomy(delta4):
     assert sphere.witness_distance > delta4.delta
     # replay the witness loop from scratch
     witness = sphere.orbit_report.samples[sphere.witness_loop_index]
-    A = holonomy.parallel_transport(sphere_chart, witness.loop, 2 * witness.ode_steps)
+    A = holonomy.parallel_transport(sphere_chart, [witness.loop], 2 * witness.ode_steps)[0]
     Q = holonomy.nearest_orthogonal(A)
     J_p = sphere.orbit_report.base_J
     assert acs.distance(J_p, acs.conjugate(Q, J_p)) > delta4.delta
@@ -275,8 +275,8 @@ def test_criterion_10_negative_controls(capsys, tmp_path):
 
     chart = holonomy.catalog("round_sphere_4")
     loop = holonomy.rectangle_loop(np.zeros(4), 0, 2, 0.8)
-    A = holonomy.parallel_transport(chart, loop, 1000)
-    B = holonomy.parallel_transport(chart, loop.reversed(), 1000)
+    A = holonomy.parallel_transport(chart, [loop], 1000)[0]
+    B = holonomy.parallel_transport(chart, [loop.reversed()], 1000)[0]
     assert maxabs(A @ B - np.eye(4)) < 1e-7
 
     outputs = []

@@ -211,14 +211,14 @@ def test_transport_constant_path_is_identity():
     chart = holonomy.catalog("round_sphere_4")
     p = np.array([0.2, -0.1, 0.3, 0.0])
     path = holonomy.curve(lambda t: p, lambda t: np.zeros(4))
-    A = holonomy.parallel_transport(chart, path, 200)
+    A = holonomy.parallel_transport(chart, [path], 200)[0]
     assert maxabs(A - np.eye(4)) < 1e-12
 
 
 def test_transport_flat_torus_loop_is_identity():
     chart = holonomy.catalog("flat_torus_4")
     loop = holonomy.rectangle_loop([0.4] * 4, 0, 2, 0.3)
-    A = holonomy.parallel_transport(chart, loop, 200)
+    A = holonomy.parallel_transport(chart, [loop], 200)[0]
     assert maxabs(A - np.eye(4)) < 1e-10
 
 
@@ -236,10 +236,10 @@ def test_transport_reuses_stage_evaluations():
     chart = holonomy.ManifoldChart(base.dim, base.metric, base.domain,
                                    christoffel=counting, name="counted")
     loop = holonomy.rectangle_loop(np.zeros(4), 0, 1, 0.5)
-    A = holonomy.parallel_transport(chart, loop, 400)
+    A = holonomy.parallel_transport(chart, [loop], 400)[0]
     assert calls == [2 * 100 + 1] * 4
     assert sum(calls) == 4 * (2 * 100 + 1)
-    assert np.array_equal(A, holonomy.parallel_transport(base, loop, 400))
+    assert np.array_equal(A, holonomy.parallel_transport(base, [loop], 400)[0])
 
 
 def test_transport_rejects_non_finite_defect():
@@ -251,7 +251,7 @@ def test_transport_rejects_non_finite_defect():
     _, (defect,) = holonomy.transport_with_defect(chart, [loop], 200)
     assert math.isnan(defect)
     with pytest.raises(StepTooCoarse, match="non-finite"):
-        holonomy.parallel_transport(chart, loop, 200)
+        holonomy.parallel_transport(chart, [loop], 200)
     with pytest.raises(StepTooCoarse, match="non-finite"):
         holonomy.holonomy_samples(chart, np.zeros(4), [loop], 200)
 
@@ -260,7 +260,7 @@ def test_transport_requires_enough_steps():
     chart = holonomy.catalog("flat_torus_4")
     loop = holonomy.rectangle_loop([0.4] * 4, 0, 1, 0.2)
     with pytest.raises(StepTooCoarse):
-        holonomy.parallel_transport(chart, loop, 50)
+        holonomy.parallel_transport(chart, [loop], 50)
 
 
 def test_transport_preserves_the_metric():
@@ -287,18 +287,18 @@ def test_transport_concatenation_homomorphism():
     p = np.zeros(4)
     l1 = holonomy.rectangle_loop(p, 0, 1, 0.6)
     l2 = holonomy.rectangle_loop(p, 2, 3, 0.5)
-    A1 = holonomy.parallel_transport(chart, l1, 800)
-    A2 = holonomy.parallel_transport(chart, l2, 800)
-    A12 = holonomy.parallel_transport(chart, holonomy.concatenate_paths([l1, l2]),
-                                      1600)
+    A1 = holonomy.parallel_transport(chart, [l1], 800)[0]
+    A2 = holonomy.parallel_transport(chart, [l2], 800)[0]
+    A12 = holonomy.parallel_transport(chart, [holonomy.concatenate_paths([l1, l2])],
+                                      1600)[0]
     assert maxabs(A12 - A2 @ A1) < 1e-6
 
 
 def test_reversed_loop_gives_inverse():
     chart = holonomy.catalog("round_sphere_4")
     loop = holonomy.rectangle_loop(np.zeros(4), 1, 3, 0.7)
-    A = holonomy.parallel_transport(chart, loop, 1000)
-    B = holonomy.parallel_transport(chart, loop.reversed(), 1000)
+    A = holonomy.parallel_transport(chart, [loop], 1000)[0]
+    B = holonomy.parallel_transport(chart, [loop.reversed()], 1000)[0]
     assert maxabs(A @ B - np.eye(4)) < 1e-7
 
 
@@ -327,7 +327,7 @@ def test_small_equator_rectangle_rotation_angle():
     s = 0.05
     p = np.array([1.0, 0.0])
     loop = holonomy.rectangle_loop(p - 0.5 * s, 0, 1, s)
-    A = holonomy.parallel_transport(chart, loop, 400)
+    A = holonomy.parallel_transport(chart, [loop], 400)[0]
     angle = abs(math.atan2(A[1, 0], A[0, 0]))
     assert abs(angle - s ** 2) < 0.05 * s ** 2
 
@@ -862,7 +862,7 @@ def test_transport_rejects_straight_path_leaving_the_box():
     chart = holonomy.catalog("fubini_study_cp2")
     path = holonomy.polyline([np.zeros(4), [0.7, 0.0, 0.0, 0.0]])
     with pytest.raises(OutsideDomain):
-        holonomy.parallel_transport(chart, path, 200)
+        holonomy.parallel_transport(chart, [path], 200)
 
 
 def test_transport_rejects_curve_bulging_out_of_the_box():
@@ -873,7 +873,7 @@ def test_transport_rejects_curve_bulging_out_of_the_box():
                                               0.0, 0.0]))
     assert chart.contains(path.map(0.0)) and chart.contains(path.map(1.0))
     with pytest.raises(OutsideDomain):
-        holonomy.parallel_transport(chart, path, 200)
+        holonomy.parallel_transport(chart, [path], 200)
 
 
 def test_points_of_the_wrong_length_are_a_dimension_mismatch():
@@ -946,8 +946,8 @@ def test_reversed_loop_gives_inverse_property(data, p):
     """The tolerance of test_reversed_loop_gives_inverse (worst seen at 400
     steps: 2.7e-10)."""
     loop = _draw_loop(data.draw, p)
-    A = holonomy.parallel_transport(_SPHERE, loop, 400)
-    B = holonomy.parallel_transport(_SPHERE, loop.reversed(), 400)
+    A = holonomy.parallel_transport(_SPHERE, [loop], 400)[0]
+    B = holonomy.parallel_transport(_SPHERE, [loop.reversed()], 400)[0]
     assert maxabs(A @ B - np.eye(4)) < 1e-7
 
 
@@ -957,9 +957,9 @@ def test_concatenation_homomorphism_property(data, p):
     """The tolerance of test_transport_concatenation_homomorphism (worst
     seen at 400 steps per loop: 1.8e-7)."""
     l1, l2 = _draw_loop(data.draw, p), _draw_loop(data.draw, p)
-    A1 = holonomy.parallel_transport(_SPHERE, l1, 500)
-    A2 = holonomy.parallel_transport(_SPHERE, l2, 500)
-    A12 = holonomy.parallel_transport(_SPHERE, holonomy.concatenate_paths([l1, l2]), 1000)
+    A1 = holonomy.parallel_transport(_SPHERE, [l1], 500)[0]
+    A2 = holonomy.parallel_transport(_SPHERE, [l2], 500)[0]
+    A12 = holonomy.parallel_transport(_SPHERE, [holonomy.concatenate_paths([l1, l2])], 1000)[0]
     assert maxabs(A12 - A2 @ A1) < 1e-6
 
 
@@ -1095,7 +1095,7 @@ def test_unbatched_christoffel_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch, match="unbatched"):
         holonomy.christoffel(chart, np.full((3, 4), 0.5))
     with pytest.raises(DimensionMismatch):
-        holonomy.parallel_transport(chart, holonomy.rectangle_loop([0.5] * 4, 0, 1, 0.2), 100)
+        holonomy.parallel_transport(chart, [holonomy.rectangle_loop([0.5] * 4, 0, 1, 0.2)], 100)
 
 
 def test_christoffel_keeps_the_leading_shape():

@@ -228,7 +228,12 @@ class _TwistedField(prober.GlobalJField):
     RATE = 1.0
 
     def ortho_j(self, x, axis_order=None):
-        theta = self.RATE * float(np.asarray(x)[0])
+        """The rotated structure at every point of x, one point at a time."""
+        return np.reshape([self._rotated(float(y[0])) for y in np.reshape(x, (-1, 4))],
+                          np.shape(x) + (4,))
+
+    def _rotated(self, x0):
+        theta = self.RATE * x0
         c, s = math.cos(theta), math.sin(theta)
         R = np.eye(4)
         R[1, 1] = R[2, 2] = c
@@ -363,36 +368,80 @@ def _fresh_fs_field():
                                h=np.full(4, 0.01), steps=100)
 
 
-def test_coordinate_j_stack_matches_pointwise_ortho_j():
+def _one_path_ortho_j(field, x, axis_order=None):
+    """The field's value at one point x, read one point at a time: each miss
+    is transported alone, in a kernel call of its own."""
+    key = field._key(x, axis_order)
+    if key not in field._cache:
+        path = field._canonical_path(x, axis_order)
+        field._cache[key] = (field._transported(holonomy.parallel_transport(
+            field.chart, [path], field.steps)[0]) if path.pieces else field.base_J.mat)
+    return field._cache[key]
+
+
+def _counted_transports(monkeypatch):
+    """Record the number of paths of every parallel_transport call."""
+    calls, transport = [], holonomy.parallel_transport
+    monkeypatch.setattr(holonomy, "parallel_transport",
+                        lambda chart, paths, steps: calls.append(len(paths))
+                        or transport(chart, paths, steps))
+    return calls
+
+
+def test_coordinate_j_stack_matches_pointwise_ortho_j(monkeypatch):
     """The misses of one stack are transported in one call with the bytes
-    of the per-point ortho_j loop: a repeated point, two points within
-    1e-12 (the first decides) and the base point (empty path) included."""
+    of the per-point, one-path reads, along either axis order: a repeated
+    point, two points within 1e-12 (the first decides) and the base point
+    (empty path) included."""
     x = np.array([0.1, -0.05, 0.08, 0.02])
     near = x + np.array([2e-13, 0.0, -1e-13, 0.0])
     pts = np.concatenate([np.repeat(x[None], 9, axis=0), [x, near, np.zeros(4)]])
     pts[1::2][:4] += np.diag([0.01, 0.02, 0.03, 0.04])
     pts[2::2][:4] -= np.diag([0.01, 0.02, 0.03, 0.04])
     stack = pts.reshape(3, 4, 4)
-    stacked, pointwise = _fresh_fs_field(), _fresh_fs_field()
-    assert stacked._key(near) == stacked._key(x) and not np.array_equal(near, x)
-    F = holonomy.orthonormal_frame(pointwise.chart, stack)
-    J = np.reshape([pointwise.ortho_j(y) for y in pts], F.shape)
-    assert stacked.coordinate_j(stack).tobytes() == (F @ J @ np.linalg.inv(F)).tobytes()
-    assert len(stacked._cache) == len(pointwise._cache) == 10
-    for key, val in pointwise._cache.items():
-        assert stacked._cache[key].tobytes() == val.tobytes()
-    assert stacked._cache[stacked._key(np.zeros(4))] is stacked.base_J.mat
+    calls = _counted_transports(monkeypatch)
+    for axis_order in (None, [3, 2, 1, 0]):
+        stacked, pointwise = _fresh_fs_field(), _fresh_fs_field()
+        assert stacked._key(near) == stacked._key(x) and not np.array_equal(near, x)
+        J = np.reshape([_one_path_ortho_j(pointwise, y, axis_order) for y in pts],
+                       (3, 4, 4, 4))
+        del calls[:]
+        assert stacked.ortho_j(stack, axis_order).tobytes() == J.tobytes()
+        assert calls == [9]
+        if axis_order is None:
+            F = holonomy.orthonormal_frame(pointwise.chart, stack)
+            assert (stacked.coordinate_j(stack).tobytes()
+                    == (F @ J @ np.linalg.inv(F)).tobytes())
+            assert calls == [9]  # all cached
+        assert len(stacked._cache) == len(pointwise._cache) == 10
+        for key, val in pointwise._cache.items():
+            assert stacked._cache[key].tobytes() == val.tobytes()
+        assert stacked._cache[stacked._key(np.zeros(4), axis_order)] is stacked.base_J.mat
+
+
+def test_path_independence_is_one_transport_per_axis_order(monkeypatch):
+    """build_global_j reads its default 10 probe points in one kernel call
+    per axis order, with the residual of the per-point, one-path reads."""
+    chart = holonomy.catalog("fubini_study_cp2")
+    J = prober.default_structure(chart, [0.0] * 4)
+    config = prober.ProbeConfig(field_steps=100)
+    calls = _counted_transports(monkeypatch)
+    field = prober.build_global_j(chart, [0.0] * 4, J, config)
+    assert calls == [config.probe_points] * 2
+    reference = _fresh_fs_field()
+    worst = max(maxabs(_one_path_ortho_j(reference, x)
+                       - _one_path_ortho_j(reference, x, [3, 2, 1, 0])) for x in field.grid)
+    assert repr(field.path_independence_residual) == repr(worst)
+    assert len(field._cache) == len(reference._cache) == 2 * config.probe_points
+    for key, val in reference._cache.items():
+        assert field._cache[key].tobytes() == val.tobytes()
 
 
 def test_one_certificate_scale_transports_its_misses_once(monkeypatch):
     """A certificate's stencil reaches the kernel in one stacked call; the
     next certificates at the same scale share that stencil and make none."""
-    field, calls = _fresh_fs_field(), []
-    stacked = holonomy.parallel_transports
-    monkeypatch.setattr(holonomy, "parallel_transports",
-                        lambda chart, paths, steps: calls.append(len(paths))
-                        or stacked(chart, paths, steps))
-    monkeypatch.setattr(holonomy, "parallel_transport", None)  # never the one-path call
+    field = _fresh_fs_field()
+    calls = _counted_transports(monkeypatch)
     prober.covariant_constancy_check(field)
     assert calls == [9]
     prober.nijenhuis_check(field)
@@ -451,6 +500,18 @@ def test_default_structure_flat_torus_is_canonical():
     chart = holonomy.catalog("flat_torus_4")
     J = prober.default_structure(chart, [0.5] * 4)
     assert maxabs(J.mat - acs.canonical_j(2).mat) < 1e-12
+
+
+@pytest.mark.parametrize("mat", [np.full((4, 4), np.nan), 2.0 * acs.canonical_j(2).mat,
+                                 np.eye(4)], ids=["nan", "twice_j0", "identity"])
+def test_given_structure_is_validated_at_default_structure(mat, delta4):
+    """A J_p that is not an orthogonal complex structure within the input
+    tolerance ends Inconclusive where the structure is settled, not as a raw
+    error, a wrong obstruction or a failed average further on."""
+    v = prober.probe(holonomy.catalog("round_sphere_4"), [0.0] * 4,
+                     J_p=acs.OrthoComplexStructure(mat),
+                     config=prober.ProbeConfig(loops=2, word_length=1), delta=delta4)
+    assert (v.kind, v.failing_stage) == ("Inconclusive", "default_structure")
 
 
 def test_probe_inconclusive_outside_domain(delta4):

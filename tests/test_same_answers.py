@@ -1,4 +1,5 @@
-"""Pinned outcomes of the benchmark's probes.
+"""Pinned outcomes of the benchmark's probes and of the default-config
+catalog probes.
 
 Speed-ups of the pipeline claim to leave its answers as they are.  These
 tests keep that claim in the suite: the verdict, failing stage and witness
@@ -71,3 +72,43 @@ def test_sphere_obstruction_seed0_outcome(delta4):
     assert v.witness_distance == pytest.approx(4.513648130739961, rel=REL, abs=0.0)
     assert v.orbit_report.max_distance == v.witness_distance
     assert v.certificates == {}
+
+
+# criterion 08's default-config probes with more than one probe point, so
+# with the stacked path-independence check: chart -> (point, samples, certificates)
+DEFAULT_PROBES = {
+    "fubini_study_cp2": (ORIGIN, 374, {
+        "fixedness": 0.0,
+        "path_independence": 3.3267969602374673e-15,
+        "nabla_j": 4.1184284484619954e-14,
+        "nijenhuis": 5.52128948983184e-14,
+        "d_omega": 0.00039964065514613845,
+        "d_omega_refined": 0.00010041417753947623,
+    }),
+    "product_s2_s2": (ORIGIN, 28, {
+        "fixedness": 0.0,
+        "path_independence": 4.440892098500626e-16,
+        "nabla_j": 8.326672684688674e-16,
+        "nijenhuis": 1.6671349890000551e-15,
+        "d_omega": 7.701093465000215e-16,
+    }),
+    "flat_torus_4": ([0.5] * 4, 6, {
+        "fixedness": 0.0,
+        "path_independence": 0.0,
+        "nabla_j": 0.0,
+        "nijenhuis": 0.0,
+        "d_omega": 0.0,
+    }),
+}
+
+
+@pytest.mark.parametrize("chart", sorted(DEFAULT_PROBES))
+def test_default_probe_outcome(chart, delta4):
+    """The default-config probe of a Kaehler catalog chart (criterion 08):
+    a witness whose orbit is fixed exactly, with every certificate pinned."""
+    point, samples, certificates = DEFAULT_PROBES[chart]
+    v = prober.probe(holonomy.catalog(chart), point, delta=delta4)
+    assert (v.kind, v.failing_stage) == ("KahlerWitness", "")
+    assert len(v.orbit_report.samples) == samples
+    assert v.orbit_report.max_distance == 0.0
+    assert v.certificates == pytest.approx(certificates, rel=REL, abs=0.0)
