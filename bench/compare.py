@@ -24,10 +24,11 @@ runs, in order:
 * ``same_answers``: ``fs_perturbed`` and ``fs_witness`` at seeds 0-9
   (perfbench's configs), criteria 08 and 09 at their full configs (with
   ``product_s2_s2`` beside criterion 08's three charts), and the
-  ``--no-timestamp`` output of every CLI command, on both sides.  Verdicts,
-  failing stages, certificate and distance reprs, mean bytes and Karcher
-  iteration counts must agree exactly; ``MeanResult.energy`` (and the
-  ``mean`` command's ``energy``) is reported as its largest relative and
+  ``--no-timestamp`` output of every CLI command, on both sides, plus
+  ``sphere_obstruction`` at seeds 0-9.  Verdicts, failing stages,
+  certificate and distance reprs (every orbit distance too), mean bytes and
+  Karcher iteration counts must agree exactly; ``MeanResult.energy`` (and
+  the ``mean`` command's ``energy``) is reported as its largest relative and
   absolute difference.
 
 Every child process has one BLAS thread and a fresh delta cache.  The
@@ -196,6 +197,8 @@ def answers():
         rec = {"kind": v.kind, "failing_stage": v.failing_stage, "detail": v.detail,
                "certificates": {k: repr(c) for k, c in v.certificates.items()},
                "orbit_max_distance": repr(v.orbit_report.max_distance) if v.orbit_report else None,
+               "orbit_distances": (repr(list(v.orbit_report.distances))
+                                   if v.orbit_report else None),
                "witness": [v.witness_loop_index, repr(v.witness_distance)]}
         if m is not None:
             rec.update(mean_sha256=hashlib.sha256(m.mean.mat.tobytes()).hexdigest(),
@@ -218,6 +221,9 @@ def answers():
                                  loop_scale=workloads.PERTURBED_LOOP_SCALE)
         out[f"fs_perturbed/{seed}"] = record(prober.probe(
             fs, origin, J_p=perturbed(delta, seed), config=cfg, delta=delta), pullback=True)
+        out[f"sphere_obstruction/{seed}"] = record(prober.probe(
+            holonomy.catalog("round_sphere_4"), origin, delta=delta,
+            config=prober.ProbeConfig(loops=workloads.SPHERE_LOOPS, seed=seed)))
     delta = compute_delta(2, seed=0)
     for chart, point in (("flat_torus_4", [0.5] * 4), ("fubini_study_cp2", origin),
                          ("product_s2_s2", origin), ("round_sphere_4", origin)):
@@ -264,6 +270,8 @@ def _cli_runs(side, tmp, name):
                       "--out", where.format("transport.json")],
         "orbit": ["orbit", "--manifold", "fubini_study_cp2", "--point", "0,0,0,0",
                   "--loops", "3", "--csv", where.format("orbit.csv")],
+        "orbit_sphere": ["orbit", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+                         "--loops", "3", "--csv", where.format("orbit.csv")],
         "probe_fs_perturbed_config": [
             "probe", "--manifold", "fubini_study_cp2", "--point", "0,0,0,0",
             *[arg for key, value in workloads.FS_CONFIG.items()

@@ -162,16 +162,18 @@ def _maxabs_each(a: np.ndarray) -> np.ndarray:
 
 
 def _pair_stacks(J1s, J2s):
-    """Two (d, d) or (N, d, d) arrays as (N, d, d) stacks of one shape."""
+    """Two (d, d) or (N, d, d) arrays as (N, d, d) stacks of one shape, and
+    whether both were (d, d)."""
     A = np.asarray(J1s, dtype=float)
     B = np.asarray(J2s, dtype=float)
     if A.shape[-2:] != B.shape[-2:]:
         raise OddDimension("dimension mismatch")
+    single = A.ndim == B.ndim == 2
     A = A[None] if A.ndim == 2 else A
     B = B[None] if B.ndim == 2 else B
     if A.shape != B.shape:
         A, B = np.broadcast_arrays(A, B)
-    return A, B
+    return A, B, single
 
 
 def _no_sort(x, y=None):
@@ -292,25 +294,22 @@ def _first_error(errors, tolerated=()):
             raise exc
 
 
-def log_maps(J1s, J2s) -> np.ndarray:
-    """Stacked log map: slice k is log_map(J1s[k], J2s[k]).mat.
-
-    ``J1s`` and ``J2s`` are (d, d) or (N, d, d) matrix stacks that broadcast
-    together.  Raises the error of the first failing pair.
-    """
-    tangents, errors = _log_stack(*_pair_stacks(J1s, J2s))
+def log_map(J1s, J2s) -> np.ndarray:
+    """Inverse of exp_map, the tangent phi at J1 with exp_map(J1, phi, 1) =
+    J2, of every slice pair of two (d, d) or (N, d, d) stacks that broadcast
+    together, as an (N, d, d) stack.  Raises the first error."""
+    A, B, _ = _pair_stacks(J1s, J2s)
+    tangents, errors = _log_stack(A, B)
     _first_error(errors)
     return tangents
 
 
-def log_map(J1: OrthoComplexStructure, J2: OrthoComplexStructure) -> TangentPhi:
-    """Inverse of exp_map: the tangent phi at J1 with exp_map(J1, phi, 1) = J2
-    (the single-pair case of log_maps)."""
-    return TangentPhi(J1, log_maps(J1.mat, J2.mat)[0])
-
-
-def _distances(J1s, J2s, tolerated) -> np.ndarray:
-    A, B = _pair_stacks(J1s, J2s)
+def distance(J1s, J2s, *, tolerated=()):
+    """Geodesic distance ||log_map(J1, J2)|| of every slice pair, as log_map
+    pairs them; a (d, d) pair gives a float.  The same point within TOL_ALG
+    reads 0 without a log map, an error of a ``tolerated`` type +inf; the
+    first other error is raised."""
+    A, B, single = _pair_stacks(J1s, J2s)
     out = np.zeros(len(A))
     far = np.flatnonzero(~(np.max(np.abs(A - B), axis=(1, 2)) <= TOL_ALG))
     tangents, errors = _log_stack(A[far], B[far])
@@ -319,56 +318,32 @@ def _distances(J1s, J2s, tolerated) -> np.ndarray:
     norms = np.sqrt(np.vecdot(flat, flat))  # the bits of np.linalg.norm per slice
     norms[[k for k, exc in enumerate(errors) if exc is not None]] = math.inf
     out[far] = norms
-    return out
+    return float(out[0]) if single else out
 
 
-def distances(J1s, J2s) -> np.ndarray:
-    """Stacked distance: slice k is distance(J1s[k], J2s[k]); pairs that are
-    the same point read 0 without a log map.  Raises the error of the first
-    failing pair."""
-    return _distances(J1s, J2s, ())
-
-
-def distances_or_inf(J1s, J2s) -> np.ndarray:
-    """Stacked distance_or_inf: +inf for every pair past the cut locus or
-    across components; any other error of the first failing pair is raised."""
-    return _distances(J1s, J2s, (CutLocusError, ComponentMismatch))
-
-
-def distance(J1: OrthoComplexStructure, J2: OrthoComplexStructure) -> float:
-    """Geodesic distance ||log_map(J1, J2)||."""
-    if J1.same_point(J2):
-        return 0.0
-    return log_map(J1, J2).norm()
-
-
-def distance_or_inf(J1: OrthoComplexStructure, J2: OrthoComplexStructure) -> float:
+def distance_or_inf(J1s, J2s):
     """distance, or +inf past the cut locus or across components: such a
     pair is certainly farther apart than any radius below injectivity."""
-    try:
-        return distance(J1, J2)
-    except (CutLocusError, ComponentMismatch):
-        return math.inf
+    return distance(J1s, J2s, tolerated=(CutLocusError, ComponentMismatch))
 
 
-def conjugates(Qs, J: OrthoComplexStructure) -> np.ndarray:
-    """Stacked conjugate: Q^{-1} J Q for every slice of an (N, d, d) stack,
-    each slice checked for orthogonality; raises for the first that is not."""
+def conjugate(Qs, J: OrthoComplexStructure) -> np.ndarray:
+    """Action of orthogonal matrices: Q^{-1} J Q for a (d, d) Q or every
+    slice of an (N, d, d) stack, each checked for orthogonality; raises for
+    the first that is not."""
     Qs = np.asarray(Qs, dtype=float)
-    if Qs.shape[1:] != J.mat.shape:
-        raise OddDimension(f"shape mismatch: {Qs.shape[1:]} vs {J.mat.shape}")
-    Qt = Qs.transpose(0, 2, 1)
-    defect = _maxabs_each(Qt @ Qs - np.eye(J.dim))
+    single = Qs.ndim == 2
+    Q = Qs[None] if single else Qs
+    if Q.shape[1:] != J.mat.shape:
+        raise OddDimension(f"shape mismatch: {Qs.shape} vs {J.mat.shape}")
+    Qt = Q.transpose(0, 2, 1)
+    defect = _maxabs_each(Qt @ Q - np.eye(J.dim))
     bad = np.flatnonzero(defect > TOL_ALG)
     if bad.size:
         raise NotOrthogonalGroupElement(
             f"Q^T Q - I has max-abs entry {defect[bad[0]]:.3e}")
-    return Qt @ J.mat @ Qs
-
-
-def conjugate(Q: np.ndarray, J: OrthoComplexStructure) -> OrthoComplexStructure:
-    """Action of an orthogonal matrix: Q^{-1} J Q."""
-    return OrthoComplexStructure(conjugates(np.asarray(Q, dtype=float)[None], J)[0])
+    out = Qt @ J.mat @ Q
+    return out[0] if single else out
 
 
 def sectional_curvatures(J: OrthoComplexStructure, phis, psis):
@@ -413,7 +388,7 @@ def random_j(n: int, seed: int) -> OrthoComplexStructure:
     Q = Q * np.sign(np.diag(R))  # Haar sign correction
     if np.linalg.det(Q) < 0.0:
         Q[:, 0] = -Q[:, 0]
-    return conjugate(Q, canonical_j(n))
+    return OrthoComplexStructure(conjugate(Q, canonical_j(n)))
 
 
 def random_tangents(J: OrthoComplexStructure, seeds, norm: float = 1.0) -> np.ndarray:

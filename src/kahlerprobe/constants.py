@@ -153,7 +153,7 @@ def estimate_injectivity(n: int, resolution: float = MAX_RESOLUTION,
             while t < first_break and len(ts) < MARCH_CHUNK:
                 ts.append(t)
                 t += resolution
-            dists = acs.distances_or_inf(J.mat, acs.exp_maps(J, phi, ts))
+            dists = acs.distance_or_inf(J.mat, acs.exp_maps(J, phi, ts))
             # past the cut locus (inf) or no longer minimizing
             broken = [tk for tk, d in zip(ts, dists.tolist())
                       if d == math.inf or d < tk - 2.0 * resolution]

@@ -73,28 +73,30 @@ class ConvexityReport:
     ball_radius: float      # max distance from the best-centered sample
     diameter: float
     diameter_bound: float
+    bounds: bool = False    # ball_radius and diameter are upper bounds, not exact
 
 
 def karcher_terms(y: OrthoComplexStructure, s: WeightedSampleSet):
-    """The energy (1/2) sum_i w_i d(x_i, y)^2 and its Riemannian gradient
-    -sum_i w_i log_y(x_i) at y, both from one log-map stack on base y that
-    skips the points of weight 0."""
+    """The energy (1/2) sum_i w_i d(x_i, y)^2, its Riemannian gradient
+    -sum_i w_i log_y(x_i) at y and the distances d(x_i, y), all from one
+    log-map stack on base y that skips the points of weight 0."""
     used = [i for i, w in enumerate(s.weights) if w != 0.0]
-    logs = acs.log_maps(y.mat, s.points[used])
+    logs = acs.log_map(y.mat, s.points[used])
     flat = logs.reshape(len(used), -1)
     dists = np.sqrt(np.vecdot(flat, flat)).tolist()  # the bits of np.linalg.norm
-    g = np.zeros_like(y.mat)
-    for i, log in zip(used, logs):
-        g -= s.weights[i] * log
+    w = np.array(s.weights)[used, None, None]
+    # subtract.reduce subtracts in slice order, as a loop of g -= w_i log_i would
+    g = np.subtract.reduce(np.concatenate([np.zeros((1,) + y.mat.shape), w * logs]))
     energy = 0.5 * sum(s.weights[i] * d ** 2 for i, d in zip(used, dists))
-    return energy, TangentPhi(y, g)
+    return energy, TangentPhi(y, g), dists
 
 
 def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER,
-                 start: OrthoComplexStructure = None) -> MeanResult:
+                 start: OrthoComplexStructure = None, terms=None) -> MeanResult:
     """Gradient descent with Armijo halving, started at ``start`` or the
-    heaviest sample.  Each trial point is log-mapped once: an accepted
+    heaviest sample, whose ``karcher_terms`` are passed in as ``terms`` when
+    the caller has them.  Each trial point is log-mapped once: an accepted
     trial's gradient is the next iterate's."""
     if not tol >= MIN_TOL:
         raise ToleranceTooSmall(f"tol must be >= {MIN_TOL}")
@@ -102,7 +104,7 @@ def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
         raise IterationLimitTooSmall(f"max_iter must be >= 1, got {max_iter}")
     y = (OrthoComplexStructure(s.points[int(np.argmax(s.weights))])
          if start is None else start)
-    energy, grad = karcher_terms(y, s)
+    energy, grad, _ = karcher_terms(y, s) if terms is None else terms
     for it in range(1, max_iter + 1):
         gn = grad.norm()
         if gn < tol:
@@ -111,7 +113,7 @@ def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
         while step > 1e-8:
             y_new = acs.exp_map(y, grad, -step)
             try:
-                e_new, g_new = karcher_terms(y_new, s)
+                e_new, g_new, _ = karcher_terms(y_new, s)
             except ComponentMismatch:
                 step *= 0.5
                 continue
@@ -128,29 +130,42 @@ def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
     return MeanResult(y, max_iter, gn, energy, gn < tol)
 
 
-def check_convexity(s: WeightedSampleSet, delta: DeltaConstant) -> ConvexityReport:
+def check_convexity(s: WeightedSampleSet, delta: DeltaConstant,
+                    distances=None) -> ConvexityReport:
     """Diagnostic for the center-of-mass hypothesis.
 
     (a) some sample point is within 2*delta of every other sample (ball
     containment proxy) and (b) the set's diameter is at most
     pi / (2 sqrt(eps)).
-    """
-    mats = s.points
-    m = len(mats)
+
+    Given the samples' ``distances`` d_i to one base point, the diameter is
+    at most 2 max d_i and the radius at most min d_i + max d_i (triangle
+    inequality); when these bounds pass, the report is ok and carries them.
+    Otherwise, or without distances, every pair is measured."""
+    bound = math.pi / (2.0 * math.sqrt(delta.epsilon_used))
+    if distances is not None:
+        if len(distances) != len(s.points):
+            raise ValueError(f"{len(distances)} distances for {len(s.points)} samples")
+        radius = min(distances) + max(distances)
+        diameter = 2.0 * max(distances)
+        if radius <= 2.0 * delta.delta and diameter <= bound:
+            return ConvexityReport(ok=True, ball_radius=radius, diameter=diameter,
+                                   diameter_bound=bound, bounds=True)
+    P, m = s.points, len(s.points)
     dmat = np.zeros((m, m))
     for i in range(m - 1):
-        dmat[i, i + 1:] = dmat[i + 1:, i] = acs.distances_or_inf(mats[i], mats[i + 1:])
+        dmat[i, i + 1:] = dmat[i + 1:, i] = acs.distance_or_inf(P[i], P[i + 1:])
     radius = float(np.min(np.max(dmat, axis=1))) if m > 1 else 0.0
     diameter = float(np.max(dmat))
-    bound = math.pi / (2.0 * math.sqrt(delta.epsilon_used))
     return ConvexityReport(ok=radius <= 2.0 * delta.delta and diameter <= bound,
                            ball_radius=radius, diameter=diameter, diameter_bound=bound)
 
 
 def karcher_mean_checked(s: WeightedSampleSet, delta: DeltaConstant,
-                         tol: float = DEFAULT_TOL) -> MeanResult:
-    """karcher_mean preceded by the convexity diagnostic (hard failure)."""
-    report = check_convexity(s, delta)
+                         tol: float = DEFAULT_TOL, distances=None) -> MeanResult:
+    """karcher_mean preceded by the convexity diagnostic (hard failure),
+    which reads the samples' ``distances`` to a common base when given."""
+    report = check_convexity(s, delta, distances)
     if not report.ok:
         raise ConvexityViolation(
             f"sample set violates the convexity hypothesis: radius "

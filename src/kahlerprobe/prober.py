@@ -31,7 +31,7 @@ from .errors import (
     OutsideDomain,
 )
 from .karcher import (DEFAULT_TOL, MeanResult, WeightedSampleSet, karcher_mean,
-                      karcher_mean_checked)
+                      karcher_mean_checked, karcher_terms)
 
 TOL_FIX = 1e-5           # fixedness of the averaged structure
 TOL_PATH_INDEP = 1e-4    # two-path comparison of the global field
@@ -56,11 +56,11 @@ class ProbeConfig:
     mean_tol: float = DEFAULT_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitReport:
     base_J: OrthoComplexStructure
     samples: tuple
-    orbit: tuple
+    orbit: np.ndarray       # (N, d, d): slice i is sample i's conjugate of base_J
     distances: tuple
     max_distance: float
     argmax_loop: int
@@ -147,25 +147,24 @@ class GlobalJField:
 
 
 def orbit(J_p: OrthoComplexStructure, samples) -> OrbitReport:
-    """Conjugate J_p by every holonomy sample and record all distances.
+    """Conjugate J_p by every holonomy sample and record all distances: the
+    samples' shapes are checked, then stacked for one call each of det,
+    conjugate and distance_or_inf.
 
     A distance past the cut locus is recorded as +inf: it certainly exceeds
     any delta below the injectivity radius."""
-    pts = []
-    dists = []
-    for s in samples:
-        if s.matrix.shape != J_p.mat.shape:
-            raise DimensionMismatch("sample dimension differs from J_p")
-        if np.linalg.det(s.matrix) < 0.0:
-            raise DeterminantAnomaly(
-                "holonomy sample with determinant -1; transport on a "
-                "connected manifold cannot produce this")
-        Jq = acs.conjugate(s.matrix, J_p)
-        pts.append(Jq)
-        dists.append(acs.distance_or_inf(J_p, Jq))
-    max_d = max(dists) if dists else 0.0
-    return OrbitReport(base_J=J_p, samples=tuple(samples), orbit=tuple(pts),
-                       distances=tuple(dists), max_distance=float(max_d),
+    if any(s.matrix.shape != J_p.mat.shape for s in samples):
+        raise DimensionMismatch("sample dimension differs from J_p")
+    mats = np.reshape([s.matrix for s in samples], (-1, J_p.dim, J_p.dim))
+    if np.any(np.linalg.det(mats) < 0.0):
+        raise DeterminantAnomaly(
+            "holonomy sample with determinant -1; transport on a "
+            "connected manifold cannot produce this")
+    pts = acs.conjugate(mats, J_p)
+    pts.setflags(write=False)
+    dists = acs.distance_or_inf(J_p.mat, pts).tolist()
+    return OrbitReport(base_J=J_p, samples=tuple(samples), orbit=pts,
+                       distances=tuple(dists), max_distance=max(dists, default=0.0),
                        argmax_loop=int(np.argmax(dists)) if dists else -1)
 
 
@@ -185,39 +184,34 @@ def average_to_fixed(report: OrbitReport, delta: DeltaConstant,
     conjugation is an isometry fixing the true fixed set, each round
     contracts the unfixed component and the iteration converges
     geometrically.  The convexity hypothesis is verified on the initial
-    orbit; later rounds average strictly smaller sets."""
+    orbit, from its distances to J_p; later rounds average strictly smaller
+    sets."""
     if not near_preservation_test(report, delta):
         raise ValueError("orbit is not nearly preserved; nothing to average")
-    mean = karcher_mean_checked(WeightedSampleSet.uniform(report.orbit), delta, tol=tol)
+    mean = karcher_mean_checked(WeightedSampleSet.uniform(report.orbit), delta, tol=tol,
+                                distances=report.distances)
     if not report.samples:
         return mean
-    mats = _matrices(report.samples)
+    mats = np.array([s.matrix for s in report.samples])
     for _ in range(MAX_ROUNDS):
         if not mean.converged:
             break
-        # one conjugate stack gives the round's fixedness and the next samples
-        conj = acs.conjugates(mats, mean.mean)
-        if _max_distance(mean.mean, conj) < TOL_FIX:
+        # one conjugate stack and its log stack on the mean give the round's
+        # fixedness (the largest distance) and the next mean's first step
+        s = WeightedSampleSet.uniform(acs.conjugate(mats, mean.mean))
+        terms = karcher_terms(mean.mean, s)
+        if max(terms[2]) < TOL_FIX:
             break
-        mean = karcher_mean(WeightedSampleSet.uniform(conj), tol=tol, start=mean.mean)
+        mean = karcher_mean(s, tol=tol, start=mean.mean, terms=terms)
     return mean
-
-
-def _matrices(samples) -> np.ndarray:
-    """The samples' holonomy matrices as one (N, d, d) stack."""
-    return np.stack([s.matrix for s in samples])
-
-
-def _max_distance(J: OrthoComplexStructure, conj: np.ndarray) -> float:
-    """Max distance between J and the slices of a conjugate stack."""
-    return max([0.0] + acs.distances_or_inf(J.mat, conj).tolist())
 
 
 def fixedness_check(J_prime: OrthoComplexStructure, samples) -> float:
     """Max distance between J' and its conjugates by the samples."""
     if not samples:
         return 0.0
-    return _max_distance(J_prime, acs.conjugates(_matrices(samples), J_prime))
+    conj = acs.conjugate([s.matrix for s in samples], J_prime)
+    return max([0.0] + acs.distance_or_inf(J_prime.mat, conj).tolist())
 
 
 def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStructure,
@@ -348,10 +342,10 @@ def probe(chart: holonomy.ManifoldChart, p, J_p=None,
 
     Each stage is named once, as it starts; ``compute_delta`` is skipped
     when ``delta`` is given, and ``default_structure`` validates a given
-    ``J_p`` instead of building one.  One boundary turns a KahlerProbeError
-    from any stage into an Inconclusive verdict naming that stage; a residual
-    past its tolerance does the same, and a failed certificate is named by
-    its key (``nabla_j``, ...)."""
+    ``J_p``, a structure or a (d, d) array, instead of building one.  One
+    boundary turns a KahlerProbeError from any stage into an Inconclusive
+    verdict naming that stage; a residual past its tolerance does the same,
+    and a failed certificate is named by its key (``nabla_j``, ...)."""
     p = np.asarray(p, dtype=float)
     stage = "compute_delta"
     try:
@@ -362,7 +356,7 @@ def probe(chart: holonomy.ManifoldChart, p, J_p=None,
         if J_p is None:
             J_p = default_structure(chart, p)
         else:
-            acs.validate_j(J_p.mat, tol=acs.TOL_INPUT)
+            J_p = acs.validate_j(J_p, tol=acs.TOL_INPUT)
 
         stage = "holonomy_samples"
         loops = holonomy.loop_family(chart, p, config.loop_kind, config.loops,

@@ -195,7 +195,7 @@ def test_exp_map_base_mismatch():
 
 def test_log_map_at_same_point():
     J = acs.random_j(2, 6)
-    assert acs.log_map(J, J).norm() < 1e-12
+    assert np.linalg.norm(acs.log_map(J, J)[0]) < 1e-12
 
 
 def test_log_map_recovers_tangent():
@@ -203,7 +203,7 @@ def test_log_map_recovers_tangent():
     phi = acs.random_tangent(J1, 21, 0.4)
     J2 = acs.exp_map(J1, phi, 1.0)
     back = acs.log_map(J1, J2)
-    assert maxabs(back.mat - phi.mat) < 1e-9
+    assert maxabs(back[0] - phi.mat) < 1e-9
 
 
 def test_log_map_rejects_other_component():
@@ -290,8 +290,9 @@ def _scipy_exp_map(J, phi, t):
 @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**20),
        size=st.integers(1, 7), radius=st.floats(0.05, 1.2))
 def test_stacked_log_maps_match_single_pairs(n, seed, size, radius):
-    """Each slice of log_maps, distances and distances_or_inf has the bits
-    of log_map / distance, and of the scipy-Schur log map, on seeded
+    """Each slice of log_map, distance and distance_or_inf on a stack has
+    the bits of the same call on its (d, d) pair, and of the scipy-Schur log
+    map, on seeded
     same-component pairs: one base broadcast against a stack, and a stack
     of pairs of distinct points (with one same-point pair)."""
     rng = np.random.default_rng(seed)
@@ -308,13 +309,26 @@ def test_stacked_log_maps_match_single_pairs(n, seed, size, radius):
     A[-1] = B[-1]
     for J1s, firsts in ((base.mat, [base] * len(pts)),
                         (A, [acs.OrthoComplexStructure(a) for a in A])):
-        logs = acs.log_maps(J1s, B)
-        dists = acs.distances(J1s, B)
-        assert acs.distances_or_inf(J1s, B).tobytes() == dists.tobytes()
+        logs = acs.log_map(J1s, B)
+        dists = acs.distance(J1s, B)
+        assert acs.distance_or_inf(J1s, B).tobytes() == dists.tobytes()
         for k, (J1, J2) in enumerate(zip(firsts, pts)):
-            assert logs[k].tobytes() == acs.log_map(J1, J2).mat.tobytes()
+            assert logs[k].tobytes() == acs.log_map(J1, J2)[0].tobytes()
             assert logs[k].tobytes() == _scipy_log_map(J1.mat, J2.mat).tobytes()
             assert dists[k] == acs.distance(J1, J2)
+
+
+def test_distance_of_one_pair_is_a_float():
+    """A (d, d) pair, as matrices or structures, gives a Python float with
+    the value of slice 0 of its N = 1 stack."""
+    J1 = acs.random_j(2, 3)
+    for J2 in (acs.exp_map(J1, acs.random_tangent(J1, 4, 0.6), 1.0), J1):
+        for fn in (acs.distance, acs.distance_or_inf):
+            d = fn(J1, J2)
+            assert type(d) is float
+            assert repr(d) == repr(float(fn(J1.mat[None], J2.mat[None])[0]))
+            assert repr(fn(J1.mat, J2.mat)) == repr(d)
+    assert acs.distance_or_inf(J1, -J1.mat) == math.inf
 
 
 def test_stacked_log_maps_raise_for_the_first_failing_pair():
@@ -325,28 +339,28 @@ def test_stacked_log_maps_raise_for_the_first_failing_pair():
     other = R @ J.mat @ R                             # the other component
     twisted = scipy.linalg.expm(0.3 * J.mat) @ J.mat  # log commutes with J
     with pytest.raises(CutLocusError):
-        acs.log_maps(J.mat, np.stack([near, antipode, twisted]))
+        acs.log_map(J.mat, np.stack([near, antipode, twisted]))
     with pytest.raises(ComponentMismatch):
-        acs.log_maps(J.mat, np.stack([near, twisted, antipode]))
+        acs.log_map(J.mat, np.stack([near, twisted, antipode]))
     with pytest.raises(CutLocusError):
-        acs.distances(J.mat, np.stack([J.mat, near, other, twisted]))
-    dists = acs.distances_or_inf(J.mat, np.stack([near, antipode, other, twisted, J.mat]))
+        acs.distance(J.mat, np.stack([J.mat, near, other, twisted]))
+    dists = acs.distance_or_inf(J.mat, np.stack([near, antipode, other, twisted, J.mat]))
     assert dists.tolist() == [acs.distance(J, acs.OrthoComplexStructure(near)),
                               math.inf, math.inf, math.inf, 0.0]
     for bad in (antipode, other, twisted):
         assert acs.distance_or_inf(J, acs.OrthoComplexStructure(bad)) == math.inf
     # errors other than the cut locus and a component mismatch still raise
     with pytest.raises(ValueError):
-        acs.distances_or_inf(J.mat, np.stack([antipode, np.full((4, 4), np.nan)]))
+        acs.distance_or_inf(J.mat, np.stack([antipode, np.full((4, 4), np.nan)]))
 
 
 def test_stacked_kernels_accept_an_empty_stack():
     J = acs.canonical_j(2)
     empty = np.empty((0, 4, 4))
-    assert acs.log_maps(J.mat, empty).shape == (0, 4, 4)
-    assert acs.distances(J.mat, empty).shape == (0,)
-    assert acs.distances_or_inf(empty, J.mat).shape == (0,)
-    assert acs.conjugates(empty, J).shape == (0, 4, 4)
+    assert acs.log_map(J.mat, empty).shape == (0, 4, 4)
+    assert acs.distance(J.mat, empty).shape == (0,)
+    assert acs.distance_or_inf(empty, J.mat).shape == (0,)
+    assert acs.conjugate(empty, J).shape == (0, 4, 4)
     assert acs.exp_maps(J, acs.random_tangent(J, 0), []).shape == (0, 4, 4)
 
 
@@ -422,8 +436,8 @@ def _same_error(a, b):
 @pytest.mark.parametrize("n", [2, 3])
 def test_log_kernel_matches_the_per_slice_kernel(n):
     """Every slice of the stacked kernel has the tangent bytes or the error
-    (type and message) of the per-slice kernel, and log_maps, distances and
-    distances_or_inf raise the first error or return the per-slice bytes,
+    (type and message) of the per-slice kernel, and log_map, distance and
+    distance_or_inf raise the first error or return the per-slice bytes,
     over shuffled mixed stacks in both argument orders."""
     J, mats = _branch_stack(n)
     seen = set()
@@ -442,8 +456,8 @@ def test_log_kernel_matches_the_per_slice_kernel(n):
             norms = [math.inf if e is not None else float(np.linalg.norm(t))
                      for t, e in refs]
             for fn, tolerated, skip_same in (
-                    (acs.log_maps, (), False), (acs.distances, (), True),
-                    (acs.distances_or_inf, (CutLocusError, ComponentMismatch), True)):
+                    (acs.log_map, (), False), (acs.distance, (), True),
+                    (acs.distance_or_inf, (CutLocusError, ComponentMismatch), True)):
                 first = next((e for (_, e), f in zip(refs, far)
                               if e is not None and not isinstance(e, tolerated)
                               and (f or not skip_same)), None)
@@ -451,13 +465,13 @@ def test_log_kernel_matches_the_per_slice_kernel(n):
                     with pytest.raises(type(first)) as exc:
                         fn(A, Bs)
                     assert str(exc.value) == str(first)
-                elif fn is acs.distances_or_inf:
+                elif fn is acs.distance_or_inf:
                     want = np.array([d if f else 0.0 for d, f in zip(norms, far)])
                     assert fn(A, Bs).tobytes() == want.tobytes()
             good = [k for k, (_, e) in enumerate(refs) if e is None]
-            assert acs.log_maps(A[good], Bs[good]).tobytes() == \
+            assert acs.log_map(A[good], Bs[good]).tobytes() == \
                 np.stack([refs[k][0] for k in good]).tobytes()
-            assert acs.distances(A[good], Bs[good]).tobytes() == \
+            assert acs.distance(A[good], Bs[good]).tobytes() == \
                 np.array([norms[k] if far[k] else 0.0 for k in good]).tobytes()
     assert {msg for _, msg in seen} == {
         "array must not contain infs or NaNs",
@@ -472,7 +486,7 @@ def test_log_kernel_matches_the_per_slice_kernel(n):
 
 
 def test_log_kernel_makes_one_lapack_call_per_slice(monkeypatch):
-    """log_maps runs gees once per finite slice, distances once per finite
+    """log_map runs gees once per finite slice, distance once per finite
     slice that is not the same point, and neither calls scipy.linalg.expm."""
     J = acs.random_j(2, 5)
     good = [acs.exp_map(J, acs.random_tangent(J, k, 0.5), 1.0).mat for k in range(28)]
@@ -491,15 +505,15 @@ def test_log_kernel_makes_one_lapack_call_per_slice(monkeypatch):
 
     monkeypatch.setattr(acs, "_gees", lambda d: (counting_gees, lwork))
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-    acs.log_maps(J.mat, np.stack(good + good[:12]))
+    acs.log_map(J.mat, np.stack(good + good[:12]))
     assert calls == {"gees": 40, "expm": 0}
-    for fn, want in ((acs.log_maps, 37), (acs.distances, 31), (acs.distances_or_inf, 31)):
+    for fn, want in ((acs.log_map, 37), (acs.distance, 31), (acs.distance_or_inf, 31)):
         calls["gees"] = 0
         with pytest.raises((ValueError, CutLocusError)):
             fn(J.mat, mats)
         assert calls == {"gees": want, "expm": 0}
     calls["gees"] = 0
-    dists = acs.distances_or_inf(J.mat, mats[~np.isnan(mats).any(axis=(1, 2))])
+    dists = acs.distance_or_inf(J.mat, mats[~np.isnan(mats).any(axis=(1, 2))])
     assert calls == {"gees": 31, "expm": 0}
     assert (dists == 0.0).sum() == 6 and np.isinf(dists).sum() == 3
 
@@ -507,12 +521,12 @@ def test_log_kernel_makes_one_lapack_call_per_slice(monkeypatch):
 
 def test_conjugate_identity():
     J = acs.random_j(2, 13)
-    assert acs.conjugate(np.eye(4), J).same_point(J)
+    assert acs.OrthoComplexStructure(acs.conjugate(np.eye(4), J)).same_point(J)
 
 
 def test_conjugate_by_self():
     J = acs.random_j(2, 13)
-    assert maxabs(acs.conjugate(J.mat, J).mat - J.mat) <= 1e-12
+    assert maxabs(acs.conjugate(J.mat, J) - J.mat) <= 1e-12
 
 
 def test_conjugate_rejects_non_orthogonal():
@@ -524,12 +538,12 @@ def test_stacked_conjugates_match_single_calls():
     J = acs.random_j(2, 13)
     Qs = np.stack([np.linalg.qr(np.random.default_rng(k).standard_normal((4, 4)))[0]
                    for k in range(5)])
-    conj = acs.conjugates(Qs, J)
+    conj = acs.conjugate(Qs, J)
     for Q, C in zip(Qs, conj):
-        assert C.tobytes() == acs.conjugate(Q, J).mat.tobytes()
+        assert C.tobytes() == acs.conjugate(Q, J).tobytes()
     # the first non-orthogonal slice is reported: 2I has Q^T Q - I = 3I
     with pytest.raises(NotOrthogonalGroupElement, match="3.000e"):
-        acs.conjugates(np.stack([Qs[0], 2.0 * np.eye(4), 3.0 * np.eye(4)]), J)
+        acs.conjugate(np.stack([Qs[0], 2.0 * np.eye(4), 3.0 * np.eye(4)]), J)
 
 
 def test_conjugation_is_isometry():
@@ -603,7 +617,7 @@ def test_sectional_curvature_conjugation_invariant():
     M = rng.standard_normal((6, 6))
     Q, R = np.linalg.qr(M)
     Q = Q * np.sign(np.diag(R))
-    Jq = acs.conjugate(Q, J)
+    Jq = acs.OrthoComplexStructure(acs.conjugate(Q, J))
     phiq = Q.T @ phi.mat @ Q
     psiq = Q.T @ psi.mat @ Q
     assert one_plane_curvature(Jq, phiq, psiq) == pytest.approx(k0, abs=1e-9)
@@ -757,7 +771,7 @@ def test_transitivity_constructive():
     for seed in range(10):
         J1 = acs.random_j(2, seed)
         J2 = acs.exp_map(J1, acs.random_tangent(J1, seed + 30, 0.9), 1.0)
-        phi = acs.log_map(J1, J2)
+        phi = acs.log_map(J1, J2)[0]
         import scipy.linalg
-        Q = scipy.linalg.expm(-0.5 * phi.mat @ J1.mat).T
-        assert maxabs(acs.conjugate(Q, J1).mat - J2.mat) < 1e-8
+        Q = scipy.linalg.expm(-0.5 * phi @ J1.mat).T
+        assert maxabs(acs.conjugate(Q, J1) - J2.mat) < 1e-8

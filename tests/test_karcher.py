@@ -114,8 +114,8 @@ def test_energy_conjugation_invariance():
     s = WeightedSampleSet.uniform(pts)
     Q = random_so(4, 3)
     sq = WeightedSampleSet.uniform([acs.conjugate(Q, p) for p in pts])
-    assert karcher_terms(acs.conjugate(Q, y), sq)[0] == pytest.approx(
-        karcher_terms(y, s)[0], abs=1e-9)
+    yq = acs.OrthoComplexStructure(acs.conjugate(Q, y))
+    assert karcher_terms(yq, sq)[0] == pytest.approx(karcher_terms(y, s)[0], abs=1e-9)
 
 
 # -- gradient -----------------------------------------------------------------
@@ -263,7 +263,7 @@ def _pairwise_gradient(y, s):
     for p, w in zip(s.points, s.weights):
         if w == 0.0:
             continue
-        g -= w * acs.log_map(y, acs.OrthoComplexStructure(p)).mat
+        g -= w * acs.log_map(y, p)[0]
     return acs.TangentPhi(y, g)
 
 
@@ -291,22 +291,74 @@ def test_stacked_karcher_terms_match_pairwise_loops(fs_orbit, delta4):
     pts = fs_orbit.orbit
     w = np.array([0.0 if k % 3 == 0 else 1.0 for k in range(len(pts))])
     for s in (WeightedSampleSet.uniform(pts), WeightedSampleSet(pts, w / w.sum())):
-        for y in (pts[0], pts[17], fs_orbit.base_J):
-            energy, grad = karcher_terms(y, s)
+        for y in (acs.OrthoComplexStructure(pts[0]), acs.OrthoComplexStructure(pts[17]),
+                  fs_orbit.base_J):
+            energy, grad, dists = karcher_terms(y, s)
             assert energy == pytest.approx(_pairwise_energy(y, s), rel=1e-12, abs=0.0)
             assert grad.mat.tobytes() == _pairwise_gradient(y, s).mat.tobytes()
+            assert dists == [float(np.linalg.norm(acs.log_map(y, p)[0]))
+                             for p, w in zip(s.points, s.weights) if w != 0.0]
         assert check_convexity(s, delta4) == _pairwise_convexity(s, delta4)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_convexity_bounds_imply_the_pairwise_check(seed, delta4):
+    """Seeded clouds around a base point, from well inside the delta-ball
+    to past the diameter bound: whenever the bounds from the distances to
+    the base pass, the pairwise check passes too, with an exact radius and
+    diameter at most the bounds; otherwise the report is the pairwise one."""
+    base = acs.random_j(2, seed)
+    rng = np.random.default_rng(seed)
+    bounded = []
+    for radius in (0.05, 0.5, 0.9 * delta4.delta, 1.2 * delta4.delta, 2.5):
+        seeds = rng.integers(2**31, size=int(rng.integers(2, 9))).tolist()
+        phis = acs.random_tangents(base, seeds)
+        pts = [acs.exp_map(base, acs.TangentPhi(base, phi), t)
+               for phi, t in zip(phis, rng.uniform(0.0, radius, len(seeds)))]
+        s = WeightedSampleSet.uniform(pts)
+        report = check_convexity(s, delta4, acs.distance_or_inf(base.mat, s.points).tolist())
+        exact = _pairwise_convexity(s, delta4)
+        bounded.append(report.bounds)
+        if report.bounds:
+            assert report.ok and exact.ok
+            assert exact.ball_radius <= report.ball_radius
+            assert exact.diameter <= report.diameter
+        else:
+            assert report == exact
+    assert bounded[:3] == [True] * 3 and not bounded[-1]
+
+
+def test_orbit_convexity_reads_the_orbit_distances(fs_orbit, delta4, monkeypatch):
+    """The averaging's convexity check takes its bounds from the orbit's
+    distances to J_p and measures no pair; the bounds cover the exact
+    values.  Distances of the wrong length are refused."""
+    s = WeightedSampleSet.uniform(fs_orbit.orbit)
+    report = check_convexity(s, delta4, fs_orbit.distances)
+    exact = check_convexity(s, delta4)
+    assert exact == _pairwise_convexity(s, delta4) and exact.ok and not exact.bounds
+    assert report.bounds and report.ok
+    assert report.diameter == 2.0 * fs_orbit.max_distance
+    assert exact.ball_radius <= report.ball_radius and exact.diameter <= report.diameter
+    with pytest.raises(ValueError, match="61 distances for 62 samples"):
+        check_convexity(s, delta4, fs_orbit.distances[1:])
+    reports = []
+    checked = karcher.check_convexity
+    monkeypatch.setattr(karcher, "check_convexity",
+                        lambda *a: reports.append(checked(*a)) or reports[-1])
+    monkeypatch.setattr(acs, "distance", None)  # any measured pair fails
+    karcher_mean_checked(s, delta4, distances=fs_orbit.distances)
+    assert reports == [report]
+
+
 def _two_stack_energy(y, s):
-    dists = acs.distances(s.points, y.mat).tolist()
+    dists = acs.distance(s.points, y.mat).tolist()
     return 0.5 * sum(w * d ** 2 for w, d in zip(s.weights, dists))
 
 
 def _two_stack_gradient(y, s):
     used = [i for i, w in enumerate(s.weights) if w != 0.0]
     g = np.zeros_like(y.mat)
-    for i, log in zip(used, acs.log_maps(y.mat, s.points[used])):
+    for i, log in zip(used, acs.log_map(y.mat, s.points[used])):
         g -= s.weights[i] * log
     return acs.TangentPhi(y, g)
 

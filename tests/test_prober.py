@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from kahlerprobe import acs, holonomy, karcher, prober
-from kahlerprobe.errors import (DeterminantAnomaly, DimensionMismatch, GridTooCoarse,
-                                StepTooCoarse)
+from kahlerprobe.errors import (ComponentMismatch, CutLocusError, DeterminantAnomaly,
+                                DimensionMismatch, GridTooCoarse, StepTooCoarse)
 
 
 def maxabs(a):
@@ -42,7 +42,7 @@ def test_orbit_identity_samples():
     samples = [make_sample(np.zeros(4), np.eye(4)) for _ in range(3)]
     report = prober.orbit(J, samples)
     assert report.max_distance == 0.0
-    assert all(o.same_point(J) for o in report.orbit)
+    assert all(acs.OrthoComplexStructure(o).same_point(J) for o in report.orbit)
 
 
 def test_orbit_commuting_sample_contributes_zero():
@@ -79,8 +79,97 @@ def test_orbit_equivariance():
         Q[:, [0, 1]] = Q[:, [1, 0]]
     conj_samples = [make_sample(p, Q.T @ s.matrix @ Q) for s in samples]
     r0 = prober.orbit(J, samples)
-    r1 = prober.orbit(acs.conjugate(Q, J), conj_samples)
+    r1 = prober.orbit(acs.OrthoComplexStructure(acs.conjugate(Q, J)), conj_samples)
     assert maxabs(np.array(r0.distances) - np.array(r1.distances)) < 1e-9
+
+
+def test_orbit_names_the_fault_of_a_mixed_sample_list():
+    """Every sample's shape is checked before the samples are stacked, so a
+    wrong-sized sample among good ones is a DimensionMismatch, not numpy's
+    error from stacking; a determinant -1 sample among good ones is a
+    DeterminantAnomaly."""
+    J = acs.canonical_j(2)
+    good = [make_sample(np.zeros(4), np.eye(4)), make_sample(np.zeros(4), block_rotation(0.3))]
+    with pytest.raises(DimensionMismatch):
+        prober.orbit(J, good + [make_sample(np.zeros(4), np.eye(6))] + good)
+    with pytest.raises(DeterminantAnomaly):
+        prober.orbit(J, good + [make_sample(np.zeros(4), np.diag([-1.0, 1.0, 1.0, 1.0]))])
+
+
+def test_orbit_of_no_samples():
+    report = prober.orbit(acs.canonical_j(2), [])
+    assert report.orbit.shape == (0, 4, 4) and report.distances == ()
+    assert (report.max_distance, report.argmax_loop) == (0.0, -1)
+
+
+def _per_pair_orbit(J_p, samples):
+    """The orbit as one call per sample: conjugate, then 0 for the same
+    point, else the norm of the pair's log map, +inf past the cut locus or
+    across components."""
+    pts, dists = [], []
+    for s in samples:
+        Jq = acs.conjugate(s.matrix, J_p)
+        pts.append(Jq)
+        if J_p.same_point(acs.OrthoComplexStructure(Jq)):
+            dists.append(0.0)
+            continue
+        try:
+            dists.append(float(np.linalg.norm(acs.log_map(J_p.mat, Jq)[0])))
+        except (CutLocusError, ComponentMismatch):
+            dists.append(math.inf)
+    return np.array(pts).reshape(-1, J_p.dim, J_p.dim), dists
+
+
+def _default_samples(chart, p):
+    """The holonomy samples of the default probe config at p."""
+    config = prober.ProbeConfig()
+    loops = holonomy.loop_family(chart, p, config.loop_kind, config.loops,
+                                 config.loop_scale, seed=config.seed)
+    return holonomy.holonomy_samples(chart, p, loops, config.ode_steps,
+                                     word_length=config.word_length)
+
+
+def _orbit_panel():
+    """(J_p, samples) with 0, finite and +inf distances: the default
+    Fubini-Study and round-sphere probes, and the canonical structure under
+    the identity, a commuting rotation, random rotations and rotations onto
+    its cut locus (diag(1, -1, 1, -1) takes J0 to -J0) or 1e-9 from it.  A J_p 1e-7 off the
+    structure space stands in for a cross-component pair: conjugation by a
+    rotation keeps a structure in its component, and orbit() leaves the
+    validation of J_p to probe(), so its log maps fail the component checks."""
+    p = np.zeros(4)
+    for name in ("fubini_study_cp2", "round_sphere_4"):
+        chart = holonomy.catalog(name)
+        yield prober.default_structure(chart, p), _default_samples(chart, p)
+    J0 = acs.canonical_j(2)
+    mats = [np.eye(4), block_rotation(0.7), np.diag([1.0, -1.0, 1.0, -1.0])]
+    for seed in range(8):
+        Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+        Q = Q * np.sign(np.diag(R))
+        if np.linalg.det(Q) < 0.0:
+            Q[:, [0, 1]] = Q[:, [1, 0]]
+        mats.append(Q)
+    mats.append(mats[2] @ block_rotation(1e-9))
+    samples = [make_sample(p, m) for m in mats]
+    yield J0, samples
+    S = np.random.default_rng(1).standard_normal((4, 4))
+    yield acs.OrthoComplexStructure(J0.mat + 1e-7 * (S + S.T)), samples
+
+
+def test_orbit_stack_matches_the_per_pair_loop():
+    """The orbit's conjugate stack, distances and argmax have the bytes of
+    the per-pair loop on the default probes and a panel with +inf entries."""
+    kinds = set()
+    for J_p, samples in _orbit_panel():
+        report = prober.orbit(J_p, samples)
+        pts, dists = _per_pair_orbit(J_p, samples)
+        assert report.orbit.tobytes() == pts.tobytes()
+        assert np.array(report.distances).tobytes() == np.array(dists).tobytes()
+        assert report.argmax_loop == int(np.argmax(dists))
+        assert repr(report.max_distance) == repr(max(dists))
+        kinds |= {"zero" if d == 0.0 else "inf" if d == math.inf else "finite"
+                  for d in dists}
+    assert kinds == {"zero", "finite", "inf"}
 
 
 # -- near preservation --------------------------------------------------------
@@ -118,7 +207,7 @@ def test_average_two_point_involution_orbit(delta4):
     mean = prober.average_to_fixed(report, delta4, tol=1e-11)
     assert mean.converged
     assert acs.distance(mean.mean, acs.conjugate(Q, mean.mean)) < 1e-9
-    mid = acs.exp_map(J, acs.log_map(J, report.orbit[1]), 0.5)
+    mid = acs.exp_map(J, acs.TangentPhi(J, acs.log_map(J, report.orbit[1])[0]), 0.5)
     assert acs.distance(mean.mean, mid) < 1e-8
 
 
@@ -157,7 +246,7 @@ def _rewrapping_average(report, delta, tol):
             break
         if prober.fixedness_check(mean.mean, report.samples) < prober.TOL_FIX:
             break
-        pts = acs.conjugates(np.stack([s.matrix for s in report.samples]), mean.mean)
+        pts = acs.conjugate(np.stack([s.matrix for s in report.samples]), mean.mean)
         mean = karcher.karcher_mean(
             karcher.WeightedSampleSet.uniform([acs.OrthoComplexStructure(p) for p in pts]),
             tol=tol, start=mean.mean)
@@ -166,7 +255,9 @@ def _rewrapping_average(report, delta, tol):
 
 def test_average_conjugates_once_per_round(fs_orbit, delta4, monkeypatch):
     """Each re-orbit round takes its fixedness residual and its next sample
-    set from one conjugate stack, with the bits of the rewrapping loop."""
+    set from one conjugate stack, and the residual from the log stack that
+    starts the next mean, with the bits of the rewrapping loop, which
+    measures each round's distances on their own: no distance is measured."""
     expected = _rewrapping_average(fs_orbit, delta4, prober.DEFAULT_TOL)
     events = []
 
@@ -176,12 +267,13 @@ def test_average_conjugates_once_per_round(fs_orbit, delta4, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(acs, "conjugates", record("conjugates", acs.conjugates))
+    monkeypatch.setattr(acs, "conjugate", record("conjugate", acs.conjugate))
     monkeypatch.setattr(prober, "karcher_mean", record("mean", prober.karcher_mean))
+    monkeypatch.setattr(acs, "distance", record("distance", acs.distance))
     mean = prober.average_to_fixed(fs_orbit, delta4)
     rounds = events.count("mean")
     assert rounds >= 1
-    assert events == ["conjugates", "mean"] * rounds + ["conjugates"]
+    assert events == ["conjugate", "mean"] * rounds + ["conjugate"]
     assert mean.mean.mat.tobytes() == expected.mean.mat.tobytes()
     assert repr(mean) == repr(expected)
 
@@ -199,7 +291,8 @@ def _pairwise_fixedness(J, samples):
 
 
 def test_stacked_fixedness_matches_pairwise_loop(fs_orbit):
-    for J in (fs_orbit.base_J, fs_orbit.orbit[5], acs.canonical_j(2)):
+    for J in (fs_orbit.base_J, acs.OrthoComplexStructure(fs_orbit.orbit[5]),
+              acs.canonical_j(2)):
         assert (repr(prober.fixedness_check(J, fs_orbit.samples))
                 == repr(_pairwise_fixedness(J, fs_orbit.samples)))
     assert prober.fixedness_check(fs_orbit.base_J, []) == 0.0
@@ -514,6 +607,29 @@ def test_given_structure_is_validated_at_default_structure(mat, delta4):
     assert (v.kind, v.failing_stage) == ("Inconclusive", "default_structure")
 
 
+@pytest.mark.parametrize("word_length", [1, 2])
+def test_a_plain_array_j_p_is_validated_at_default_structure(word_length, delta4):
+    """A J_p given as a (d, d) array gives the verdict of its structure (two
+    loops on the round 4-sphere: Inconclusive at average_to_fixed with words
+    of length 1, an obstruction with words of length 2), and an all-NaN
+    array ends Inconclusive at default_structure."""
+    chart = holonomy.catalog("round_sphere_4")
+    config = prober.ProbeConfig(loops=2, word_length=word_length)
+    J = acs.random_j(2, 4)
+    as_structure = prober.probe(chart, [0.0] * 4, J_p=J, config=config, delta=delta4)
+    as_array = prober.probe(chart, [0.0] * 4, J_p=np.array(J.mat), config=config,
+                            delta=delta4)
+    assert as_structure.kind == ("Inconclusive", "HolonomyObstruction")[word_length - 1]
+    for v in (as_structure, as_array):
+        assert (v.kind, v.failing_stage, v.detail, v.witness_loop_index) == \
+            (as_structure.kind, as_structure.failing_stage, as_structure.detail,
+             as_structure.witness_loop_index)
+        assert repr(v.witness_distance) == repr(as_structure.witness_distance)
+    v = prober.probe(chart, [0.0] * 4, J_p=np.full((4, 4), np.nan), config=config,
+                     delta=delta4)
+    assert (v.kind, v.failing_stage) == ("Inconclusive", "default_structure")
+
+
 def test_probe_inconclusive_outside_domain(delta4):
     chart = holonomy.catalog("round_sphere_4")
     v = prober.probe(chart, [9.0, 0.0, 0.0, 0.0], delta=delta4)
@@ -551,6 +667,17 @@ def test_probe_inconclusive_on_orbit_error(delta4, monkeypatch):
     assert v.kind == "Inconclusive"
     assert v.failing_stage == "orbit"
     assert "determinant" in v.detail
+
+
+def test_probe_names_orbit_for_a_sample_list_with_several_faults(delta4, monkeypatch):
+    """A determinant -1 sample before a wrong-sized one: orbit() reports the
+    size, which it checks first, and probe() names the orbit stage."""
+    p = [0.0] * 4
+    monkeypatch.setattr(holonomy, "holonomy_samples", lambda *a, **kw: [
+        make_sample(p, np.diag([-1.0, 1.0, 1.0, 1.0])), make_sample(p, np.eye(6))])
+    v = prober.probe(holonomy.catalog("round_sphere_4"), p, delta=delta4)
+    assert (v.kind, v.failing_stage) == ("Inconclusive", "orbit")
+    assert "dimension" in v.detail
 
 
 @pytest.mark.parametrize("config", [prober.ProbeConfig(loops=0),
