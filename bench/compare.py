@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import os
 import statistics
@@ -372,10 +373,13 @@ def main(argv=None) -> int:
         ap.error("--parent and --change are required")
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     import numpy
-    import scipy
+    try:  # a test-only dependency: the runtime needs numpy alone
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = "absent"
     record = {"sides": {k: {"src_sha256": _sha_src(v)} for k, v in sides.items()},
               "machine": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
-                          "numpy": numpy.__version__, "scipy": scipy.__version__,
+                          "numpy": numpy.__version__, "scipy": scipy_version,
                           "blas_threads": "1"}}
     with tempfile.TemporaryDirectory() as tmp:
         record["same_answers"] = same_answers(sides, tmp)

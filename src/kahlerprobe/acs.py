@@ -9,7 +9,8 @@ phi^T = -phi, carrying the inner product tr(phi psi^T).
 Geodesics are one-parameter conjugation orbits: writing X = -phi J / 2
 (a skew matrix anticommuting with J), the geodesic through J with initial
 velocity phi is t -> e^{tX} J e^{-tX}.  The inverse map uses the principal
-logarithm of the orthogonal matrix J2 J1^{-1}.
+logarithm of the orthogonal matrix J2 J1^{-1}.  Both maps diagonalise a
+normal matrix with one batched Hermitian eigendecomposition (numpy's eigh).
 
 The space has two connected components (orientation classes); all distance
 and averaging operations are per-component, and cross-component requests
@@ -18,12 +19,10 @@ raise ComponentMismatch.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BasePointMismatch,
@@ -41,7 +40,12 @@ TOL_ALG = 1e-10   # algebraic invariants (J^2 = -I, orthogonality, skewness)
 TOL_INPUT = 1e-8  # the same invariants of a structure from outside: J_p, JSON, AUTO
 TOL_LOG = 1e-8    # log-map round-trip verification
 TOL_CUT = 1e-8    # rotation angle this close to pi: on the cut locus
-TOL_BLOCK = 1e-12 # Schur subdiagonal entry that opens a 2x2 rotation block
+TOL_BLOCK = 1e-12 # imaginary part of an eigenvalue of R that reads as real: +1 or -1
+TOL_DIAG = 1e-13  # off-diagonal entry of U^H R U that means U does not diagonalise R
+# alpha in the Hermitian matrix -i skew(R) + alpha sym(R) whose eigenvectors
+# diagonalise an orthogonal R: the first for every slice, the second where
+# two angles of R have the same sin + alpha cos under the first
+_ALPHAS = ((math.sqrt(5.0) - 1.0) / 2.0, 1.0 / math.e)
 
 
 def _maxabs(a: np.ndarray) -> float:
@@ -145,7 +149,9 @@ def exp_maps(J: OrthoComplexStructure, phi: TangentPhi, ts) -> np.ndarray:
     if not phi.base.same_point(J):
         raise BasePointMismatch("tangent is not based at J")
     X = -0.5 * phi.mat @ J.mat
-    E = scipy.linalg.expm(np.asarray(ts, dtype=float)[:, None, None] * X)
+    w, V = np.linalg.eigh(-1j * X)  # X = V diag(i w) V^H
+    phases = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), w))
+    E = ((V * phases[:, None, :]) @ V.conj().T).real  # e^{tX} for every t
     return E @ J.mat @ E.transpose(0, 2, 1)
 
 
@@ -176,17 +182,16 @@ def _pair_stacks(J1s, J2s):
     return A, B, single
 
 
-def _no_sort(x, y=None):
-    return None
-
-
-@functools.lru_cache(maxsize=None)
-def _gees(d: int):
-    """LAPACK real Schur routine for d x d matrices and its workspace size,
-    queried as scipy.linalg.schur queries it."""
-    a = np.zeros((d, d))
-    gees, = scipy.linalg.lapack.get_lapack_funcs(("gees",), (a,))
-    return gees, gees(_no_sort, a, lwork=-1)[-2][0].real.astype(np.int_)
+def _diagonalise(R: np.ndarray, alpha: float):
+    """Unitary U from one batched eigh of M = -i skew(R) + alpha sym(R), the
+    diagonal of U^H R U and the largest modulus off it, per slice of R."""
+    d = R.shape[-1]
+    c = 0.5 * complex(alpha, -1.0)  # M = c R + conj(c) R^T
+    _, U = np.linalg.eigh(c * R + c.conjugate() * R.transpose(0, 2, 1))
+    D = U.conj().transpose(0, 2, 1) @ R @ U
+    lam = D.diagonal(0, 1, 2).copy()
+    D.reshape(len(R), d * d)[:, ::d + 1] = 0.0  # the diagonal of the flat view
+    return U, lam, np.abs(D).max(axis=(1, 2))
 
 
 def _log_stack(A: np.ndarray, B: np.ndarray):
@@ -197,82 +202,54 @@ def _log_stack(A: np.ndarray, B: np.ndarray):
     (CutLocusError).  X must then be skew, anticommute with A and reproduce
     B; otherwise the two structures lie in different components
     (ComponentMismatch).  Each slice runs these checks in this order and
-    keeps its first error.  The real Schur form R = Q T Q^T is computed per
-    slice with LAPACK gees, as scipy.linalg.schur computes it (non-finite
-    input is a ValueError, non-convergence a LinAlgError); the rest runs on
-    the stack.  For orthogonal R, T is block diagonal with 1x1 blocks +-1
-    and 2x2 rotation blocks, so the principal log is Q L Q^T with the
-    blocks' angles in L, and the round trip uses e^X = Q e^{L/2} Q^T
-    (Higham, Functions of Matrices, ch. 11).
+    keeps its first error; a slice with a non-finite entry is a ValueError.
+
+    An orthogonal R is normal, so its skew and symmetric parts commute and
+    one unitary U diagonalises both, and with them the Hermitian
+    M = -i skew(R) + alpha sym(R), whose eigenvalue on the eigenvector of
+    e^{i theta} is sin theta + alpha cos theta (Horn & Johnson, Matrix
+    Analysis, 2.5).  One batched eigh of M gives U, and theta is the angle
+    of each diagonal entry of U^H R U.  Two angles with the same
+    sin + alpha cos would let eigh mix their eigenvectors, so the slices
+    where U^H R U is not diagonal within TOL_DIAG are diagonalised again
+    with the second alpha.  Then X = (1/2) U diag(i theta) U^H, and the round
+    trip uses e^X = U diag(e^{i theta / 2}) U^H (Higham, Functions of
+    Matrices, ch. 11), both real parts.  An eigenvalue real within TOL_BLOCK
+    has angle 0 or pi.  An angle within TOL_CUT of pi is the cut locus:
+    "eigenvalue -1" when that eigenvalue is real, "rotation angle at pi"
+    otherwise.
 
     Returns the (N, d, d) tangents 2 X A (NaN where a slice failed) and a
     list of N entries, each None or the error of that slice.
     """
     N, d = A.shape[0], A.shape[-1]
-    errors = [None] * N
     R = -B @ A  # B A^{-1}, using A^{-1} = -A
     finite = np.isfinite(R).all(axis=(1, 2))
-    gees, lwork = _gees(d)
-    T = np.zeros((N, d, d))
-    Q = np.zeros((N, d, d))
-    for k in range(N):
-        if not finite[k]:
-            errors[k] = ValueError("array must not contain infs or NaNs")
-            continue
-        res = gees(_no_sort, R[k], lwork=lwork)  # (T, sdim, wr, wi, Z, work, info)
-        T[k], Q[k] = res[0], res[-3]
-        if res[-1] > 0:
-            errors[k] = np.linalg.LinAlgError(
-                "Schur form not found. Possibly ill-conditioned.")
+    errors = [None if ok else ValueError("array must not contain infs or NaNs")
+              for ok in finite]
+    R[~finite] = 0.0
+    U, lam, off = _diagonalise(R, _ALPHAS[0])
+    redo = np.flatnonzero(off > TOL_DIAG)
+    if redo.size:
+        U[redo], lam[redo], _ = _diagonalise(R[redo], _ALPHAS[1])
+    real = np.abs(lam.imag) <= TOL_BLOCK
+    theta = np.angle(np.where(real, lam.real, lam))  # 0 or pi where real
+    Uh = U.conj().transpose(0, 2, 1)
+    X = 0.5 * ((U * (1j * theta)[:, None, :]) @ Uh).real
+    E = ((U * np.exp(0.5j * theta)[:, None, :]) @ Uh).real
 
-    # T is read at every candidate 2x2 block position i (rows i, i + 1).  A
-    # subdiagonal entry opens a rotation block unless row i closes one; every
-    # other diagonal entry is a 1x1 block, +1 or -1.
-    diag, sub, sup = T.diagonal(0, 1, 2), T.diagonal(-1, 1, 2), T.diagonal(1, 1, 2)
-    start = np.abs(sub) > TOL_BLOCK
-    for i in range(1, d - 1):
-        start[:, i] &= ~start[:, i - 1]
-    c = 0.5 * (diag[:, :-1] + diag[:, 1:])
-    s = 0.5 * (sub - sup)
-    theta = np.where(start, np.arctan2(s, c), 0.0)
-    at_pi = np.pi - np.abs(theta) < TOL_CUT  # theta is 0 off the block starts
-    # the flat (N, d*d) views hold the diagonal at ::d+1, the superdiagonal
-    # at 1::d+1 and the subdiagonal at d::d+1
-    L = np.zeros((N, d, d))
-    flat = L.reshape(N, d * d)
-    flat[:, 1::d + 1] = np.where(start, -theta, 0.0)
-    flat[:, d::d + 1] = theta
-    X = 0.5 * (Q @ L @ Q.transpose(0, 2, 1))
-    # e^X = Q e^{L/2} Q^T, with the cos and sin of each block's half angle
-    # in e^{L/2} and 1 on the rest of its diagonal
-    half_theta = 0.5 * theta
-    cos, sin = np.cos(half_theta), np.sin(half_theta)
-    exp_half = np.zeros((N, d, d))
-    flat = exp_half.reshape(N, d * d)
-    flat[:, ::d + 1] = 1.0
-    flat[:, :-1:d + 1] *= cos
-    flat[:, d + 1::d + 1] *= cos
-    flat[:, 1::d + 1] = -sin
-    flat[:, d::d + 1] = sin
-    E = Q @ exp_half @ Q.transpose(0, 2, 1)
-
-    # per slice, True where each check fails, in the order they run: the
-    # scan (at each diagonal position, a rotation angle at pi or an
-    # eigenvalue -1 in a 1x1 block), then anticommutation, skewness and the
-    # round trip (a NaN max-abs entry fails, as in _maxabs_each)
-    scan = diag < 0.0
-    not_start = ~start
-    scan[:, :-1] &= not_start
-    scan[:, 1:] &= not_start
-    scan[:, :-1] |= at_pi
+    # per slice, True where each check fails, in the order they run: an
+    # eigenvalue at pi, then anticommutation, skewness and the round trip
+    # (a NaN max-abs entry fails, as in _maxabs_each)
     checks = np.array((X @ A + A @ X, X + X.transpose(0, 2, 1),
                        E @ A @ E.transpose(0, 2, 1) - B))
-    fails = np.concatenate((scan, ~(np.abs(checks).max(axis=(2, 3)).T <= TOL_LOG)), axis=1)
+    fails = np.concatenate((np.pi - np.abs(theta) < TOL_CUT,
+                            ~(np.abs(checks).max(axis=(2, 3)).T <= TOL_LOG)), axis=1)
     for k in fails.any(axis=1).nonzero()[0]:
         if errors[k] is not None:
             continue
         i = np.argmax(fails[k])  # the first failing check
-        if i < d - 1 and at_pi[k, i]:
+        if i < d and not real[k, i]:
             errors[k] = CutLocusError("rotation angle at pi: principal log undefined")
         elif i < d:
             errors[k] = CutLocusError("eigenvalue -1: principal log undefined")

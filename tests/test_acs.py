@@ -249,12 +249,16 @@ def test_distance_triangle_inequality():
         assert acs.distance(a, c) <= acs.distance(a, b) + acs.distance(b, c) + 1e-10
 
 
-def _scipy_log_map(J1, J2):
-    """The per-pair log map as it was before the stacked kernel: principal
-    log through scipy.linalg.schur, then the same three checks."""
-    R = -J2 @ J1
+def _gees_log_map(A, B):
+    """One pair (A, B) through the log map as it ran on LAPACK gees: the
+    real Schur form from scipy.linalg.schur, a scalar walk over its blocks
+    and a scipy.linalg.expm round trip, with the kernel's checks in their
+    order.  Returns (tangent, None) or (None, error)."""
+    R = -B @ A
+    if not np.isfinite(R).all():
+        return None, ValueError("array must not contain infs or NaNs")
     T, Q = scipy.linalg.schur(R, output="real")
-    d = R.shape[0]
+    d = len(R)
     L = np.zeros((d, d))
     i = 0
     while i < d:
@@ -263,21 +267,33 @@ def _scipy_log_map(J1, J2):
             s = 0.5 * (T[i + 1, i] - T[i, i + 1])
             theta = np.arctan2(s, c)
             if np.pi - abs(theta) < 1e-8:
-                raise CutLocusError("rotation angle at pi")
+                return None, CutLocusError("rotation angle at pi: principal log undefined")
             L[i, i + 1] = -theta
             L[i + 1, i] = theta
             i += 2
         else:
             if T[i, i] < 0.0:
-                raise CutLocusError("eigenvalue -1")
+                return None, CutLocusError("eigenvalue -1: principal log undefined")
             i += 1
     X = 0.5 * (Q @ L @ Q.T)
-    if maxabs(X @ J1 + J1 @ X) > 1e-8 or maxabs(X + X.T) > 1e-8:
-        raise ComponentMismatch("anticommutation")
+    if maxabs(X @ A + A @ X) > 1e-8 or maxabs(X + X.T) > 1e-8:
+        return None, ComponentMismatch(
+            "log generator does not anticommute with the base structure; "
+            "the two structures lie in different components")
     E = scipy.linalg.expm(X)
-    if maxabs(E @ J1 @ E.T - J2) > 1e-8:
-        raise ComponentMismatch("round trip")
-    return 2.0 * X @ J1
+    if maxabs(E @ A @ E.T - B) > 1e-8:
+        return None, ComponentMismatch("log round-trip failed to reproduce the target")
+    return 2.0 * X @ A, None
+
+
+def _gees_bound(A, B):
+    """How far the eigh kernel's tangent of the pair (A, B) may lie from the
+    gees kernel's: 1e-13, and 5e-15 / (pi - theta) for the largest rotation
+    angle theta of R = B A^{-1} closer to pi, where both kernels are
+    ill-conditioned (measured 1.0e-13 at pi - 1e-2, 1.7e-12 at pi - 1e-3
+    and 1.2e-9 at pi - 1e-6)."""
+    theta = float(np.max(np.abs(np.angle(np.linalg.eigvals(-B @ A)))))
+    return max(1e-13, 5e-15 / (np.pi - theta))
 
 
 def _scipy_exp_map(J, phi, t):
@@ -290,18 +306,20 @@ def _scipy_exp_map(J, phi, t):
 @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**20),
        size=st.integers(1, 7), radius=st.floats(0.05, 1.2))
 def test_stacked_log_maps_match_single_pairs(n, seed, size, radius):
-    """Each slice of log_map, distance and distance_or_inf on a stack has
-    the bits of the same call on its (d, d) pair, and of the scipy-Schur log
-    map, on seeded
+    """Each slice of exp_maps, log_map, distance and distance_or_inf on a
+    stack has the bits of the same call on its (d, d) pair, on seeded
     same-component pairs: one base broadcast against a stack, and a stack
-    of pairs of distinct points (with one same-point pair)."""
+    of pairs of distinct points (with one same-point pair).  The geodesic
+    lies within 1e-13 of scipy's expm and the tangent within 1e-13 of the
+    gees log map (rotation angles below 1.2 here)."""
     rng = np.random.default_rng(seed)
     base = acs.random_j(n, seed)
     phi = acs.random_tangent(base, seed + 1)
     ts = rng.uniform(-radius, radius, size)
     mats = acs.exp_maps(base, phi, ts)
     for k, t in enumerate(ts):
-        assert mats[k].tobytes() == _scipy_exp_map(base, phi, t).tobytes()
+        assert mats[k].tobytes() == acs.exp_map(base, phi, t).mat.tobytes()
+        assert maxabs(mats[k] - _scipy_exp_map(base, phi, t)) <= 1e-13
     pts = [acs.exp_map(base, acs.random_tangent(base, int(rng.integers(2**31)), r), 1.0)
            for r in rng.uniform(0.01, radius, size)] + [base]
     B = np.stack([q.mat for q in pts])
@@ -314,7 +332,7 @@ def test_stacked_log_maps_match_single_pairs(n, seed, size, radius):
         assert acs.distance_or_inf(J1s, B).tobytes() == dists.tobytes()
         for k, (J1, J2) in enumerate(zip(firsts, pts)):
             assert logs[k].tobytes() == acs.log_map(J1, J2)[0].tobytes()
-            assert logs[k].tobytes() == _scipy_log_map(J1.mat, J2.mat).tobytes()
+            assert maxabs(logs[k] - _gees_log_map(J1.mat, J2.mat)[0]) <= 1e-13
             assert dists[k] == acs.distance(J1, J2)
 
 
@@ -365,55 +383,18 @@ def test_stacked_kernels_accept_an_empty_stack():
 
 
 
-def _per_slice_log_map(A, B):
-    """One pair (A, B) through the log-map kernel as it ran before its angle
-    scan, round trip and norms moved onto the stack: LAPACK gees, a scalar
-    walk over the Schur form, and a scipy.linalg.expm round trip.  Returns
-    (tangent, None) or (None, error)."""
-    R = -B @ A
-    if not np.isfinite(R).all():
-        return None, ValueError("array must not contain infs or NaNs")
-    d = len(R)
-    gees, lwork = acs._gees(d)
-    T, _, _, _, Q, _, info = gees(acs._no_sort, R, lwork=lwork)
-    if info > 0:
-        return None, np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    t = T.tolist()
-    L = np.zeros((d, d))
-    i = 0
-    while i < d:
-        if i + 1 < d and abs(t[i + 1][i]) > 1e-12:
-            c = 0.5 * (t[i][i] + t[i + 1][i + 1])
-            s = 0.5 * (t[i + 1][i] - t[i][i + 1])
-            theta = np.arctan2(s, c)
-            if np.pi - abs(theta) < 1e-8:
-                return None, CutLocusError("rotation angle at pi: principal log undefined")
-            L[i, i + 1] = -theta
-            L[i + 1, i] = theta
-            i += 2
-        else:
-            if t[i][i] < 0.0:
-                return None, CutLocusError("eigenvalue -1: principal log undefined")
-            i += 1
-    X = 0.5 * (Q @ L @ Q.T)
-    if maxabs(X @ A + A @ X) > 1e-8 or maxabs(X + X.T) > 1e-8:
-        return None, ComponentMismatch(
-            "log generator does not anticommute with the base structure; "
-            "the two structures lie in different components")
-    E = scipy.linalg.expm(X)
-    if maxabs(E @ A @ E.T - B) > 1e-8:
-        return None, ComponentMismatch("log round-trip failed to reproduce the target")
-    return 2.0 * X @ A, None
-
-
 def _branch_stack(n):
-    """A base structure J and a stack of second points that reaches every
-    branch of the log-map kernel: good pairs (one with rotation angles past
-    pi/2, so its Schur blocks have negative diagonals), -J, the other
-    component, a rotation angle within 1e-9 of pi, a twisted J whose log
-    commutes with J, 2J (R = 2I: X = 0 passes the anticommutation and skew
-    checks and only the round trip rejects it), NaN, J itself, J moved by
-    1e-12, and two Gaussian matrices."""
+    """A base structure J, a stack of second points that reaches every
+    branch of the log-map kernel, and how each slice is held to the gees
+    kernel.  The points: good pairs (one with rotation angles past pi/2),
+    -J, the other component, a rotation angle within 1e-9 of pi, a twisted
+    J whose log commutes with J, 2J (R = 2I: X = 0 passes the
+    anticommutation and skew checks and only the round trip rejects it),
+    NaN, J itself, J moved by 1e-12, and two Gaussian matrices.  Every slice
+    whose R is orthogonal, and 2J, is "exact": the gees error, or a tangent
+    within _gees_bound.  J + 1e-12 is "nudged", a tangent within 1e-11.  A
+    Gaussian R is not normal and its log is not a tangent; each Gaussian
+    slice is "either", a CutLocusError or a ComponentMismatch."""
     J = acs.random_j(n, 3)
     d = 2 * n
     flip = np.eye(d)
@@ -426,7 +407,7 @@ def _branch_stack(n):
     mats += [-J.mat, flip @ J.mat @ flip, acs.exp_map(J, phi, (np.pi - 1e-9) / omega).mat,
              scipy.linalg.expm(0.3 * J.mat) @ J.mat, 2.0 * J.mat, np.full((d, d), np.nan),
              J.mat, J.mat + 1e-12, rng.standard_normal((d, d)), rng.standard_normal((d, d))]
-    return J, np.stack(mats)
+    return J, np.stack(mats), ["exact"] * 11 + ["nudged", "either", "either"]
 
 
 def _same_error(a, b):
@@ -435,30 +416,40 @@ def _same_error(a, b):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_log_kernel_matches_the_per_slice_kernel(n):
-    """Every slice of the stacked kernel has the tangent bytes or the error
-    (type and message) of the per-slice kernel, and log_map, distance and
-    distance_or_inf raise the first error or return the per-slice bytes,
-    over shuffled mixed stacks in both argument orders."""
-    J, mats = _branch_stack(n)
+    """Every slice of the stacked kernel has the tangent bytes and the error
+    (type and message) of its own N = 1 call, and is held to the gees
+    kernel as _branch_stack says; log_map, distance and distance_or_inf
+    raise the kernel's first error or return its bytes, over shuffled mixed
+    stacks in both argument orders."""
+    J, mats, kinds = _branch_stack(n)
     seen = set()
     for perm in range(6):
-        B = mats[np.random.default_rng(perm).permutation(len(mats))]
+        order = np.random.default_rng(perm).permutation(len(mats))
+        B = mats[order]
         for A, Bs in ((np.broadcast_to(J.mat, B.shape), B), (B, np.broadcast_to(J.mat, B.shape))):
-            refs = [_per_slice_log_map(a, b) for a, b in zip(A, Bs)]
             tangents, errors = acs._log_stack(A, Bs)
-            for (ref_t, ref_e), t, e in zip(refs, tangents, errors):
-                if ref_e is None:
-                    assert e is None and t.tobytes() == ref_t.tobytes()
+            for a, b, t, e, kind in zip(A, Bs, tangents, errors, (kinds[k] for k in order)):
+                [t1], [e1] = acs._log_stack(a[None], b[None])
+                assert t.tobytes() == t1.tobytes() and (e is e1 is None or _same_error(e, e1))
+                ref_t, ref_e = _gees_log_map(a, b)
+                if kind == "either":
+                    assert isinstance(e, (CutLocusError, ComponentMismatch))
+                elif ref_e is not None:
+                    assert _same_error(e, ref_e)
                 else:
-                    assert _same_error(e, ref_e) and np.isnan(t).all()
-                    seen.add((type(ref_e).__name__, str(ref_e)))
+                    assert e is None
+                    tol = 1e-11 if kind == "nudged" else _gees_bound(a, b)
+                    assert maxabs(t - ref_t) <= tol
+                if e is not None:
+                    assert np.isnan(t).all()
+                    seen.add(str(e))
             far = [not maxabs(a - b) <= acs.TOL_ALG for a, b in zip(A, Bs)]
             norms = [math.inf if e is not None else float(np.linalg.norm(t))
-                     for t, e in refs]
+                     for t, e in zip(tangents, errors)]
             for fn, tolerated, skip_same in (
                     (acs.log_map, (), False), (acs.distance, (), True),
                     (acs.distance_or_inf, (CutLocusError, ComponentMismatch), True)):
-                first = next((e for (_, e), f in zip(refs, far)
+                first = next((e for e, f in zip(errors, far)
                               if e is not None and not isinstance(e, tolerated)
                               and (f or not skip_same)), None)
                 if first is not None:
@@ -468,12 +459,11 @@ def test_log_kernel_matches_the_per_slice_kernel(n):
                 elif fn is acs.distance_or_inf:
                     want = np.array([d if f else 0.0 for d, f in zip(norms, far)])
                     assert fn(A, Bs).tobytes() == want.tobytes()
-            good = [k for k, (_, e) in enumerate(refs) if e is None]
-            assert acs.log_map(A[good], Bs[good]).tobytes() == \
-                np.stack([refs[k][0] for k in good]).tobytes()
+            good = [k for k, e in enumerate(errors) if e is None]
+            assert acs.log_map(A[good], Bs[good]).tobytes() == tangents[good].tobytes()
             assert acs.distance(A[good], Bs[good]).tobytes() == \
                 np.array([norms[k] if far[k] else 0.0 for k in good]).tobytes()
-    assert {msg for _, msg in seen} == {
+    assert seen == {
         "array must not contain infs or NaNs",
         "rotation angle at pi: principal log undefined",
         "eigenvalue -1: principal log undefined",
@@ -485,37 +475,120 @@ def test_log_kernel_matches_the_per_slice_kernel(n):
     assert tangents.shape == empty.shape and errors == []
 
 
-def test_log_kernel_makes_one_lapack_call_per_slice(monkeypatch):
-    """log_map runs gees once per finite slice, distance once per finite
-    slice that is not the same point, and neither calls scipy.linalg.expm."""
+def _rescaled_pair(n, seed, angles):
+    """A structure A = random_j(n, seed) and B = e^X A e^{-X} whose rotation
+    R = B A^{-1} = e^{2X} has the given angles: X = -phi A / 2 for a seeded
+    tangent phi, with its eigenvalues +-i mu, grouped by modulus in
+    ascending order, rescaled to +-i angles[k] / 2 (each modulus is kept
+    with its sign, so X still anticommutes with A)."""
+    A = acs.random_j(n, seed).mat
+    X = -0.5 * acs.random_tangent(acs.OrthoComplexStructure(A), seed + 1).mat @ A
+    w, V = np.linalg.eigh(-1j * X)
+    levels = np.unique(np.round(np.abs(w), 9))
+    assert len(levels) == len(angles)
+    half = np.zeros_like(w)
+    for level, angle in zip(levels, angles):
+        at = np.abs(np.abs(w) - level) < 1e-8
+        half[at] = 0.5 * angle * np.sign(w[at])
+    E = ((V * np.exp(1j * half)) @ V.conj().T).real  # e^X
+    return A, E @ A @ E.T
+
+
+def _collision_angles(alpha, theta=0.5):
+    """Two rotation angles with the same sin + alpha cos."""
+    return theta, np.pi - theta - 2.0 * math.atan(alpha)
+
+
+def test_log_kernel_tangents_stay_within_the_bound_of_gees():
+    """A seeded panel of same-component pairs, one stack per n: random pairs
+    at n = 2, 3 and 4 and distances 0.1-2.5, identical pairs, top angles at
+    pi - 1e-1 ... pi - 1e-6, and at n = 4 repeated angles and the collision
+    of each alpha.  Every tangent lies within _gees_bound of the gees
+    kernel's, and an identical pair reads exactly 0."""
+    for n in (2, 3, 4):
+        pairs, same = [], []
+        for seed in range(100):
+            J = acs.random_j(n, seed)
+            r = np.random.default_rng(seed).uniform(0.1, 2.5)
+            pairs.append((J.mat, acs.exp_map(J, acs.random_tangent(J, seed + 1000, r), 1.0).mat))
+        for seed in range(5):
+            J = acs.random_j(n, seed)
+            same.append(len(pairs))
+            pairs.append((J.mat, J.mat))
+            phi = acs.random_tangent(J, seed + 7)
+            omega = float(np.max(np.abs(np.linalg.eigvals(-phi.mat @ J.mat))))
+            pairs += [(J.mat, acs.exp_map(J, phi, (np.pi - eps) / omega).mat)
+                      for eps in (1e-1, 1e-2, 1e-3, 1e-6)]
+            if n == 4:
+                pairs += [_rescaled_pair(4, seed, angles) for angles in
+                          ((1.0, 1.0), (2.5, 2.5), (0.3, 3.0))]
+                pairs += [_rescaled_pair(4, seed, _collision_angles(alpha))
+                          for alpha in acs._ALPHAS]
+        A, B = np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+        tangents = acs.log_map(A, B)
+        for a, b, t in zip(A, B, tangents):
+            ref, error = _gees_log_map(a, b)
+            assert error is None
+            assert maxabs(t - ref) <= _gees_bound(a, b)
+        assert not tangents[same].any()
+
+
+def test_alpha_collision_takes_the_second_alpha():
+    """At n = 4 the angles 0.5 and pi - 0.5 - 2 atan(alpha_1) give M equal
+    eigenvalues under the first alpha, so eigh mixes their eigenvectors
+    and U^H R U is not diagonal; the second alpha gives the gees tangent
+    (with the first alone the round trip reported a ComponentMismatch)."""
+    for seed in range(5):
+        A, B = _rescaled_pair(4, seed, _collision_angles(acs._ALPHAS[0]))
+        R = (-B @ A)[None]
+        assert acs._diagonalise(R, acs._ALPHAS[0])[2][0] > 1e-3
+        assert acs._diagonalise(R, acs._ALPHAS[1])[2][0] <= acs.TOL_DIAG
+        ref, _ = _gees_log_map(A, B)
+        assert maxabs(acs.log_map(A, B)[0] - ref) <= 1e-13
+        assert acs.distance(A, B) == pytest.approx(np.linalg.norm(ref), abs=1e-13)
+
+
+def test_log_and_exp_kernels_make_one_eigh_call_per_alpha(monkeypatch):
+    """log_map and distance_or_inf run one batched eigh on the stack (the
+    slices that are not the same point, for distance), and one more on just
+    the slices the first alpha leaves undiagonalised; exp_maps runs one
+    eigh for every time.  None of them calls scipy."""
     J = acs.random_j(2, 5)
     good = [acs.exp_map(J, acs.random_tangent(J, k, 0.5), 1.0).mat for k in range(28)]
     mats = np.stack(good + [J.mat] * 6 + [np.full((4, 4), np.nan)] * 3 + [-J.mat] * 3)
     mats = mats[np.random.default_rng(0).permutation(40)]
-    gees, lwork = acs._gees(4)
-    calls = {"gees": 0, "expm": 0}
+    A4, B4 = zip(*[_rescaled_pair(4, seed, angles) for seed in range(6) for angles in
+                   ((0.4, 1.1), _collision_angles(acs._ALPHAS[0]))])
+    eigh = np.linalg.eigh
+    calls = []
 
-    def counting_gees(*args, **kwargs):
-        calls["gees"] += 1
-        return gees(*args, **kwargs)
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
 
-    def counting_expm(*args, **kwargs):
-        calls["expm"] += 1
-        raise AssertionError("the log-map kernel called scipy.linalg.expm")
+    def no_scipy(*args, **kwargs):
+        raise AssertionError("a kernel called scipy")
 
-    monkeypatch.setattr(acs, "_gees", lambda d: (counting_gees, lwork))
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(scipy.linalg, "expm", no_scipy)
+    monkeypatch.setattr(scipy.linalg, "schur", no_scipy)
     acs.log_map(J.mat, np.stack(good + good[:12]))
-    assert calls == {"gees": 40, "expm": 0}
-    for fn, want in ((acs.log_map, 37), (acs.distance, 31), (acs.distance_or_inf, 31)):
-        calls["gees"] = 0
+    assert calls == [(40, 4, 4)]
+    for fn, want in ((acs.log_map, 40), (acs.distance, 34), (acs.distance_or_inf, 34)):
+        calls.clear()
         with pytest.raises((ValueError, CutLocusError)):
             fn(J.mat, mats)
-        assert calls == {"gees": want, "expm": 0}
-    calls["gees"] = 0
+        assert calls == [(want, 4, 4)]
+    calls.clear()
     dists = acs.distance_or_inf(J.mat, mats[~np.isnan(mats).any(axis=(1, 2))])
-    assert calls == {"gees": 31, "expm": 0}
+    assert calls == [(31, 4, 4)]
     assert (dists == 0.0).sum() == 6 and np.isinf(dists).sum() == 3
+    calls.clear()
+    acs.log_map(np.stack(A4), np.stack(B4))
+    assert calls == [(12, 8, 8), (6, 8, 8)]
+    calls.clear()
+    acs.exp_maps(J, acs.random_tangent(J, 0), np.linspace(-1.0, 1.0, 9))
+    assert calls == [(4, 4)]
 
 # -- conjugation --------------------------------------------------------------
 

@@ -29,16 +29,16 @@ def test_fs_perturbed_seed0_outcome(delta4):
     v = prober.probe(chart, ORIGIN, J_p=J_p, config=config, delta=delta4)
     assert (v.kind, v.failing_stage) == ("KahlerWitness", "")
     assert v.certificates == pytest.approx({
-        "fixedness": 7.480138872573932e-06,
-        "path_independence": 2.476736067252035e-07,
-        "nabla_j": 1.39075330588305e-06,
-        "nijenhuis": 1.3247809023329386e-06,
-        "d_omega": 0.0001612897571472427,
-        "d_omega_refined": 4.109077545577655e-05,
+        "fixedness": 7.480138872185573e-06,
+        "path_independence": 2.4767360668913473e-07,
+        "nabla_j": 1.3907533057208416e-06,
+        "nijenhuis": 1.3247809007435346e-06,
+        "d_omega": 0.0001612897571457994,
+        "d_omega_refined": 4.1090775458954565e-05,
     }, rel=REL, abs=0.0)
-    assert v.orbit_report.max_distance == pytest.approx(0.6260786234214778, rel=REL, abs=0.0)
+    assert v.orbit_report.max_distance == pytest.approx(0.626078623421478, rel=REL, abs=0.0)
     assert acs.distance(v.mean_result.mean, J_fs) == pytest.approx(
-        4.569406336228466e-06, rel=REL, abs=0.0)
+        4.56940633605051e-06, rel=REL, abs=0.0)
 
 
 def test_fs_witness_seed0_outcome(delta4):

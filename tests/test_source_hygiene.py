@@ -5,12 +5,16 @@ function or class is referenced in its module, every public one and every
 public method is read by some package module, and no module reads another
 package module's private name.  Read off the loaded
 classes: every domain error declares its own stable ``code``; the CLI
-prints these codes, so two errors must never share one.
+prints these codes, so two errors must never share one.  Run in a fresh
+interpreter: the package needs numpy alone.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -109,3 +113,23 @@ def test_every_error_declares_its_own_code():
     assert [c.__name__ for c in errors if "code" not in vars(c)] == []
     codes = [c.code for c in errors] + [KahlerProbeError.code]
     assert len(set(codes)) == len(codes)
+
+
+def test_the_package_runs_without_scipy():
+    """A fresh interpreter that imports the CLI, estimates delta for n = 2
+    and makes one log map and one exp map has not imported scipy, which is
+    in the ``test`` extra only."""
+    code = (
+        "import sys\n"
+        "import kahlerprobe.cli\n"
+        "from kahlerprobe import acs, constants\n"
+        "constants.compute_delta(2, use_cache=False)\n"
+        "J = acs.random_j(2, 0)\n"
+        "K = acs.exp_map(J, acs.random_tangent(J, 1, 0.5), 1.0)\n"
+        "acs.log_map(J, K)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
