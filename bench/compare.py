@@ -25,11 +25,15 @@ runs, in order:
   (perfbench's configs), criteria 08 and 09 at their full configs (with
   ``product_s2_s2`` beside criterion 08's three charts), and the
   ``--no-timestamp`` output of every CLI command, on both sides, plus
-  ``sphere_obstruction`` at seeds 0-9.  Verdicts, failing stages,
-  certificate and distance reprs (every orbit distance too), mean bytes and
-  Karcher iteration counts must agree exactly; ``MeanResult.energy`` (and
-  the ``mean`` command's ``energy``) is reported as its largest relative and
-  absolute difference.
+  ``sphere_obstruction`` at seeds 0-9.  Verdicts, failing stages, details,
+  witness loops and words, Karcher iteration counts and convergence are
+  compared exactly (``exact_fields_that_differ``).  The numbers (every
+  certificate and distance, every orbit distance, the mean's entries, the
+  final gradient norm and ``MeanResult.energy``) are reported per field as
+  their largest absolute and relative difference (``numeric_diffs``).  A
+  CLI output that differs in bytes is parsed (JSON, else CSV) and reported
+  as its largest absolute difference, or as null when it differs in
+  anything but its numbers; the default-probe controls' stdout likewise.
 
 Every child process has one BLAS thread and a fresh delta cache.  The
 Fubini-Study config, the perturbed loop scale, the tangent seed and the
@@ -176,6 +180,7 @@ def probe_control(sides, tmp):
             for name in _alternating(i):
                 warm[name].append(_warm_probe(sides[name], caches[name], chart, point))
         out[chart] = dict(times, same_stdout=stdout["parent"] == stdout["change"],
+                          stdout_max_abs_diff=_text_diff(stdout["parent"], stdout["change"]),
                           warm_in_process_best_s={k: round(min(v), 4)
                                                   for k, v in warm.items()})
     return out
@@ -194,19 +199,21 @@ def answers():
     J_fs = prober.default_structure(fs, origin)
 
     def record(v, pullback=False):
-        m = v.mean_result
+        m, orbit = v.mean_result, v.orbit_report
+        witness = v.witness_loop_index
         rec = {"kind": v.kind, "failing_stage": v.failing_stage, "detail": v.detail,
-               "certificates": {k: repr(c) for k, c in v.certificates.items()},
-               "orbit_max_distance": repr(v.orbit_report.max_distance) if v.orbit_report else None,
-               "orbit_distances": (repr(list(v.orbit_report.distances))
-                                   if v.orbit_report else None),
-               "witness": [v.witness_loop_index, repr(v.witness_distance)]}
+               "witness_loop": witness,
+               "witness_word": None if witness is None else list(orbit.samples[witness].word),
+               "certificates": dict(v.certificates),
+               "orbit_max_distance": orbit.max_distance if orbit else None,
+               "orbit_distances": list(orbit.distances) if orbit else None,
+               "witness_distance": v.witness_distance}
         if m is not None:
-            rec.update(mean_sha256=hashlib.sha256(m.mean.mat.tobytes()).hexdigest(),
-                       iterations=m.iterations, final_grad_norm=repr(m.final_grad_norm),
-                       converged=m.converged, energy=m.energy)
+            rec.update(mean=m.mean.mat.tolist(), iterations=m.iterations,
+                       final_grad_norm=m.final_grad_norm, converged=m.converged,
+                       energy=m.energy)
             if pullback:
-                rec["pullback_distance"] = repr(acs.distance(m.mean, J_fs))
+                rec["pullback_distance"] = acs.distance(m.mean, J_fs)
         return rec
 
     def perturbed(delta, seed):
@@ -288,15 +295,76 @@ def _cli_runs(side, tmp, name):
         files = {}
         for f in sorted(os.listdir(out_dir)):
             with open(os.path.join(out_dir, f), "rb") as fh:
-                files[f] = hashlib.sha256(fh.read()).hexdigest()
+                files[f] = fh.read().decode()
             os.remove(os.path.join(out_dir, f))
         out[key] = {"exit": res.returncode, "stdout": res.stdout.decode(),
                     "stderr": res.stderr.decode(), "files": files}
     return out
 
 
+EXACT_FIELDS = ("kind", "failing_stage", "detail", "witness_loop", "witness_word",
+                "iterations", "converged")
+
+
 def _rel(a, b):
     return abs(a - b) / abs(a) if a else abs(b)
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _numbers(a, b):
+    """The pairs of numbers at the same places in two JSON-like values, or
+    None when the values differ in anything but their numbers."""
+    if _is_number(a) and _is_number(b):
+        return [(a, b)]
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        a, b = [a[k] for k in sorted(a)], [b[k] for k in sorted(a)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = []
+        for x, y in zip(a, b):
+            sub = _numbers(x, y)
+            if sub is None:
+                return None
+            pairs += sub
+        return pairs
+    return [] if a == b else None
+
+
+def _changed(pairs):
+    """The pairs whose numbers differ; NaN against NaN is no difference."""
+    return [(x, y) for x, y in pairs if not (x == y or (x != x and y != y))]
+
+
+def _abs_diff(pairs):
+    return max((abs(x - y) for x, y in _changed(pairs)), default=0.0)
+
+
+def _parse(text):
+    """A CLI output as JSON, else as CSV rows of numbers and strings."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        def cell(c):
+            try:
+                return float(c)
+            except ValueError:
+                return c
+        return [[cell(c) for c in line.split(",")] for line in text.splitlines()]
+
+
+def _text_diff(a, b):
+    """0.0 for equal outputs, else the largest absolute difference of their
+    numbers, or None when they differ in anything else."""
+    if isinstance(a, bytes):
+        a, b = a.decode(), b.decode()
+    if a == b:
+        return 0.0
+    pairs = _numbers(_parse(a), _parse(b))
+    return None if pairs is None else _abs_diff(pairs)
 
 
 def same_answers(sides, tmp):
@@ -308,32 +376,39 @@ def same_answers(sides, tmp):
             [sys.executable, __file__, "--answers"], capture_output=True, check=True,
             env=_env(side, os.path.join(tmp, f"{name}_answers_cache.json"))).stdout)
         cli[name] = _cli_runs(side, tmp, name)
-    differ, energy_rel, energy_abs = [], 0.0, 0.0
+    exact, numeric = [], {}
     for key, rec in probes["parent"].items():
         other = probes["change"][key]
         for field, value in rec.items():
-            if field == "energy":
-                energy_rel = max(energy_rel, _rel(value, other[field]))
-                energy_abs = max(energy_abs, abs(value - other[field]))
-            elif value != other[field]:
-                differ.append(f"{key}: {field}")
-    cli_differ, cli_energy_rel = [], 0.0
+            if field in EXACT_FIELDS:
+                if value != other[field]:
+                    exact.append(f"{key}: {field}")
+                continue
+            pairs = _numbers(value, other[field])
+            if pairs is None:
+                exact.append(f"{key}: {field}")
+                continue
+            changed = _changed(pairs)
+            diff = numeric.setdefault(field, {"max_abs": 0.0, "max_rel": 0.0, "probes": 0})
+            diff["max_abs"] = max([diff["max_abs"]] + [abs(x - y) for x, y in changed])
+            diff["max_rel"] = max([diff["max_rel"]] + [_rel(x, y) for x, y in changed])
+            diff["probes"] += bool(changed)
+    cli_diff = {}
     for key, rec in cli["parent"].items():
         other = cli["change"][key]
-        if key.startswith("mean_") and rec["exit"] == other["exit"] == 0:
-            a, b = json.loads(rec["stdout"]), json.loads(other["stdout"])
-            cli_energy_rel = max(cli_energy_rel,
-                                 _rel(a["result"].pop("energy"), b["result"].pop("energy")))
-            if a != b:
-                cli_differ.append(key)
-        elif rec != other:
-            cli_differ.append(key)
-    return {"probes": sorted(probes["parent"]), "probe_fields_that_differ": differ,
-            "energy_max_rel_diff": energy_rel, "energy_max_abs_diff": energy_abs,
-            "energies": {k: [v.get("energy"), probes["change"][k].get("energy")]
-                         for k, v in probes["parent"].items() if "energy" in v},
-            "cli_commands": sorted(cli["parent"]), "cli_commands_that_differ": cli_differ,
-            "cli_mean_energy_max_rel_diff": cli_energy_rel,
+        if rec == other:
+            continue
+        cli_diff[key] = None
+        if (rec["exit"], rec["stderr"], rec["files"].keys()) == \
+                (other["exit"], other["stderr"], other["files"].keys()):
+            diffs = [_text_diff(rec["stdout"], other["stdout"])] + [
+                _text_diff(rec["files"][f], other["files"][f]) for f in rec["files"]]
+            if None not in diffs:
+                cli_diff[key] = max(diffs)
+    return {"probes": sorted(probes["parent"]), "exact_fields": list(EXACT_FIELDS),
+            "exact_fields_that_differ": exact, "numeric_diffs": numeric,
+            "cli_commands": sorted(cli["parent"]),
+            "cli_commands_that_differ_max_abs_diff": cli_diff,
             "cli_exit": {k: [v["exit"], cli["change"][k]["exit"]]
                          for k, v in cli["parent"].items()}}
 

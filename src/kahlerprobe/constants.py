@@ -109,7 +109,7 @@ def estimate_epsilon(n: int, num_samples: int = DEFAULT_SAMPLES,
         step = 0.2
         while step > 1e-6:
             steps = acs.random_tangents(
-                J, [int(rng.integers(0, 2**31 - 1)) for _ in range(40)], step)
+                J, rng.integers(0, 2**31 - 1, size=40).tolist(), step)
             dphis, dpsis = steps[0::2], steps[1::2]
             improved = False
             while len(dphis):
@@ -145,8 +145,8 @@ def estimate_injectivity(n: int, resolution: float = MAX_RESOLUTION,
     J = acs.canonical_j(n)
     rng = np.random.default_rng(seed)
     first_break = MARCH_T_MAX
-    for _ in range(MARCH_DIRECTIONS):
-        phi = acs.random_tangent(J, int(rng.integers(0, 2**31 - 1)))
+    for seed_k in rng.integers(0, 2**31 - 1, size=MARCH_DIRECTIONS).tolist():
+        phi = acs.random_tangent(J, seed_k)
         t = resolution
         while t < first_break:  # later breaks cannot lower the minimum
             ts = []

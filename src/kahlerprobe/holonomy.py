@@ -13,17 +13,20 @@ orthogonal up to the integration defect.  A path is stored once, as a tuple
 of pieces (straight polyline moves or smooth curves); joining and reversing
 paths are operations on that tuple.  There is one transport kernel, and it
 is stacked: paths with the same piece count share their stage times, so B of
-them step through one RK4 loop as a (B, d, d) stack.  The kernel steps each
-piece on its own parameter interval, evaluates the piece of every path at
-all its stage times, checks those points against the box in one call and
-evaluates their Christoffels in one call.  RK4 reuses stages: an n-step
-piece evaluates the Christoffels at 2n + 1 points per path, not 4n, with the
-same result bit for bit.  Each slice of the stack has the bits of the path
-transported alone; ``parallel_transport``, the one checked transport, takes
-a list of paths and rejects the first slice whose orthogonality defect
-reaches the limit.  ``holonomy_samples`` is the one place that checks that a
-path is a loop at the base point: it admits a path that has pieces and
-whose ends both lie within 1e-9 of that point.  Holonomy
+them are transported as one (B, d, d) stack.  The kernel steps each piece
+on its own parameter interval, evaluates the piece of every path at all its
+stage times, checks those points against the box in one call and evaluates
+their Christoffels in one call.  RK4 reuses stages: an n-step piece
+evaluates the Christoffels at 2n + 1 points per path, not 4n.  The transport
+ODE is linear, so an RK4 step is V -> P_i V with a step map P_i that does
+not depend on V: the kernel forms the n step maps of a piece as one (n, B,
+d, d) stack, and multiplies them out STEP_CHUNK steps at a time in pairwise
+rounds, in an order fixed by n alone.  Each slice of the stack has the bits
+of the path transported alone; ``parallel_transport``, the one checked
+transport, takes a list of paths and rejects the first slice whose
+orthogonality defect reaches the limit.  ``holonomy_samples`` is the one
+place that checks that a path is a loop at the base point: it admits a path
+that has pieces and whose ends both lie within 1e-9 of that point.  Holonomy
 is sampled by transporting families of such loops in one kernel call and
 optionally closing the sample under products and inverses.  The closure runs
 level by level: one stacked matmul forms a level's products, one test finds
@@ -31,9 +34,10 @@ which of them lie within 1e-9 of a kept matrix or of each other (comparing
 in full only the pairs that a sorted linear key leaves possible), and one
 pass in word order keeps the first of each.  The kept matrices live in one
 (N, d, d) stack, and a product's loop only refers to its generators' pieces.
-The catalog charts have closed-form metrics and batched Christoffels without
-Python loops; Fubini-Study's come from its complex connection realified
-through a constant basis, one matmul for a whole stack.
+The catalog charts have closed-form metrics and batched Christoffels with no
+loop over points: the conformal spheres' write their 3d nonzero slabs, and
+Fubini-Study's come from its complex connection realified through a
+constant basis, one matmul for a whole stack.
 """
 
 from __future__ import annotations
@@ -246,6 +250,37 @@ def orthonormal_frame(chart: ManifoldChart, x) -> np.ndarray:
 
 # -- parallel transport -------------------------------------------------------
 
+STEP_CHUNK = 128  # RK4 step maps multiplied out in one pairwise product
+
+
+def _step_maps(A, h: float) -> np.ndarray:
+    """The RK4 step maps of V' = A(t) V, an (n, ...) stack, from A at the
+    2n + 1 stage times t_0, t_0 + h/2, t_0 + h, ..., t_0 + n h: step i is
+    V -> P_i V, where P_i = I + (h/6)(K1 + 2 K2 + 2 K3 + K4) is the step
+    applied to I, so it does not depend on V."""
+    I = np.eye(A.shape[-1])
+    K1 = A[:-1:2]
+    K2 = A[1::2] @ (I + 0.5 * h * K1)
+    K3 = A[1::2] @ (I + 0.5 * h * K2)
+    K4 = A[2::2] @ (I + h * K3)
+    return I + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def _step_product(P, V) -> np.ndarray:
+    """(P_{n-1} ... P_1 P_0) V for an (n, ...) stack of step maps P.  Each
+    chunk of STEP_CHUNK maps is multiplied out in pairwise rounds (P_1 P_0,
+    P_3 P_2, ..., an odd last map carried to the next round) and then
+    applied to V.  The order of the products depends on n alone, so each
+    slice of a stack gets the bits of its maps multiplied alone."""
+    for c in range(0, len(P), STEP_CHUNK):
+        Q = P[c:c + STEP_CHUNK]
+        while len(Q) > 1:
+            pairs = Q[1::2] @ Q[:-1:2]
+            Q = np.concatenate([pairs, Q[-1:]]) if len(Q) % 2 else pairs
+        V = Q[0] @ V
+    return V
+
+
 def _transport_coordinate(chart: ManifoldChart, paths, steps: int) -> np.ndarray:
     """Coordinate-frame transport matrices of the paths, one (B, d, d) stack
     in input order, by piecewise RK4 on V' = -M(t) V.
@@ -255,7 +290,10 @@ def _transport_coordinate(chart: ManifoldChart, paths, steps: int) -> np.ndarray
     steps/m.  The 2n + 1 stage points of piece k of every path in the stack
     are checked against the box with one call and their Christoffels
     evaluated with one call; M(t) is then formed once per stage time: k2
-    and k3 share M(t + h/2), and k4's M(t + h) is the next step's k1."""
+    and k3 share M(t + h/2), and k4's M(t + h) is the next step's k1.  The
+    ODE is linear, so the piece's n RK4 steps are n step maps, formed for
+    the whole stack at once and multiplied onto V in a fixed pairwise
+    order (``_step_maps``, ``_step_product``)."""
     d = chart.dim
     out = np.empty((len(paths), d, d))
     groups = {}
@@ -282,14 +320,9 @@ def _transport_coordinate(chart: ManifoldChart, paths, steps: int) -> np.ndarray
             v = np.stack([m * paths[b].pieces[k][1](s) for b in idx], axis=1)
             # this einsum, unlike a matmul, gives each point the bits of a
             # single-point einsum("kij,i->kj")
-            M = np.einsum("pkij,pi->pkj", christoffel(chart, x.reshape(-1, d)),
-                          v.reshape(-1, d)).reshape(2 * n + 1, len(idx), d, d)
-            for i in range(0, 2 * n, 2):
-                k1 = -M[i] @ V
-                k2 = -M[i + 1] @ (V + 0.5 * h * k1)
-                k3 = -M[i + 1] @ (V + 0.5 * h * k2)
-                k4 = -M[i + 2] @ (V + h * k3)
-                V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            A = -np.einsum("pkij,pi->pkj", christoffel(chart, x.reshape(-1, d)),
+                           v.reshape(-1, d)).reshape(2 * n + 1, len(idx), d, d)
+            V = _step_product(_step_maps(A, h), V)
         out[idx] = V
     return out
 
@@ -584,15 +617,15 @@ def _sq_norms(x) -> np.ndarray:
 
 def _conformal_sphere_christoffel(d):
     # g = e^{2f} delta with f = log 2 - log(1+|x|^2):
-    # Gamma^k_ij = delta_ki w_j + delta_kj w_i - delta_ij w_k, w = grad f
-    I = np.eye(d)
-
+    # Gamma^k_ij = delta_ki w_j + delta_kj w_i - delta_ij w_k, w = grad f,
+    # written as its 3d nonzero slabs
     def gamma(x):
         w = -2.0 * x / (1.0 + _sq_norms(x))[:, None]
         G = np.zeros((len(x), d, d, d))
-        G += I[:, :, None] * w[:, None, None, :]
-        G += I[:, None, :] * w[:, None, :, None]
-        G -= I * w[:, :, None, None]
+        for k in range(d):
+            G[:, k, k, :] += w
+            G[:, k, :, k] += w
+            G[:, :, k, k] -= w
         return G
     return gamma
 

@@ -29,16 +29,16 @@ def test_fs_perturbed_seed0_outcome(delta4):
     v = prober.probe(chart, ORIGIN, J_p=J_p, config=config, delta=delta4)
     assert (v.kind, v.failing_stage) == ("KahlerWitness", "")
     assert v.certificates == pytest.approx({
-        "fixedness": 7.480138872185573e-06,
-        "path_independence": 2.4767360668913473e-07,
-        "nabla_j": 1.3907533057208416e-06,
-        "nijenhuis": 1.3247809007435346e-06,
-        "d_omega": 0.0001612897571457994,
-        "d_omega_refined": 4.1090775458954565e-05,
+        "fixedness": 7.480138872236379e-06,
+        "path_independence": 2.476736092950386e-07,
+        "nabla_j": 1.3907533002921843e-06,
+        "nijenhuis": 1.3247808938312862e-06,
+        "d_omega": 0.00016128975719394145,
+        "d_omega_refined": 4.109077540209727e-05,
     }, rel=REL, abs=0.0)
-    assert v.orbit_report.max_distance == pytest.approx(0.626078623421478, rel=REL, abs=0.0)
+    assert v.orbit_report.max_distance == pytest.approx(0.6260786234214781, rel=REL, abs=0.0)
     assert acs.distance(v.mean_result.mean, J_fs) == pytest.approx(
-        4.56940633605051e-06, rel=REL, abs=0.0)
+        4.569406336073873e-06, rel=REL, abs=0.0)
 
 
 def test_fs_witness_seed0_outcome(delta4):
@@ -49,11 +49,11 @@ def test_fs_witness_seed0_outcome(delta4):
     assert (v.kind, v.failing_stage) == ("KahlerWitness", "")
     assert v.certificates == pytest.approx({
         "fixedness": 0.0,
-        "path_independence": 6.566237664599217e-16,
-        "nabla_j": 5.159761506945415e-14,
-        "nijenhuis": 4.12340210017926e-14,
-        "d_omega": 0.00016059059664021158,
-        "d_omega_refined": 4.038835026073939e-05,
+        "path_independence": 3.4018465225427335e-15,
+        "nabla_j": 3.203333339006481e-14,
+        "nijenhuis": 4.905940656682961e-14,
+        "d_omega": 0.00016059059669028264,
+        "d_omega_refined": 4.038835020844789e-05,
     }, rel=REL, abs=0.0)
     assert v.orbit_report.max_distance == 0.0
     assert len(v.orbit_report.samples) == 62
@@ -79,18 +79,18 @@ def test_sphere_obstruction_seed0_outcome(delta4):
 DEFAULT_PROBES = {
     "fubini_study_cp2": (ORIGIN, 374, {
         "fixedness": 0.0,
-        "path_independence": 3.3267969602374673e-15,
-        "nabla_j": 4.1184284484619954e-14,
-        "nijenhuis": 5.52128948983184e-14,
-        "d_omega": 0.00039964065514613845,
-        "d_omega_refined": 0.00010041417753947623,
+        "path_independence": 4.131989491032468e-15,
+        "nabla_j": 5.012656956182582e-14,
+        "nijenhuis": 6.362987300114095e-14,
+        "d_omega": 0.00039964065516218117,
+        "d_omega_refined": 0.0001004141775612366,
     }),
     "product_s2_s2": (ORIGIN, 28, {
         "fixedness": 0.0,
         "path_independence": 4.440892098500626e-16,
-        "nabla_j": 8.326672684688674e-16,
-        "nijenhuis": 1.6671349890000551e-15,
-        "d_omega": 7.701093465000215e-16,
+        "nabla_j": 1.1102230246251565e-15,
+        "nijenhuis": 2.0083447200237918e-15,
+        "d_omega": 9.59085097966335e-16,
     }),
     "flat_torus_4": ([0.5] * 4, 6, {
         "fixedness": 0.0,
