@@ -276,6 +276,9 @@ def _cli_runs(side, tmp, name):
         "transport": ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
                       "--loops", str(workloads.SPHERE_LOOPS),
                       "--out", where.format("transport.json")],
+        "transport_fourier": ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+                              "--loop-kind", "fourier_random",
+                              "--out", where.format("transport.json")],
         "orbit": ["orbit", "--manifold", "fubini_study_cp2", "--point", "0,0,0,0",
                   "--loops", "3", "--csv", where.format("orbit.csv")],
         "orbit_sphere": ["orbit", "--manifold", "round_sphere_4", "--point", "0,0,0,0",

@@ -10,30 +10,31 @@ stack at once.  Parallel transport integrates the first-order transport ODE
 with classical RK4 for every coordinate basis vector at once, then expresses
 the transport matrix in g-orthonormal frames at the endpoints, where it is
 orthogonal up to the integration defect.  A path is stored once, as a tuple
-of pieces (straight polyline moves or smooth curves); joining and reversing
-paths are operations on that tuple.  There is one transport kernel, and it
-is stacked: paths with the same piece count share their stage times, so B of
-them are transported as one (B, d, d) stack.  The kernel steps each piece
-on its own parameter interval, evaluates the piece of every path at all its
-stage times, checks those points against the box in one call and evaluates
-their Christoffels in one call.  RK4 reuses stages: an n-step piece
-evaluates the Christoffels at 2n + 1 points per path, not 4n.  The transport
-ODE is linear, so an RK4 step is V -> P_i V with a step map P_i that does
-not depend on V: the kernel forms the n step maps of a piece as one (n, B,
-d, d) stack, and multiplies them out STEP_CHUNK steps at a time in pairwise
-rounds, in an order fixed by n alone.  Each slice of the stack has the bits
-of the path transported alone; ``parallel_transport``, the one checked
-transport, takes a list of paths and rejects the first slice whose
-orthogonality defect reaches the limit.  ``holonomy_samples`` is the one
-place that checks that a path is a loop at the base point: it admits a path
-that has pieces and whose ends both lie within 1e-9 of that point.  Holonomy
-is sampled by transporting families of such loops in one kernel call and
-optionally closing the sample under products and inverses.  The closure runs
-level by level: one stacked matmul forms a level's products, one test finds
-which of them lie within 1e-9 of a kept matrix or of each other (comparing
-in full only the pairs that a sorted linear key leaves possible), and one
-pass in word order keeps the first of each.  The kept matrices live in one
-(N, d, d) stack, and a product's loop only refers to its generators' pieces.
+of pieces (straight moves or smooth curves, each read on an array of
+parameters); joining and reversing paths are operations on that tuple.
+There is one transport kernel, and it is stacked: paths with the same piece
+count share their stage times, so B of them are transported as one (B, d, d)
+stack.  The kernel steps each piece on its own parameter interval, evaluates
+the piece of every path at all its stage times, checks those points against
+the box in one call and evaluates their Christoffels in one call.  RK4
+reuses stages: an n-step piece evaluates the Christoffels at 2n + 1 points
+per path, not 4n.  The transport ODE is linear, so an RK4 step is V -> P_i V
+with a step map P_i that does not depend on V: the kernel forms the n step
+maps of a piece as one (n, B, d, d) stack, and multiplies them out
+STEP_CHUNK steps at a time in pairwise rounds, in an order fixed by n alone.
+Each slice of the stack has the bits of the path transported alone;
+``parallel_transport``, the one checked transport, takes a list of paths and
+rejects the first slice whose orthogonality defect reaches the limit.
+``holonomy_samples`` is the one place that checks that a path is a loop at
+the base point: it admits a path that has pieces and whose ends both lie
+within 1e-9 of that point.  Holonomy is sampled by transporting families of
+such loops in one kernel call and optionally closing the sample under
+products and inverses.  The closure runs level by level: one stacked matmul
+forms a level's products, one test finds which of them lie within 1e-9 of a
+kept matrix or of each other (comparing in full only the pairs that a sorted
+linear key leaves possible) and keeps the first of each in word order, and
+one concatenation appends them to the (N, d, d) stack of kept matrices.  A
+product's loop refers to its generators' pieces.
 The catalog charts have closed-form metrics and batched Christoffels with no
 loop over points: the conformal spheres' write their 3d nonzero slabs, and
 Fubini-Study's come from its complex connection realified through a
@@ -397,23 +398,22 @@ def fourier_loop(p, coeffs_a: np.ndarray, coeffs_b: np.ndarray) -> SmoothPath:
     p = np.asarray(p, dtype=float)
     a = np.asarray(coeffs_a, dtype=float)  # (K, dim)
     b = np.asarray(coeffs_b, dtype=float)
-    shift = b.sum(axis=0)
+    start = p - b.sum(axis=0)
+    ws = 2.0 * math.pi * np.arange(1, len(a) + 1)
 
-    def fmap(t):
-        x = p - shift
-        for k in range(a.shape[0]):
-            w = 2.0 * math.pi * (k + 1)
-            x = x + a[k] * math.sin(w * t) + b[k] * math.cos(w * t)
+    def fmap(s):
+        x = np.tile(start, (s.size, 1))
+        for ak, bk, w in zip(a, b, ws):
+            x = x + ak * np.sin(w * s)[:, None] + bk * np.cos(w * s)[:, None]
         return x
 
-    def fvel(t):
-        v = np.zeros_like(p)
-        for k in range(a.shape[0]):
-            w = 2.0 * math.pi * (k + 1)
-            v = v + w * (a[k] * math.cos(w * t) - b[k] * math.sin(w * t))
+    def fvel(s):
+        v = np.zeros((s.size, p.size))
+        for ak, bk, w in zip(a, b, ws):
+            v = v + w * (ak * np.cos(w * s)[:, None] - bk * np.sin(w * s)[:, None])
         return v
 
-    return SmoothPath(curve(fmap, fvel).pieces,
+    return SmoothPath(((fmap, fvel),),
                       description={"kind": "fourier", "base": p.tolist(),
                                    "a": a.tolist(), "b": b.tolist()})
 
@@ -529,73 +529,57 @@ def holonomy_samples(chart: ManifoldChart, p, loops, steps: int,
 
     Products are formed on the polar-corrected matrices; their loops are the
     corresponding path concatenations, so every sample stays independently
-    replayable.  The closure runs level by level.  A level's candidates are
-    each word of the previous level times each generator, in that order,
-    without an immediate cancellation, all formed in one stacked matmul.  A
-    candidate is a duplicate when a kept matrix, of an earlier level or
-    earlier in its own level, is within 1e-9 of it in every entry; a NaN
-    candidate is never a duplicate.  The whole level is tested at once and
-    then kept in word order, so a product kept earlier in a level hides a
-    later duplicate and a dropped one hides nothing.  Kept matrices live in
-    one (N, d, d) stack that grows by doubling, and each sample's matrix is
-    a read-only view into it.
+    replayable.  The closure runs level by level: the loops, their inverses
+    when word_length > 1, then each word of the previous level times each
+    generator (1, -1, 2, -2, ...) without an immediate cancellation, formed
+    in one stacked matmul.  Past the loops, a candidate is a duplicate when
+    a kept matrix, of an earlier level or earlier in its own level, is within
+    1e-9 of it in every entry; a NaN is never one.  One ``_new_in_order``
+    call tests a level and keeps it in word order, so a product kept earlier
+    in a level hides a later duplicate and a dropped one hides nothing.  Each
+    level's kept matrices are concatenated onto one read-only (N, d, d)
+    stack, and each sample's matrix is a view into it.
     """
     if word_length < 1:
         raise InvalidLoopFamily(f"word length {word_length}; at least 1 is needed")
     p = np.asarray(p, dtype=float)
-    d = p.size
     loops = list(loops)
     for loop in loops:
         if not loop.pieces:
             raise ValueError("holonomy sampling needs loops that move")
         if not np.all(np.abs(np.array([loop.map(0.0), loop.map(1.0)]) - p) <= 1e-9):
             raise ValueError("loop does not start and end within 1e-9 of p")
-    # generators +-(i+1): loop i and its reverse, as (matrix, loop, defect)
-    gens = {}
     mats, defects = transport_with_defect(chart, loops, steps)
-    for i, (loop, A, defect) in enumerate(zip(loops, mats, defects)):
+    for defect in defects:
         _check_defect(defect)
-        Q = nearest_orthogonal(A)
-        gens[i + 1] = (Q, loop, defect)
-        gens[-(i + 1)] = (Q.T, loop.reversed(), defect)
-    k = len(gens) // 2
-    ids = list(gens)
-    G = np.reshape([gens[g][0] for g in ids], (-1, d, d))
+    # generators +1..+k, -1..-k: (word, loop, defect) and G; products take 1, -1, 2, -2, ...
+    k = len(loops)
+    gens = [((i + 1,), loop, defect) for i, (loop, defect) in enumerate(zip(loops, defects))]
+    gens += [((-w[0],), loop.reversed(), defect) for w, loop, defect in gens]
+    Q = nearest_orthogonal(mats)
+    G = np.concatenate([Q, np.swapaxes(Q, 1, 2)])
+    order = [j for i in range(k) for j in (i, k + i)]
 
-    stack = np.empty((max(2 * k, 1), d, d))
-    kept = []  # (word, loop, defect) of stack[i]
-
-    def keep(word, mat, loop, defect) -> None:
-        nonlocal stack
-        if len(kept) == len(stack):
-            stack = np.concatenate([stack, np.empty_like(stack)])
-        stack[len(kept)] = mat
-        kept.append((word, loop, defect))
-
-    order = [g for g in ids if g > 0] + [g for g in ids if g < 0]
-    for g in order[:k]:
-        keep((g,), *gens[g])
-    frontier = [((g,), *gens[g][1:]) for g in order]  # every generator, kept or not
-    F = np.reshape([gens[g][0] for g in order], (-1, d, d))
+    kept, stack = gens[:k], G[:k]
     if word_length > 1:
-        for g, new in zip(order[k:], _new_in_order(stack[:k], F[k:])):
-            if new:
-                keep((g,), *gens[g])
+        new = _new_in_order(stack, G[k:])
+        kept += [g for g, n in zip(gens[k:], new) if n]
+        stack = np.concatenate([stack, G[k:][new]])
+    frontier, F = gens, G  # every generator, kept or not
     for _ in range(word_length - 1):
         pairs = [(i, j) for i, (word, _, _) in enumerate(frontier)
-                 for j, g in enumerate(ids) if g != -word[-1]]
+                 for j in order if gens[j][0] != (-word[-1],)]
         rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
         cands = (F[:, None] @ G)[rows, cols]
-        start = len(kept)
-        for (i, j), mat, new in zip(pairs, cands, _new_in_order(stack[:start], cands)):
-            if new:
-                word_s, loop_s, defect_s = frontier[i]
-                _, loop_g, defect_g = gens[ids[j]]
-                keep(word_s + (ids[j],), mat, concatenate_paths([loop_g, loop_s]),
-                     max(defect_s, defect_g))
-        frontier, F = kept[start:], stack[start:len(kept)]
+        new = _new_in_order(stack, cands)
+        frontier = [(frontier[i][0] + gens[j][0],
+                     concatenate_paths([gens[j][1], frontier[i][1]]),
+                     max(frontier[i][2], gens[j][2]))
+                    for (i, j), n in zip(pairs, new) if n]
+        F = cands[new]
+        kept += frontier
+        stack = np.concatenate([stack, F])
 
-    stack = stack[:len(kept)].copy()  # drop the doubling slack
     stack.setflags(write=False)
     return [HolonomySample(p, loop, stack[i], steps, defect, word=word)
             for i, (word, loop, defect) in enumerate(kept)]

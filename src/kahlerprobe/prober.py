@@ -99,11 +99,6 @@ class GlobalJField:
     def _key(self, x, axis_order=None) -> tuple:
         return (tuple(np.round(x, 12)), tuple(axis_order) if axis_order else None)
 
-    def _transported(self, A: np.ndarray) -> np.ndarray:
-        """The base structure carried by the transport matrix A, polar-corrected."""
-        P = holonomy.nearest_orthogonal(A)
-        return P @ self.base_J.mat @ P.T
-
     def ortho_j(self, x, axis_order=None) -> np.ndarray:
         """Orthonormal-frame expression of the field at every point of x,
         shape (..., d, d), each value transported along the path in
@@ -118,13 +113,12 @@ class GlobalJField:
             if key not in self._cache and key not in paths:
                 paths[key] = self._canonical_path(y, axis_order)
         moving = [key for key, path in paths.items() if path.pieces]
-        moved = {}
-        if moving:
-            moved = dict(zip(moving, holonomy.parallel_transport(
-                self.chart, [paths[key] for key in moving], self.steps)))
+        if moving:  # the base structure carried by each polar-corrected transport
+            P = holonomy.nearest_orthogonal(holonomy.parallel_transport(
+                self.chart, [paths[key] for key in moving], self.steps))
+            self._cache.update(zip(moving, P @ self.base_J.mat @ np.swapaxes(P, 1, 2)))
         for key in paths:
-            self._cache[key] = (self._transported(moved[key]) if key in moved
-                                else self.base_J.mat)
+            self._cache.setdefault(key, self.base_J.mat)
         return np.reshape([self._cache[key] for key in keys], np.shape(x) + (d,))
 
     def coordinate_j(self, x) -> np.ndarray:
@@ -247,18 +241,10 @@ def build_global_j(chart: holonomy.ManifoldChart, p, J_prime: OrthoComplexStruct
         raise GridTooCoarse(f"the {interior} interior nodes cannot hold all of "
                             f"{probe_points} probe points; raise grid_res")
     rng = np.random.default_rng(config.seed)
-    # interior grid nodes, stencil-safe
-    idx_pool = [tuple(v) for v in
-                rng.integers(2, grid_res - 2, size=(4 * probe_points, chart.dim))]
-    probes = []
-    seen = set()
-    for iv in idx_pool:
-        if iv in seen:
-            continue
-        seen.add(iv)
-        probes.append(box_lo + np.array(iv) * h)
-        if len(probes) == probe_points:
-            break
+    # interior grid nodes, stencil-safe; the first occurrences in draw order
+    pool = rng.integers(2, grid_res - 2, size=(4 * probe_points, chart.dim))
+    first = np.sort(np.unique(pool, axis=0, return_index=True)[1])[:probe_points]
+    probes = list(box_lo + pool[first] * h)
     if len(probes) < probe_points:
         raise GridTooCoarse(
             f"{len(probes)} of {probe_points} probe points drawn from the "

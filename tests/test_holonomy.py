@@ -467,17 +467,21 @@ def _pairwise_closure(base, word_length):
     return out
 
 
-@pytest.mark.parametrize("name,loops,scale,word_length", [
-    ("round_sphere_4", 5, 0.5, 3),
-    ("fubini_study_cp2", 6, 0.45, 2),
-    ("round_sphere_4", 2, 0.5, 4),
+# a rectangle case is named without its kind
+@pytest.mark.parametrize("name,kind,loops,scale,word_length", [
+    pytest.param(*case, id="-".join(map(str, case)).replace("-coordinate_rectangles", ""))
+    for case in [("round_sphere_4", "coordinate_rectangles", 5, 0.5, 3),
+                 ("fubini_study_cp2", "coordinate_rectangles", 6, 0.45, 2),
+                 ("round_sphere_4", "coordinate_rectangles", 2, 0.5, 4),
+                 ("round_sphere_4", "fourier_random", 3, 0.5, 3),
+                 ("product_s2_s2", "coordinate_rectangles", 4, 0.5, 3)]
 ])
-def test_word_closure_matches_pairwise_scan(name, loops, scale, word_length):
+def test_word_closure_matches_pairwise_scan(name, kind, loops, scale, word_length):
     """The stacked, vectorized duplicate test keeps the same words in the
     same order, with bit-identical matrices, as the pairwise scan."""
     chart = holonomy.catalog(name)
     p = np.zeros(4)
-    family = holonomy.loop_family(chart, p, "coordinate_rectangles", loops, scale)
+    family = holonomy.loop_family(chart, p, kind, loops, scale)
     base = holonomy.holonomy_samples(chart, p, family, 400)
     samples = holonomy.holonomy_samples(chart, p, family, 400,
                                         word_length=word_length)
@@ -524,8 +528,8 @@ def test_word_closure_keeps_first_like_pairwise_scan(monkeypatch, planted, kept,
     polar = holonomy.nearest_orthogonal
     monkeypatch.setattr(holonomy, "transport_with_defect",
                         lambda chart, paths, steps: (planted, [0.0] * len(planted)))
-    monkeypatch.setattr(holonomy, "nearest_orthogonal",
-                        lambda A: A if np.isnan(A).any() else polar(A))
+    monkeypatch.setattr(holonomy, "nearest_orthogonal",  # a NaN generator stays as it is
+                        lambda A: np.array([a if np.isnan(a).any() else polar(a) for a in A]))
     monkeypatch.setattr(holonomy, "PAIR_CHUNK", 3)  # many chunks per level
     chart = holonomy.catalog("flat_torus_4")
     p = np.full(4, 0.5)
@@ -810,6 +814,27 @@ def test_fourier_loop_matches_closure_path():
     b = rng.uniform(-0.5, 0.5, size=(3, 4)) / np.array([[1.0], [2.0], [3.0]])
     (P,) = holonomy._transport_coordinate(chart, [holonomy.fourier_loop(p, a, b)], 400)
     assert np.array_equal(P, _closure_transport(chart, _closure_fourier(p, a, b), 400))
+
+
+@pytest.mark.parametrize("harmonics", [0, 1, 3])
+def test_fourier_piece_on_an_array_matches_the_scalar_curve(harmonics):
+    """The Fourier piece's map and velocity, read on the array of the
+    kernel's stage parameters, have the bits of the scalar formulas read one
+    t at a time; with no harmonics both are still fresh, writable arrays."""
+    chart = holonomy.catalog("round_sphere_4")
+    p = np.array([0.3, -0.2, 0.1, 0.4])
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(-0.5, 0.5, size=(2, harmonics, 4))
+    ((fmap, fvel),) = holonomy.fourier_loop(p, a, b).pieces
+    stages = []
+    recording = holonomy.SmoothPath(((lambda s: stages.append(s) or fmap(s), fvel),))
+    holonomy._transport_coordinate(chart, [recording], 400)
+    (s,) = stages
+    scalar = _closure_fourier(p, a, b)
+    for piece, one_t in ((fmap, scalar.map), (fvel, scalar.vel)):
+        out = piece(s)
+        assert out.tobytes() == np.array([one_t(t) for t in s.tolist()]).tobytes()
+        assert out.shape == (801, 4) and out.flags.writeable
 
 
 def _arc_maps():

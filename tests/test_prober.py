@@ -467,8 +467,12 @@ def _one_path_ortho_j(field, x, axis_order=None):
     key = field._key(x, axis_order)
     if key not in field._cache:
         path = field._canonical_path(x, axis_order)
-        field._cache[key] = (field._transported(holonomy.parallel_transport(
-            field.chart, [path], field.steps)[0]) if path.pieces else field.base_J.mat)
+        if path.pieces:
+            P = holonomy.nearest_orthogonal(holonomy.parallel_transport(
+                field.chart, [path], field.steps)[0])
+            field._cache[key] = P @ field.base_J.mat @ P.T
+        else:
+            field._cache[key] = field.base_J.mat
     return field._cache[key]
 
 
