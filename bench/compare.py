@@ -21,6 +21,15 @@ runs, in order:
   start-up dominates that time, so each probe's warm in-process wall time
   (a fresh process runs the probe once untimed, then once timed) is
   recorded next to it, best of 3 per side, alternating.
+* ``memory``: the tracemalloc peak above entry and the process's peak
+  resident set of three cases, each side in a fresh process per case,
+  ``--pairs`` times, alternating which side runs first: one warm
+  ``sphere_transport_json`` operation (after two untraced ones), the
+  ``dump_json`` of the ``--loops 5 --word-length 4`` transport document's
+  samples to a temp file, and 8 Fourier loops on ``round_sphere_4``
+  transported at 20 000 steps.  The peak resident set is read after two
+  untraced runs of the case, before tracemalloc starts; both are
+  summarised as the timings are.
 * ``same_answers``: ``fs_perturbed`` and ``fs_witness`` at seeds 0-9
   (perfbench's configs), criteria 08 and 09 at their full configs (with
   ``product_s2_s2`` beside criterion 08's three charts), and the
@@ -183,6 +192,88 @@ def probe_control(sides, tmp):
                           stdout_max_abs_diff=_text_diff(stdout["parent"], stdout["change"]),
                           warm_in_process_best_s={k: round(min(v), 4)
                                                   for k, v in warm.items()})
+    return out
+
+
+# -- memory -------------------------------------------------------------------
+
+MEMORY_CASES = ("sphere_transport_json_op", "dump_json_word_length_4", "fourier_8x20000")
+
+
+def _peak_rss_mb():
+    """The peak resident set of this process's own address space, in MB:
+    ``VmHWM`` where /proc has it, else ``ru_maxrss``.  Linux carries the
+    spawning process's peak into ``ru_maxrss`` across exec, so there a
+    child of this script reads at least this script's own resident set."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def memory_case(case):
+    """In a child process with one side's src on the path: one memory case's
+    peak resident set after two untraced runs and the tracemalloc peak of a
+    third run above entry, in MB, as JSON on stdout."""
+    import gc
+    import tracemalloc
+
+    import numpy as np
+    import kahlerprobe
+    from kahlerprobe import acs, cli, constants, holonomy, io, prober  # noqa: F401
+
+    with tempfile.TemporaryDirectory() as tmp:
+        if case == "sphere_transport_json_op":
+            st = workloads.setup(kahlerprobe, "sphere_transport_json", 0, tmp)
+            def run():
+                workloads.operation(st)
+        elif case == "dump_json_word_length_4":
+            chart = holonomy.catalog("round_sphere_4")
+            p = np.zeros(4)
+            loops = holonomy.loop_family(chart, p, "coordinate_rectangles", 5, 0.5)
+            doc = {"result": {"samples": [io.holonomy_sample_to_json(s) for s in
+                                          holonomy.holonomy_samples(chart, p, loops, 400,
+                                                                    word_length=4)]}}
+            path = os.path.join(tmp, "transport.json")
+            def run():
+                io.dump_json(doc, path)
+        else:
+            chart = holonomy.catalog("round_sphere_4")
+            loops = holonomy.loop_family(chart, np.zeros(4), "fourier_random", 8, 0.5)
+            def run():
+                holonomy.parallel_transport(chart, loops, 20000)
+        run()
+        run()
+        rss = _peak_rss_mb()
+        gc.collect()
+        tracemalloc.start()
+        entry = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = (tracemalloc.get_traced_memory()[1] - entry) / 2.0**20
+        tracemalloc.stop()
+    print(json.dumps({"tracemalloc_peak_mb": peak, "peak_rss_mb": rss}))
+
+
+def memory(sides, n, tmp):
+    out = {}
+    for case in MEMORY_CASES:
+        runs = {"parent": [], "change": []}
+        for i in range(n):
+            for name in _alternating(i):
+                cache = os.path.join(tmp, f"{name}_memory_cache_{case}_{i}.json")
+                runs[name].append(json.loads(subprocess.run(
+                    [sys.executable, __file__, "--memory", case], env=_env(sides[name], cache),
+                    capture_output=True, text=True, check=True).stdout))
+        out[case] = {m: _summary([r[m] for r in runs["parent"]], [r[m] for r in runs["change"]])
+                     for m in ("tracemalloc_peak_mb", "peak_rss_mb")}
+        print(f"memory {case}: tracemalloc peak "
+              f"{out[case]['tracemalloc_peak_mb']['parent']['median']} -> "
+              f"{out[case]['tracemalloc_peak_mb']['change']['median']} MB", file=sys.stderr)
     return out
 
 
@@ -437,7 +528,11 @@ def main(argv=None) -> int:
     ap.add_argument("--answers", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--mean-inputs", help=argparse.SUPPRESS)
     ap.add_argument("--warm-probe", nargs=2, help=argparse.SUPPRESS)
+    ap.add_argument("--memory", choices=MEMORY_CASES, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.memory:
+        memory_case(args.memory)
+        return 0
     if args.answers:
         answers()
         return 0
@@ -464,6 +559,7 @@ def main(argv=None) -> int:
         print("same answers done", file=sys.stderr)
         record["probe_control"] = probe_control(sides, tmp)
         print("probe control done", file=sys.stderr)
+        record["memory"] = memory(sides, args.pairs, tmp)
         record["pairs"] = pairs(sides, args.pairs, args.seconds)
         record["trace"] = trace(sides, args.seconds)
     with open(args.out, "w") as fh:

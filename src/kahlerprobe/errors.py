@@ -89,6 +89,12 @@ class StepTooCoarse(KahlerProbeError):
     code = "step_too_coarse"
 
 
+class TooManySteps(KahlerProbeError):
+    """An ODE step count above the transport's upper bound."""
+
+    code = "too_many_steps"
+
+
 class LoopEscapesDomain(KahlerProbeError):
     code = "loop_escapes_domain"
 

@@ -14,14 +14,17 @@ of pieces (straight moves or smooth curves, each read on an array of
 parameters); joining and reversing paths are operations on that tuple.
 There is one transport kernel, and it is stacked: paths with the same piece
 count share their stage times, so B of them are transported as one (B, d, d)
-stack.  The kernel steps each piece on its own parameter interval, evaluates
-the piece of every path at all its stage times, checks those points against
-the box in one call and evaluates their Christoffels in one call.  RK4
-reuses stages: an n-step piece evaluates the Christoffels at 2n + 1 points
-per path, not 4n.  The transport ODE is linear, so an RK4 step is V -> P_i V
-with a step map P_i that does not depend on V: the kernel forms the n step
-maps of a piece as one (n, B, d, d) stack, and multiplies them out
-STEP_CHUNK steps at a time in pairwise rounds, in an order fixed by n alone.
+stack.  The kernel steps each piece on its own parameter interval, in blocks
+of at most BLOCK_STEPS steps, so its peak memory does not grow with the step
+count: it evaluates the piece of every path at all the block's stage times,
+checks those points against the box in one call and evaluates their
+Christoffels in one call.  RK4 reuses stages: an n-step block evaluates the
+Christoffels at 2n + 1 points per path, not 4n.  The transport ODE is
+linear, so an RK4 step is V -> P_i V with a step map P_i that does not
+depend on V: the kernel forms the n step maps of a block as one (n, B, d, d)
+stack, and multiplies them out STEP_CHUNK steps at a time in pairwise
+rounds; a block is a whole number of chunks, so the order is fixed by the
+piece's step count alone.  Step counts are bounded to [100, MAX_STEPS].
 Each slice of the stack has the bits of the path transported alone;
 ``parallel_transport``, the one checked transport, takes a list of paths and
 rejects the first slice whose orthogonality defect reaches the limit.
@@ -57,6 +60,7 @@ from .errors import (
     MetricNotInvertible,
     OutsideDomain,
     StepTooCoarse,
+    TooManySteps,
     UnknownManifold,
 )
 
@@ -282,19 +286,44 @@ def _step_product(P, V) -> np.ndarray:
     return V
 
 
+BLOCK_STEPS = 8 * STEP_CHUNK  # RK4 steps of one piece held in memory at once
+MAX_STEPS = 100_000  # ODE steps a transport may ask for
+
+
+def _stage_times(t0: float, t1: float, steps: int):
+    """Yield (h, ts) for the piece [t0, t1] in n >= 2 RK4 steps of h, about
+    steps (t1 - t0), one block of nb <= BLOCK_STEPS steps at a time: ts holds
+    the block's 2 nb + 1 stage times t, t + h/2, t + h, ..., t + nb h.  Each
+    block's step starts carry on the left fold t += h from the last start of
+    the block before, so they have the bits of one fold over the piece."""
+    n = max(2, int(math.ceil(steps * (t1 - t0))))
+    h = (t1 - t0) / n
+    start = t0
+    for c in range(0, n, BLOCK_STEPS):
+        nb = min(BLOCK_STEPS, n - c)
+        starts = np.add.accumulate(np.r_[start, np.full(nb, h)])  # t += h, step by step
+        ts = np.empty(2 * nb + 1)
+        ts[0::2] = starts
+        ts[1::2] = starts[:-1] + 0.5 * h
+        start = starts[-1]
+        yield h, ts
+
+
 def _transport_coordinate(chart: ManifoldChart, paths, steps: int) -> np.ndarray:
     """Coordinate-frame transport matrices of the paths, one (B, d, d) stack
     in input order, by piecewise RK4 on V' = -M(t) V.
 
     Paths with the same piece count m share their stage times and step as
     one stack.  Piece k covers t in [k/m, (k+1)/m] in n >= 2 steps, about
-    steps/m.  The 2n + 1 stage points of piece k of every path in the stack
-    are checked against the box with one call and their Christoffels
-    evaluated with one call; M(t) is then formed once per stage time: k2
-    and k3 share M(t + h/2), and k4's M(t + h) is the next step's k1.  The
-    ODE is linear, so the piece's n RK4 steps are n step maps, formed for
-    the whole stack at once and multiplied onto V in a fixed pairwise
-    order (``_step_maps``, ``_step_product``)."""
+    steps/m, walked in blocks of at most BLOCK_STEPS steps (``_stage_times``),
+    so peak memory does not grow with steps.  The stage points of a block of
+    every path in the stack are checked against the box with one call and
+    their Christoffels evaluated with one call; M(t) is then formed once per
+    stage time: k2 and k3 share M(t + h/2), and k4's M(t + h) is the next
+    step's k1.  The ODE is linear, so the block's RK4 steps are step maps,
+    formed for the whole stack at once and multiplied onto V in a fixed
+    pairwise order (``_step_maps``, ``_step_product``); a block is a whole
+    number of STEP_CHUNKs, so that order is the one of the whole piece."""
     d = chart.dim
     out = np.empty((len(paths), d, d))
     groups = {}
@@ -304,26 +333,21 @@ def _transport_coordinate(chart: ManifoldChart, paths, steps: int) -> np.ndarray
         V = np.tile(np.eye(d), (len(idx), 1, 1))
         for k in range(m):
             t0, t1 = k / m, (k + 1) / m
-            n = max(2, int(math.ceil(steps * (t1 - t0))))
-            h = (t1 - t0) / n
-            starts = np.add.accumulate(np.r_[t0, np.full(n, h)])  # t += h, step by step
-            ts = np.empty(2 * n + 1)
-            ts[0::2] = starts
-            ts[1::2] = starts[:-1] + 0.5 * h
             # keep stage times strictly inside the piece so that the one-sided
             # velocity at corners is picked up correctly
             nudge = 1e-9 * (t1 - t0)
-            s = np.clip(ts, t0 + nudge, t1 - nudge) * m - k
-            # (2n + 1, B, d): stage time first, so M[i] is one contiguous stack
-            x = np.stack([paths[b].pieces[k][0](s) for b in idx], axis=1)
-            if not chart.contains(x):
-                raise OutsideDomain(f"path leaves the domain for t in [{t0}, {t1}]")
-            v = np.stack([m * paths[b].pieces[k][1](s) for b in idx], axis=1)
-            # this einsum, unlike a matmul, gives each point the bits of a
-            # single-point einsum("kij,i->kj")
-            A = -np.einsum("pkij,pi->pkj", christoffel(chart, x.reshape(-1, d)),
-                           v.reshape(-1, d)).reshape(2 * n + 1, len(idx), d, d)
-            V = _step_product(_step_maps(A, h), V)
+            for h, ts in _stage_times(t0, t1, steps):
+                s = np.clip(ts, t0 + nudge, t1 - nudge) * m - k
+                # (2 nb + 1, B, d): stage time first, so M[i] is one contiguous stack
+                x = np.stack([paths[b].pieces[k][0](s) for b in idx], axis=1)
+                if not chart.contains(x):
+                    raise OutsideDomain(f"path leaves the domain for t in [{t0}, {t1}]")
+                v = np.stack([m * paths[b].pieces[k][1](s) for b in idx], axis=1)
+                # this einsum, unlike a matmul, gives each point the bits of a
+                # single-point einsum("kij,i->kj")
+                A = -np.einsum("pkij,pi->pkj", christoffel(chart, x.reshape(-1, d)),
+                               v.reshape(-1, d)).reshape(len(ts), len(idx), d, d)
+                V = _step_product(_step_maps(A, h), V)
         out[idx] = V
     return out
 
@@ -331,9 +355,12 @@ def _transport_coordinate(chart: ManifoldChart, paths, steps: int) -> np.ndarray
 def transport_with_defect(chart: ManifoldChart, paths, steps: int):
     """Orthonormal-frame transport matrices of the paths, one (B, d, d)
     stack, and their raw orthogonality defects, a list of B floats, both in
-    input order."""
+    input order; StepTooCoarse below 100 steps and TooManySteps above
+    MAX_STEPS, before any path is transported."""
     if steps < 100:
         raise StepTooCoarse(f"{steps} ODE steps; at least 100 are needed")
+    if steps > MAX_STEPS:
+        raise TooManySteps(f"{steps} ODE steps; at most {MAX_STEPS} are allowed")
     paths = list(paths)
     d = chart.dim
     P = _transport_coordinate(chart, paths, steps)

@@ -2,7 +2,10 @@
 
 The single matrix schema is ``{"dim": 2n, "rows": [[...], ...]}`` with
 row-major 64-bit floats.  Everything the CLI emits can be read back by the
-subcommand that consumes that artifact type.
+subcommand that consumes that artifact type.  ``dump_json`` writes the bytes
+of ``json.dumps(obj, sort_keys=True, indent=1)``; given a path, it streams
+the encoding into the file in chunks, so the whole text is never held in
+memory.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def load_json(path: str):
 
 
 def check_writable(path: str) -> None:
-    """OutputNotWritable unless ``write_text`` can write the file at path:
+    """OutputNotWritable unless the file at path can be written:
     an existing file must be writable, a new one needs a writable
     directory.  Nothing is created or truncated."""
     folder = os.path.dirname(path) or "."
@@ -109,48 +112,101 @@ def write_text(path: str, text: str) -> None:
         raise OutputNotWritable(f"cannot write {path}: {exc}") from exc
 
 
-def _json_text(obj) -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=1)``, byte for
-    byte, for dicts with string keys, lists, tuples, strings, ints, floats,
-    bools and None.  A dict is encoded once per depth: a product loop's
-    description holds its generators' description dicts.  The memo is keyed
-    on (id, depth) and holds the dict, so no other object can take its id."""
-    memo = {}
+FLUSH_PIECES = 8192  # encoded pieces held before they are written out
 
-    def enc(o, depth):
-        if isinstance(o, float):
-            if o != o or o in (math.inf, -math.inf):
-                return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
-            return float.__repr__(o)
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if o is None or o is True or o is False:
-            return "null" if o is None else "true" if o else "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        ind = "\n" + " " * depth
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            return "[" + ind + " " + ("," + ind + " ").join(
-                [enc(v, depth + 1) for v in o]) + ind + "]"
-        if not isinstance(o, dict):
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+def _encode(o, depth, out, memo, fh):
+    """Append the text of ``json.dumps(o, sort_keys=True, indent=1)`` at
+    nesting depth ``depth`` to the list ``out``, piece by piece, for dicts
+    with string keys, lists, tuples, strings, ints, floats, bools and None.
+    When ``fh`` is a file, ``out`` is written to it and emptied whenever a
+    container ends with FLUSH_PIECES pieces or more held.
+
+    A list of finite floats is one join.  A dict met a second time at one
+    depth (a product loop's description holds its generators' descriptions)
+    is encoded to a string once and reused after that; ``memo`` is keyed on
+    (id, depth) and each record holds the dict, so no other object can take
+    its id."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if o != o or o in (math.inf, -math.inf):
+            out.append("NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
         if not o:
-            return "{}"
-        if (id(o), depth) not in memo:
-            memo[id(o), depth] = (o, "{" + ind + " " + ("," + ind + " ").join(
-                [encode_basestring_ascii(k) + ": " + enc(v, depth + 1)
-                 for k, v in sorted(o.items())]) + ind + "}")
-        return memo[id(o), depth][1]
+            out.append("[]")
+            return
+        ind = "\n" + " " * depth
+        sep = "," + ind + " "
+        if isinstance(o[0], float):
+            try:
+                text = sep.join(map(float.__repr__, o))
+            except TypeError:  # an item that is not a float: the path below
+                text = "n"
+            if "n" not in text:  # no nan or inf
+                out.append("[" + ind + " " + text + ind + "]")
+                return
+        out.append("[" + ind + " ")
+        for i, v in enumerate(o):
+            if i:
+                out.append(sep)
+            _encode(v, depth + 1, out, memo, fh)
+        out.append(ind + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        key = id(o), depth
+        if key not in memo:  # met first here: streamed
+            memo[key] = (o, None)
+            _encode_items(o, depth, out, memo, fh)
+        else:
+            if memo[key][1] is None:  # met again: encoded to a string once
+                text = []
+                _encode_items(o, depth, text, memo, None)
+                memo[key] = (o, "".join(text))
+            out.append(memo[key][1])
+            return
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if fh is not None and len(out) >= FLUSH_PIECES:
+        fh.write("".join(out))
+        out.clear()
 
-    return enc(obj, 0)
+
+def _encode_items(o, depth, out, memo, fh):
+    """The text of the non-empty dict o at depth, keys sorted, as ``_encode``
+    writes it."""
+    ind = "\n" + " " * depth
+    lead = "{" + ind + " "
+    for k, v in sorted(o.items()):
+        out.append(lead + encode_basestring_ascii(k) + ": ")
+        _encode(v, depth + 1, out, memo, fh)
+        lead = "," + ind + " "
+    out.append(ind + "}")
 
 
-def dump_json(obj, path: str | None = None) -> str:
-    """Deterministic serialization: sorted keys, one-space indent
-    (``_json_text``), written to path with a final newline when given."""
-    text = _json_text(obj)
-    if path is not None:
-        write_text(path, text + "\n")
-    return text
+def dump_json(obj, path: str | None = None) -> str | None:
+    """Deterministic serialization, the text of ``json.dumps(obj,
+    sort_keys=True, indent=1)`` byte for byte.  Without a path, the text;
+    with one, the text and a final newline are streamed into the file at
+    path, FLUSH_PIECES pieces at a time, so the whole text is never held,
+    and None is returned; OutputNotWritable when it cannot be written."""
+    out = []
+    if path is None:
+        _encode(obj, 0, out, {}, None)
+        return "".join(out)
+    try:
+        with open(path, "w") as fh:
+            _encode(obj, 0, out, {}, fh)
+            out.append("\n")
+            fh.write("".join(out))
+    except OSError as exc:
+        raise OutputNotWritable(f"cannot write {path}: {exc}") from exc
+    return None

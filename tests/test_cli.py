@@ -1,6 +1,7 @@
 """Tests for the JSON exchange helpers and the command-line interface."""
 
 import contextlib
+import gc
 import hashlib
 import json
 import math
@@ -67,8 +68,45 @@ def test_unwritable_output_is_a_domain_error(tmp_path):
     assert exc.value.code == "output_not_writable"
     with pytest.raises(OutputNotWritable):
         io.dump_json({"a": 1}, str(tmp_path))  # a directory
-    assert io.dump_json({"a": 1}, str(tmp_path / "x.json")) == \
-        (tmp_path / "x.json").read_text()[:-1]
+    assert io.dump_json({"a": 1}, str(tmp_path / "x.json")) is None
+    assert (tmp_path / "x.json").read_text() == io.dump_json({"a": 1}) + "\n"
+
+
+class _Chunks(list):
+    """A file that keeps each write as one item."""
+
+    write = list.append
+
+
+def test_file_writer_matches_json_dumps(tmp_path):
+    """A document streamed to a file is json.dumps(sort_keys=True, indent=1)
+    and a newline, across several flushes, with one dict reached at several
+    depths and many times at one, and float lists holding NaN, +-inf, -0.0,
+    numpy floats or an item that is not a float."""
+    shared = {"kind": "rectangle", "base": [0.5, -0.0], "axes": [0, 1]}
+    floats = [[1.0, math.nan], [math.inf, 2.0], [-math.inf], [-0.0, 0.1],
+              [np.float64(0.1), 1e-300, 5e-324], (0.25, 0.5), [1.0, 2, 3.0],
+              [1.0, True], [0.5, None], [0.5, "x"], [0.5, [1.0]]]
+    doc = {"shared": [shared, {"deeper": shared}, shared], "floats": floats,
+           "many": [{"i": i, "row": [i / 7.0] * 3, "loop": shared}
+                    for i in range(io.FLUSH_PIECES)]}
+    text = json.dumps(doc, sort_keys=True, indent=1)
+    assert io.dump_json(doc, str(tmp_path / "doc.json")) is None
+    assert (tmp_path / "doc.json").read_text() == text + "\n"
+    assert io.dump_json(doc) == text
+    chunks, held = _Chunks(), []
+    io._encode(doc, 0, held, {}, chunks)
+    assert len(chunks) >= 3 and len(held) < io.FLUSH_PIECES
+    assert "".join(chunks + held) == text
+
+
+def test_writer_leaves_no_reference_cycle(tmp_path):
+    """Nothing the writer makes waits for the cyclic collector."""
+    doc = {"a": [1.0, 2.0], "b": {"c": "d"}, "e": None}
+    gc.collect()
+    io.dump_json(doc, str(tmp_path / "x.json"))
+    io.dump_json(doc)
+    assert gc.collect() == 0
 
 
 _JSON_LEAVES = (st.none() | st.booleans()
@@ -282,6 +320,26 @@ def test_transport_too_few_ode_steps(capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "step_too_coarse"
+
+
+def test_transport_too_many_ode_steps_starts_no_transport(capsys, monkeypatch):
+    """Above MAX_STEPS the command ends in a domain error before any
+    transport; MAX_STEPS itself is accepted."""
+    calls = []
+
+    def recorded(chart, paths, steps):
+        calls.append(steps)
+        return np.tile(np.eye(chart.dim), (len(paths), 1, 1))
+
+    monkeypatch.setattr(holonomy, "_transport_coordinate", recorded)
+    argv = ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+            "--loops", "1", "--no-timestamp", "--ode-steps"]
+    code, out, err = run_cli(capsys, *argv, "100000000")
+    assert (code, out, calls) == (2, "", [])
+    assert json.loads(err)["error"] == "too_many_steps"
+    code, out, _ = run_cli(capsys, *argv, str(holonomy.MAX_STEPS))
+    assert (code, calls) == (0, [holonomy.MAX_STEPS])
+    assert json.loads(out)["result"]["samples"][0]["ode_steps"] == holonomy.MAX_STEPS
 
 
 @pytest.mark.parametrize("command", ["probe", "transport", "orbit"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1133,6 +1134,77 @@ def test_a_path_longer_than_one_chunk_has_the_same_bits_in_a_stack():
     stacked = holonomy._transport_coordinate(_SPHERE, loops, steps)
     assert alone.tobytes() == stacked[1].tobytes()
     assert alone.tobytes() == _per_path_transport(_SPHERE, loops[1], steps).tobytes()
+
+
+def _whole_piece_transport(chart, paths, steps):
+    """The kernel with no blocks: every stage point of a piece, its
+    Christoffels and its step maps at once, for a stack of paths of one
+    piece count."""
+    m, d = len(paths[0].pieces), chart.dim
+    V = np.tile(np.eye(d), (len(paths), 1, 1))
+    for k in range(m):
+        t0, t1 = k / m, (k + 1) / m
+        n = max(2, int(math.ceil(steps * (t1 - t0))))
+        h = (t1 - t0) / n
+        starts = np.add.accumulate(np.r_[t0, np.full(n, h)])
+        ts = np.empty(2 * n + 1)
+        ts[0::2] = starts
+        ts[1::2] = starts[:-1] + 0.5 * h
+        nudge = 1e-9 * (t1 - t0)
+        s = np.clip(ts, t0 + nudge, t1 - nudge) * m - k
+        x = np.stack([path.pieces[k][0](s) for path in paths], axis=1)
+        v = np.stack([m * path.pieces[k][1](s) for path in paths], axis=1)
+        A = -np.einsum("pkij,pi->pkj", holonomy.christoffel(chart, x.reshape(-1, d)),
+                       v.reshape(-1, d)).reshape(2 * n + 1, len(paths), d, d)
+        V = holonomy._step_product(holonomy._step_maps(A, h), V)
+    return V
+
+
+@pytest.mark.parametrize("steps", [1023, 1024, 1025, 3000, 4097])
+@pytest.mark.parametrize("name", ["round_sphere_4", "fubini_study_cp2"])
+def test_step_blocks_have_the_bits_of_whole_pieces(name, steps):
+    """Walking a piece in blocks of BLOCK_STEPS steps changes no bit: at
+    4097 steps a rectangle's pieces, and from 1025 a Fourier loop's one
+    piece, span more than one block."""
+    chart = holonomy.catalog(name)
+    scale = 0.1 if name == "fubini_study_cp2" else 0.5
+    for kind in holonomy.LOOP_KINDS:
+        loops = holonomy.loop_family(chart, np.zeros(4), kind, 3, scale, seed=1)
+        assert holonomy._transport_coordinate(chart, loops, steps).tobytes() == \
+            _whole_piece_transport(chart, loops, steps).tobytes()
+
+
+def test_a_piece_is_evaluated_one_block_at_a_time():
+    """A one-piece path of 2500 steps reads its Christoffels in blocks of
+    BLOCK_STEPS steps, 2 nb + 1 points each, and none past the piece."""
+    base = holonomy.catalog("round_sphere_4")
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return base.christoffel(x)
+
+    chart = holonomy.ManifoldChart(base.dim, base.metric, base.domain,
+                                   christoffel=counting, name="counted")
+    loop = holonomy.loop_family(base, np.zeros(4), "fourier_random", 1, 0.4, seed=2)[0]
+    A = holonomy._transport_coordinate(chart, [loop], 2500)
+    block = holonomy.BLOCK_STEPS
+    assert calls == [2 * block + 1, 2 * block + 1, 2 * (2500 - 2 * block) + 1]
+    assert A.tobytes() == holonomy._transport_coordinate(base, [loop], 2500).tobytes()
+
+
+def test_transport_memory_does_not_grow_with_steps():
+    """8 Fourier loops at 20 000 steps peak below 20 MB above entry (215.6
+    MB when a piece's step maps were all formed at once; 13.1 MB in blocks)."""
+    loops = holonomy.loop_family(_SPHERE, np.zeros(4), "fourier_random", 8, 0.5, seed=0)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        holonomy._transport_coordinate(_SPHERE, loops, 20000)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def _fd_chart(name):

@@ -662,6 +662,26 @@ def test_probe_inconclusive_on_too_few_ode_steps(delta4):
     assert v.failing_stage == "holonomy_samples"
 
 
+@pytest.mark.parametrize("field,stage", [("ode_steps", "holonomy_samples"),
+                                         ("field_steps", "build_global_j")])
+def test_probe_inconclusive_on_too_many_steps(delta4, monkeypatch, field, stage):
+    """A step count above MAX_STEPS ends Inconclusive at the stage that
+    transports with it, and no transport of that many steps starts."""
+    transport = holonomy._transport_coordinate
+
+    def bounded(chart, paths, steps):
+        assert steps <= holonomy.MAX_STEPS, "a transport past the bound started"
+        return transport(chart, paths, steps)
+
+    monkeypatch.setattr(holonomy, "_transport_coordinate", bounded)
+    config = prober.ProbeConfig(loops=2, word_length=1, grid_res=9, probe_points=1,
+                                **{field: 10**8})
+    v = prober.probe(holonomy.catalog("flat_torus_4"), [0.5] * 4, config=config,
+                     delta=delta4)
+    assert (v.kind, v.failing_stage) == ("Inconclusive", stage)
+    assert "at most 100000" in v.detail
+
+
 def test_probe_inconclusive_on_orbit_error(delta4, monkeypatch):
     """A determinant -1 sample makes orbit() raise; probe() names the stage."""
     p = [0.0] * 4
