@@ -2,7 +2,7 @@
 and a same-answers panel, written as one JSON record.
 
     python3 bench/compare.py --parent DIR --change DIR [--pairs 10]
-                             [--seconds 10] [--out BENCH.json]
+                             [--seconds S] [--out BENCH.json]
 
 Each DIR is a checkout of one side (its ``src/`` and ``perfbench/``); run
 the script from anywhere, with the same interpreter for both sides.  It
@@ -11,7 +11,9 @@ runs, in order:
 * ``pairs``: ``perfbench/run.py --workload W --seed S --seconds T`` in each
   side's checkout for W in ``fs_perturbed`` and ``sphere_transport_json``
   and S in 0 and 1, ``--pairs`` times each, alternating which side runs
-  first; the end-to-end metrics are summarised as median and quartiles
+  first, for T seconds (``--seconds``; by default ``run_seconds`` of
+  ``BENCHMARK.json``, the length the benchmark runs at); the end-to-end
+  metrics are summarised as median and quartiles
   (``statistics.quantiles``, inclusive), the pairs the change wins and the
   parent's quartile spread.
 * ``trace``: one ``--trace 1`` run of ``fs_perturbed`` per side.
@@ -22,14 +24,22 @@ runs, in order:
   (a fresh process runs the probe once untimed, then once timed) is
   recorded next to it, best of 3 per side, alternating.
 * ``memory``: the tracemalloc peak above entry and the process's peak
-  resident set of three cases, each side in a fresh process per case,
+  resident set of four cases, each side in a fresh process per case,
   ``--pairs`` times, alternating which side runs first: one warm
   ``sphere_transport_json`` operation (after two untraced ones), the
   ``dump_json`` of the ``--loops 5 --word-length 4`` transport document's
-  samples to a temp file, and 8 Fourier loops on ``round_sphere_4``
-  transported at 20 000 steps.  The peak resident set is read after two
-  untraced runs of the case, before tracemalloc starts; both are
-  summarised as the timings are.
+  samples to a temp file, 8 Fourier loops on ``round_sphere_4``
+  transported at 20 000 steps, and the ``transport --loops 5
+  --word-length 4`` command printing its document to standard output
+  (``os.devnull``).  The peak resident set is read after two untraced runs
+  of the case, before tracemalloc starts; both are summarised as the
+  timings are.
+* ``mapped``: where the resident memory of a warm ``fs_perturbed`` worker
+  sits.  Each side runs in a fresh process, ``--pairs`` times, alternating:
+  the set-up and 5 operations, then the ``Rss`` of ``/proc/self/smaps``
+  summed per mapping group, in kB: ``libscipy_openblas*`` (numpy's BLAS and
+  LAPACK), ``_multiarray_umath*``, ``[heap]`` and ``[anon]`` (mappings with
+  no name).  Summarised as the timings are.
 * ``same_answers``: ``fs_perturbed`` and ``fs_witness`` at seeds 0-9
   (perfbench's configs), criteria 08 and 09 at their full configs (with
   ``product_s2_s2`` beside criterion 08's three charts), and the
@@ -53,6 +63,7 @@ so the panel runs the benchmark's probes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.metadata
 import json
@@ -197,7 +208,8 @@ def probe_control(sides, tmp):
 
 # -- memory -------------------------------------------------------------------
 
-MEMORY_CASES = ("sphere_transport_json_op", "dump_json_word_length_4", "fourier_8x20000")
+MEMORY_CASES = ("sphere_transport_json_op", "dump_json_word_length_4", "fourier_8x20000",
+                "cli_stdout_word_length_4")
 
 
 def _peak_rss_mb():
@@ -242,11 +254,17 @@ def memory_case(case):
             path = os.path.join(tmp, "transport.json")
             def run():
                 io.dump_json(doc, path)
-        else:
+        elif case == "fourier_8x20000":
             chart = holonomy.catalog("round_sphere_4")
             loops = holonomy.loop_family(chart, np.zeros(4), "fourier_random", 8, 0.5)
             def run():
                 holonomy.parallel_transport(chart, loops, 20000)
+        else:
+            argv = ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+                    "--loops", "5", "--word-length", "4", "--no-timestamp"]
+            def run():
+                with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+                    cli.main(argv)
         run()
         run()
         rss = _peak_rss_mb()
@@ -274,6 +292,57 @@ def memory(sides, n, tmp):
         print(f"memory {case}: tracemalloc peak "
               f"{out[case]['tracemalloc_peak_mb']['parent']['median']} -> "
               f"{out[case]['tracemalloc_peak_mb']['change']['median']} MB", file=sys.stderr)
+    return out
+
+
+# -- mapped -------------------------------------------------------------------
+
+MAPPED_GROUPS = ("libscipy_openblas", "_multiarray_umath", "[heap]", "[anon]")
+
+
+def _smaps_rss_kb():
+    """Rss of /proc/self/smaps in kB, summed per MAPPED_GROUPS entry: a
+    mapping joins the library group its file name starts with, ``[heap]``,
+    or ``[anon]`` when it has no name."""
+    rss = dict.fromkeys(MAPPED_GROUPS, 0)
+    group = None
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            fields = line.split()
+            if "-" in fields[0] and not fields[0].endswith(":"):  # a mapping's header
+                name = os.path.basename(fields[5]) if len(fields) > 5 else "[anon]"
+                group = next((g for g in MAPPED_GROUPS if name.startswith(g)), None)
+            elif fields[0] == "Rss:" and group is not None:
+                rss[group] += int(fields[1])
+    return rss
+
+
+def mapped_case():
+    """In a child process with one side's src on the path: the set-up and 5
+    operations of fs_perturbed at seed 0, then _smaps_rss_kb as JSON."""
+    import kahlerprobe
+    from kahlerprobe import acs, cli, constants, holonomy, io, prober  # noqa: F401
+
+    with tempfile.TemporaryDirectory() as tmp:
+        st = workloads.setup(kahlerprobe, "fs_perturbed", 0, tmp)
+        for _ in range(5):
+            workloads.operation(st)
+        print(json.dumps(_smaps_rss_kb()))
+
+
+def mapped(sides, n, tmp):
+    runs = {"parent": [], "change": []}
+    for i in range(n):
+        for name in _alternating(i):
+            cache = os.path.join(tmp, f"{name}_mapped_cache_{i}.json")
+            runs[name].append(json.loads(subprocess.run(
+                [sys.executable, __file__, "--mapped"], env=_env(sides[name], cache),
+                capture_output=True, text=True, check=True).stdout))
+    out = {g: _summary([r[g] for r in runs["parent"]], [r[g] for r in runs["change"]])
+           for g in MAPPED_GROUPS}
+    print("mapped rss kB: " + ", ".join(
+        f"{g} {out[g]['parent']['median']} -> {out[g]['change']['median']}"
+        for g in MAPPED_GROUPS), file=sys.stderr)
     return out
 
 
@@ -518,20 +587,33 @@ def _sha_src(side):
     return h.hexdigest()
 
 
+def _run_seconds():
+    """run_seconds of this checkout's BENCHMARK.json."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "BENCHMARK.json")
+    with open(path) as fh:
+        return float(json.load(fh)["run_seconds"])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent")
     ap.add_argument("--change")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="length of each perfbench run (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--out", default="BENCH.json")
     ap.add_argument("--answers", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--mean-inputs", help=argparse.SUPPRESS)
     ap.add_argument("--warm-probe", nargs=2, help=argparse.SUPPRESS)
     ap.add_argument("--memory", choices=MEMORY_CASES, help=argparse.SUPPRESS)
+    ap.add_argument("--mapped", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.memory:
         memory_case(args.memory)
+        return 0
+    if args.mapped:
+        mapped_case()
         return 0
     if args.answers:
         answers()
@@ -545,6 +627,7 @@ def main(argv=None) -> int:
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    seconds = _run_seconds() if args.seconds is None else args.seconds
     import numpy
     try:  # a test-only dependency: the runtime needs numpy alone
         scipy_version = importlib.metadata.version("scipy")
@@ -553,15 +636,16 @@ def main(argv=None) -> int:
     record = {"sides": {k: {"src_sha256": _sha_src(v)} for k, v in sides.items()},
               "machine": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
                           "numpy": numpy.__version__, "scipy": scipy_version,
-                          "blas_threads": "1"}}
+                          "blas_threads": "1"}, "seconds": seconds}
     with tempfile.TemporaryDirectory() as tmp:
         record["same_answers"] = same_answers(sides, tmp)
         print("same answers done", file=sys.stderr)
         record["probe_control"] = probe_control(sides, tmp)
         print("probe control done", file=sys.stderr)
         record["memory"] = memory(sides, args.pairs, tmp)
-        record["pairs"] = pairs(sides, args.pairs, args.seconds)
-        record["trace"] = trace(sides, args.seconds)
+        record["mapped"] = mapped(sides, args.pairs, tmp)
+        record["pairs"] = pairs(sides, args.pairs, seconds)
+        record["trace"] = trace(sides, seconds)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

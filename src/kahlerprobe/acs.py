@@ -9,8 +9,9 @@ phi^T = -phi, carrying the inner product tr(phi psi^T).
 Geodesics are one-parameter conjugation orbits: writing X = -phi J / 2
 (a skew matrix anticommuting with J), the geodesic through J with initial
 velocity phi is t -> e^{tX} J e^{-tX}.  The inverse map uses the principal
-logarithm of the orthogonal matrix J2 J1^{-1}.  Both maps diagonalise a
-normal matrix with one batched Hermitian eigendecomposition (numpy's eigh).
+logarithm of the orthogonal matrix J2 J1^{-1}.  Each map runs one real
+symmetric eigendecomposition (numpy's eigh) and no complex arithmetic: the
+exp map of X^T X, the log map of every slice of sym(J2 J1^{-1}) at once.
 
 The space has two connected components (orientation classes); all distance
 and averaging operations are per-component, and cross-component requests
@@ -40,12 +41,7 @@ TOL_ALG = 1e-10   # algebraic invariants (J^2 = -I, orthogonality, skewness)
 TOL_INPUT = 1e-8  # the same invariants of a structure from outside: J_p, JSON, AUTO
 TOL_LOG = 1e-8    # log-map round-trip verification
 TOL_CUT = 1e-8    # rotation angle this close to pi: on the cut locus
-TOL_BLOCK = 1e-12 # imaginary part of an eigenvalue of R that reads as real: +1 or -1
-TOL_DIAG = 1e-13  # off-diagonal entry of U^H R U that means U does not diagonalise R
-# alpha in the Hermitian matrix -i skew(R) + alpha sym(R) whose eigenvectors
-# diagonalise an orthogonal R: the first for every slice, the second where
-# two angles of R have the same sin + alpha cos under the first
-_ALPHAS = ((math.sqrt(5.0) - 1.0) / 2.0, 1.0 / math.e)
+TOL_BLOCK = 1e-12 # |sin theta| of an eigenvector of sym(R) that reads as real: angle 0 or pi
 
 
 def _maxabs(a: np.ndarray) -> float:
@@ -145,13 +141,23 @@ def _project(J: OrthoComplexStructure, A: np.ndarray) -> np.ndarray:
 
 def exp_maps(J: OrthoComplexStructure, phi: TangentPhi, ts) -> np.ndarray:
     """Stacked exp_map: the geodesic e^{tX} J e^{-tX}, X = -phi J / 2, at
-    every time in ``ts``, as an (N, d, d) array (slice k is exp_map(J, phi, ts[k]))."""
+    every time in ``ts``, as an (N, d, d) array (slice k is exp_map(J, phi, ts[k])).
+
+    X is replaced by its skew part first.  X^T X = -X^2 is symmetric with
+    eigenvalues omega^2 on an eigenbasis Q, and e^{tX} = Q diag(cos t omega)
+    Q^T + Q diag(sin(t omega) / omega) Q^T X, with t where omega = 0: one
+    real symmetric eigh for every time."""
     if not phi.base.same_point(J):
         raise BasePointMismatch("tangent is not based at J")
-    X = -0.5 * phi.mat @ J.mat
-    w, V = np.linalg.eigh(-1j * X)  # X = V diag(i w) V^H
-    phases = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), w))
-    E = ((V * phases[:, None, :]) @ V.conj().T).real  # e^{tX} for every t
+    M = phi.mat @ J.mat
+    X = 0.25 * (M.T - M)  # the skew part of -phi J / 2
+    mu, Q = np.linalg.eigh(X.T @ X)
+    w = np.sqrt(np.maximum(mu, 0.0))
+    ts = np.asarray(ts, dtype=float)[:, None]
+    tw = ts * w
+    # sin(t w) / w, and t where w = 0
+    sinc = np.divide(np.sin(tw), w, out=np.repeat(ts, len(w), axis=1), where=w > 0.0)
+    E = Q @ (np.cos(tw)[:, :, None] * Q.T + sinc[:, :, None] * (Q.T @ X))  # e^{tX}
     return E @ J.mat @ E.transpose(0, 2, 1)
 
 
@@ -182,18 +188,6 @@ def _pair_stacks(J1s, J2s):
     return A, B, single
 
 
-def _diagonalise(R: np.ndarray, alpha: float):
-    """Unitary U from one batched eigh of M = -i skew(R) + alpha sym(R), the
-    diagonal of U^H R U and the largest modulus off it, per slice of R."""
-    d = R.shape[-1]
-    c = 0.5 * complex(alpha, -1.0)  # M = c R + conj(c) R^T
-    _, U = np.linalg.eigh(c * R + c.conjugate() * R.transpose(0, 2, 1))
-    D = U.conj().transpose(0, 2, 1) @ R @ U
-    lam = D.diagonal(0, 1, 2).copy()
-    D.reshape(len(R), d * d)[:, ::d + 1] = 0.0  # the diagonal of the flat view
-    return U, lam, np.abs(D).max(axis=(1, 2))
-
-
 def _log_stack(A: np.ndarray, B: np.ndarray):
     """The log map of every slice pair (A[k], B[k]) of two (N, d, d) stacks.
 
@@ -204,19 +198,18 @@ def _log_stack(A: np.ndarray, B: np.ndarray):
     (ComponentMismatch).  Each slice runs these checks in this order and
     keeps its first error; a slice with a non-finite entry is a ValueError.
 
-    An orthogonal R is normal, so its skew and symmetric parts commute and
-    one unitary U diagonalises both, and with them the Hermitian
-    M = -i skew(R) + alpha sym(R), whose eigenvalue on the eigenvector of
-    e^{i theta} is sin theta + alpha cos theta (Horn & Johnson, Matrix
-    Analysis, 2.5).  One batched eigh of M gives U, and theta is the angle
-    of each diagonal entry of U^H R U.  Two angles with the same
-    sin + alpha cos would let eigh mix their eigenvectors, so the slices
-    where U^H R U is not diagonal within TOL_DIAG are diagonalised again
-    with the second alpha.  Then X = (1/2) U diag(i theta) U^H, and the round
-    trip uses e^X = U diag(e^{i theta / 2}) U^H (Higham, Functions of
-    Matrices, ch. 11), both real parts.  An eigenvalue real within TOL_BLOCK
-    has angle 0 or pi.  An angle within TOL_CUT of pi is the cut locus:
-    "eigenvalue -1" when that eigenvalue is real, "rotation angle at pi"
+    An orthogonal R is normal, so S = R + R^T and K = R - R^T commute.  On
+    a plane R turns by theta, S is 2 cos theta and K is 2 sin theta times a
+    quarter turn, so log R = g(S) K with g = theta / (2 sin theta).  One
+    batched real eigh gives S = Q diag(c) Q^T; the rows of Q^T K have norms
+    s = 2 |sin theta|, and theta = atan2(s, c) on each eigenvector.  Then
+    X = Q diag(theta / 2s) Q^T K, and the round trip uses e^X =
+    Q (diag(cos theta/2) Q^T + diag(1 / (4 cos theta/2)) Q^T K).  Both are
+    matrix functions of S (Higham, Functions of Matrices, ch. 11), so they
+    do not depend on the eigenbasis Q picks for a repeated angle.  An
+    eigenvector with s within 2 TOL_BLOCK of 0 is real: its angle is 0 or
+    pi and it takes no K term.  An angle within TOL_CUT of pi is the cut
+    locus: "eigenvalue -1" on a real eigenvector, "rotation angle at pi"
     otherwise.
 
     Returns the (N, d, d) tangents 2 X A (NaN where a slice failed) and a
@@ -228,22 +221,28 @@ def _log_stack(A: np.ndarray, B: np.ndarray):
     errors = [None if ok else ValueError("array must not contain infs or NaNs")
               for ok in finite]
     R[~finite] = 0.0
-    U, lam, off = _diagonalise(R, _ALPHAS[0])
-    redo = np.flatnonzero(off > TOL_DIAG)
-    if redo.size:
-        U[redo], lam[redo], _ = _diagonalise(R[redo], _ALPHAS[1])
-    real = np.abs(lam.imag) <= TOL_BLOCK
-    theta = np.angle(np.where(real, lam.real, lam))  # 0 or pi where real
-    Uh = U.conj().transpose(0, 2, 1)
-    X = 0.5 * ((U * (1j * theta)[:, None, :]) @ Uh).real
-    E = ((U * np.exp(0.5j * theta)[:, None, :]) @ Uh).real
+    Rt = R.transpose(0, 2, 1)
+    c, Q = np.linalg.eigh(R + Rt)
+    Qt = Q.transpose(0, 2, 1)
+    QtK = Qt @ (R - Rt)
+    s = np.sqrt(np.vecdot(QtK, QtK))  # the row norms, 2 |sin theta|
+    real = s <= 2.0 * TOL_BLOCK
+    s[real] = 0.0
+    theta = np.arctan2(s, c)  # 0 or pi where real
+    half = 0.5 * theta
+    cos = np.cos(half)
+    g = np.divide(half, s, out=np.zeros_like(s), where=~real)  # theta / 2s
+    h = np.divide(0.25, cos, out=np.zeros_like(s), where=~real)  # 1 / (4 cos theta/2)
+    X = Q @ (g[:, :, None] * QtK)
+    E = Q @ (cos[:, :, None] * Qt + h[:, :, None] * QtK)
 
     # per slice, True where each check fails, in the order they run: an
     # eigenvalue at pi, then anticommutation, skewness and the round trip
     # (a NaN max-abs entry fails, as in _maxabs_each)
-    checks = np.array((X @ A + A @ X, X + X.transpose(0, 2, 1),
+    XA = X @ A
+    checks = np.array((XA + A @ X, X + X.transpose(0, 2, 1),
                        E @ A @ E.transpose(0, 2, 1) - B))
-    fails = np.concatenate((np.pi - np.abs(theta) < TOL_CUT,
+    fails = np.concatenate((np.pi - theta < TOL_CUT,
                             ~(np.abs(checks).max(axis=(2, 3)).T <= TOL_LOG)), axis=1)
     for k in fails.any(axis=1).nonzero()[0]:
         if errors[k] is not None:
@@ -259,7 +258,7 @@ def _log_stack(A: np.ndarray, B: np.ndarray):
                 "the two structures lie in different components")
         else:
             errors[k] = ComponentMismatch("log round-trip failed to reproduce the target")
-    tangents = 2.0 * X @ A
+    tangents = 2.0 * XA
     tangents[[k for k in range(N) if errors[k] is not None]] = math.nan
     return tangents, errors
 

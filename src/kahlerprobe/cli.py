@@ -154,9 +154,10 @@ def _emit(args, result: dict) -> None:
     doc = {"config": _resolved_config(args), "result": result}
     if not args.no_timestamp:
         doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = io.dump_json(doc, args.out)
     if args.out is None:
-        print(text)
+        io.write_json(doc, sys.stdout)
+    else:
+        io.dump_json(doc, args.out)
 
 
 def _structure_for(args, chart, p):

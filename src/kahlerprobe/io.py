@@ -3,9 +3,9 @@
 The single matrix schema is ``{"dim": 2n, "rows": [[...], ...]}`` with
 row-major 64-bit floats.  Everything the CLI emits can be read back by the
 subcommand that consumes that artifact type.  ``dump_json`` writes the bytes
-of ``json.dumps(obj, sort_keys=True, indent=1)``; given a path, it streams
-the encoding into the file in chunks, so the whole text is never held in
-memory.
+of ``json.dumps(obj, sort_keys=True, indent=1)``; ``write_json`` streams the
+same encoding into an open file (standard output, or the file at
+``dump_json``'s path) in chunks, so the whole text is never held in memory.
 """
 
 from __future__ import annotations
@@ -192,21 +192,28 @@ def _encode_items(o, depth, out, memo, fh):
     out.append(ind + "}")
 
 
+def write_json(obj, fh) -> None:
+    """Stream the text of ``dump_json(obj)`` and a final newline into the
+    open text file fh, FLUSH_PIECES pieces at a time, so the whole text is
+    never held."""
+    out = []
+    _encode(obj, 0, out, {}, fh)
+    out.append("\n")
+    fh.write("".join(out))
+
+
 def dump_json(obj, path: str | None = None) -> str | None:
     """Deterministic serialization, the text of ``json.dumps(obj,
     sort_keys=True, indent=1)`` byte for byte.  Without a path, the text;
-    with one, the text and a final newline are streamed into the file at
-    path, FLUSH_PIECES pieces at a time, so the whole text is never held,
-    and None is returned; OutputNotWritable when it cannot be written."""
-    out = []
+    with one, write_json into the file at path and None;
+    OutputNotWritable when it cannot be written."""
     if path is None:
+        out = []
         _encode(obj, 0, out, {}, None)
         return "".join(out)
     try:
         with open(path, "w") as fh:
-            _encode(obj, 0, out, {}, fh)
-            out.append("\n")
-            fh.write("".join(out))
+            write_json(obj, fh)
     except OSError as exc:
         raise OutputNotWritable(f"cannot write {path}: {exc}") from exc
     return None

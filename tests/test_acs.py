@@ -495,16 +495,23 @@ def _rescaled_pair(n, seed, angles):
 
 
 def _collision_angles(alpha, theta=0.5):
-    """Two rotation angles with the same sin + alpha cos."""
+    """Two rotation angles with the same sin + alpha cos: a Hermitian eigh of
+    -i skew(R) + alpha sym(R) gives them one eigenvalue and mixes their
+    eigenvectors."""
     return theta, np.pi - theta - 2.0 * math.atan(alpha)
+
+
+# alphas of that Hermitian matrix whose collisions the panels below cover
+_COLLISION_ALPHAS = (0.6180339887498949, 0.36787944117144233)
 
 
 def test_log_kernel_tangents_stay_within_the_bound_of_gees():
     """A seeded panel of same-component pairs, one stack per n: random pairs
     at n = 2, 3 and 4 and distances 0.1-2.5, identical pairs, top angles at
-    pi - 1e-1 ... pi - 1e-6, and at n = 4 repeated angles and the collision
-    of each alpha.  Every tangent lies within _gees_bound of the gees
-    kernel's, and an identical pair reads exactly 0."""
+    pi - 1e-1 ... pi - 1e-6, and at n = 4 repeated angles and the angle
+    pairs of _collision_angles for both _COLLISION_ALPHAS.  Every tangent
+    lies within _gees_bound of the gees kernel's, and an identical pair
+    reads exactly 0."""
     for n in (2, 3, 4):
         pairs, same = [], []
         for seed in range(100):
@@ -523,7 +530,7 @@ def test_log_kernel_tangents_stay_within_the_bound_of_gees():
                 pairs += [_rescaled_pair(4, seed, angles) for angles in
                           ((1.0, 1.0), (2.5, 2.5), (0.3, 3.0))]
                 pairs += [_rescaled_pair(4, seed, _collision_angles(alpha))
-                          for alpha in acs._ALPHAS]
+                          for alpha in _COLLISION_ALPHAS]
         A, B = np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
         tangents = acs.log_map(A, B)
         for a, b, t in zip(A, B, tangents):
@@ -533,62 +540,96 @@ def test_log_kernel_tangents_stay_within_the_bound_of_gees():
         assert not tangents[same].any()
 
 
-def test_alpha_collision_takes_the_second_alpha():
-    """At n = 4 the angles 0.5 and pi - 0.5 - 2 atan(alpha_1) give M equal
-    eigenvalues under the first alpha, so eigh mixes their eigenvectors
-    and U^H R U is not diagonal; the second alpha gives the gees tangent
-    (with the first alone the round trip reported a ComponentMismatch)."""
-    for seed in range(5):
-        A, B = _rescaled_pair(4, seed, _collision_angles(acs._ALPHAS[0]))
-        R = (-B @ A)[None]
-        assert acs._diagonalise(R, acs._ALPHAS[0])[2][0] > 1e-3
-        assert acs._diagonalise(R, acs._ALPHAS[1])[2][0] <= acs.TOL_DIAG
-        ref, _ = _gees_log_map(A, B)
-        assert maxabs(acs.log_map(A, B)[0] - ref) <= 1e-13
-        assert acs.distance(A, B) == pytest.approx(np.linalg.norm(ref), abs=1e-13)
-
-
-def test_log_and_exp_kernels_make_one_eigh_call_per_alpha(monkeypatch):
-    """log_map and distance_or_inf run one batched eigh on the stack (the
-    slices that are not the same point, for distance), and one more on just
-    the slices the first alpha leaves undiagonalised; exp_maps runs one
-    eigh for every time.  None of them calls scipy."""
+def test_log_and_exp_kernels_make_one_real_eigh_call(monkeypatch):
+    """log_map and distance_or_inf run one batched real eigh on the float64
+    (N, d, d) stack (the slices that are not the same point, for distance),
+    repeated and colliding angles included; exp_maps runs one real (d, d)
+    eigh for every time.  No complex array reaches eigh, and none of them
+    calls scipy."""
     J = acs.random_j(2, 5)
     good = [acs.exp_map(J, acs.random_tangent(J, k, 0.5), 1.0).mat for k in range(28)]
     mats = np.stack(good + [J.mat] * 6 + [np.full((4, 4), np.nan)] * 3 + [-J.mat] * 3)
     mats = mats[np.random.default_rng(0).permutation(40)]
     A4, B4 = zip(*[_rescaled_pair(4, seed, angles) for seed in range(6) for angles in
-                   ((0.4, 1.1), _collision_angles(acs._ALPHAS[0]))])
+                   ((0.4, 1.1), _collision_angles(_COLLISION_ALPHAS[0]))])
     eigh = np.linalg.eigh
     calls = []
 
     def counting_eigh(a, *args, **kwargs):
-        calls.append(np.shape(a))
+        calls.append((np.shape(a), np.asarray(a).dtype))
         return eigh(a, *args, **kwargs)
 
     def no_scipy(*args, **kwargs):
         raise AssertionError("a kernel called scipy")
 
+    def real(*shape):
+        return [(shape, np.dtype(np.float64))]
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(scipy.linalg, "expm", no_scipy)
     monkeypatch.setattr(scipy.linalg, "schur", no_scipy)
     acs.log_map(J.mat, np.stack(good + good[:12]))
-    assert calls == [(40, 4, 4)]
+    assert calls == real(40, 4, 4)
     for fn, want in ((acs.log_map, 40), (acs.distance, 34), (acs.distance_or_inf, 34)):
         calls.clear()
         with pytest.raises((ValueError, CutLocusError)):
             fn(J.mat, mats)
-        assert calls == [(want, 4, 4)]
+        assert calls == real(want, 4, 4)
     calls.clear()
     dists = acs.distance_or_inf(J.mat, mats[~np.isnan(mats).any(axis=(1, 2))])
-    assert calls == [(31, 4, 4)]
+    assert calls == real(31, 4, 4)
     assert (dists == 0.0).sum() == 6 and np.isinf(dists).sum() == 3
     calls.clear()
     acs.log_map(np.stack(A4), np.stack(B4))
-    assert calls == [(12, 8, 8), (6, 8, 8)]
+    assert calls == real(12, 8, 8)
     calls.clear()
     acs.exp_maps(J, acs.random_tangent(J, 0), np.linspace(-1.0, 1.0, 9))
-    assert calls == [(4, 4)]
+    assert calls == real(4, 4)
+
+
+def _complex_exp_maps(J, phi, ts):
+    """exp_maps through a Hermitian eigh of -i X, X = -phi J / 2: X = V diag(i w)
+    V^H and e^{tX} = V diag(e^{i t w}) V^H."""
+    X = -0.5 * phi.mat @ J.mat
+    w, V = np.linalg.eigh(-1j * X)
+    phases = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), w))
+    E = ((V * phases[:, None, :]) @ V.conj().T).real
+    return E @ J.mat @ E.transpose(0, 2, 1)
+
+
+def _square_defect(mats):
+    """The largest max-abs entry of J^2 + I over a stack."""
+    return maxabs(mats @ mats + np.eye(mats.shape[-1]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exp_kernel_matches_the_complex_kernel(n):
+    """Over 60 seeded tangents of norm up to 3 and times up to 1.5 in
+    modulus, exp_maps lies within 1e-13 of the Hermitian-eigh kernel, and
+    its largest J^2 + I defect is at most that kernel's plus 1e-15."""
+    worst = worst_ref = 0.0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        J = acs.random_j(n, seed)
+        phi = acs.random_tangent(J, seed + 100, rng.uniform(0.01, 3.0))
+        ts = rng.uniform(-1.5, 1.5, 7)
+        mats, ref = acs.exp_maps(J, phi, ts), _complex_exp_maps(J, phi, ts)
+        assert maxabs(mats - ref) <= 1e-13
+        worst, worst_ref = max(worst, _square_defect(mats)), max(worst_ref, _square_defect(ref))
+    assert worst <= worst_ref + 1e-15
+
+
+def test_exp_kernel_of_a_tangent_skew_only_to_1e_14():
+    """A tangent whose skew defect is 1e-14 (phi + 1e-14 N for a Gaussian N)
+    still gives a geodesic with J^2 + I within 1e-14: the kernel takes the
+    skew part of X first."""
+    for n in (2, 3, 4, 5):
+        for seed in range(20):
+            J = acs.random_j(n, seed)
+            phi = acs.random_tangent(J, seed + 100, 1.5)
+            noise = np.random.default_rng(seed).standard_normal(phi.mat.shape)
+            nudged = acs.TangentPhi(J, phi.mat + 1e-14 * noise / maxabs(noise))
+            assert _square_defect(acs.exp_maps(J, nudged, np.linspace(-1.5, 1.5, 7))) <= 1e-14
 
 # -- conjugation --------------------------------------------------------------
 

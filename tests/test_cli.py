@@ -5,7 +5,10 @@ import gc
 import hashlib
 import json
 import math
+import os
 import signal
+import sys
+import tracemalloc
 from io import StringIO
 
 import numpy as np
@@ -151,17 +154,59 @@ def test_writer_matches_json_dumps_on_every_command(capsys, tmp_path, monkeypatc
     files = {"points": tmp_path / "points.json", "weighted": tmp_path / "weighted.json"}
     files["points"].write_text(json.dumps(pts))
     files["weighted"].write_text(json.dumps({"points": pts, "weights": [0.5, 0.25, 0.25]}))
-    written = []
-    dump = io.dump_json
+    docs = []
+    for name in ("dump_json", "write_json"):
+        def recorded(obj, *args, writer=getattr(io, name)):
+            docs.append(obj)
+            return writer(obj, *args)
+        monkeypatch.setattr(io, name, recorded)
+    code, out, err = run_cli(capsys, *[a.format(**files) for a in argv], "--no-timestamp")
+    assert len(docs) == 1
+    assert (err if code else out) == json.dumps(docs[0], sort_keys=True, indent=1) + "\n"
 
-    def checked(obj, path=None):
-        written.append((dump(obj, path), json.dumps(obj, sort_keys=True, indent=1)))
-        return written[-1][0]
 
-    monkeypatch.setattr(io, "dump_json", checked)
-    run_cli(capsys, *[a.format(**files) for a in argv], "--no-timestamp")
-    assert len(written) == 1
-    assert written[0][0] == written[0][1]
+_SPHERE_TRANSPORT = ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+                     "--loops", "5", "--no-timestamp"]
+
+
+def test_stdout_is_streamed_with_the_bytes_of_the_file(tmp_path, monkeypatch):
+    """Without --out, the document goes to standard output in several
+    writes, with the bytes --out writes: dump_json's text and a newline."""
+    docs = []
+    write = io.write_json
+
+    def recorded(obj, fh):
+        docs.append(obj)
+        write(obj, fh)
+
+    chunks = _Chunks()
+    monkeypatch.setattr(io, "write_json", recorded)
+    monkeypatch.setattr(sys, "stdout", chunks)
+    assert cli.main(_SPHERE_TRANSPORT) == 0
+    assert len(chunks) >= 3
+    assert "".join(chunks) == io.dump_json(docs[0]) + "\n"
+    assert cli.main(_SPHERE_TRANSPORT + ["--out", str(tmp_path / "t.json")]) == 0
+    assert (tmp_path / "t.json").read_text() == "".join(chunks)
+
+
+def test_stdout_holds_no_more_than_the_file_writer(tmp_path, monkeypatch):
+    """The traced peak of a transport command printing its 1.1 MB document
+    stays within a quarter of the text's size of the same command writing
+    it to --out: the whole text is never held."""
+    cli.main(_SPHERE_TRANSPORT + ["--out", str(tmp_path / "warm.json")])
+    size = (tmp_path / "warm.json").stat().st_size
+    assert size > 10**6
+    peaks = []
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        for extra in ([], ["--out", str(tmp_path / "t.json")]):
+            tracemalloc.start()
+            try:
+                assert cli.main(_SPHERE_TRANSPORT + extra) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + size / 4
 
 
 _J1 = io.structure_to_json(acs.canonical_j(1))

@@ -29,16 +29,16 @@ def test_fs_perturbed_seed0_outcome(delta4):
     v = prober.probe(chart, ORIGIN, J_p=J_p, config=config, delta=delta4)
     assert (v.kind, v.failing_stage) == ("KahlerWitness", "")
     assert v.certificates == pytest.approx({
-        "fixedness": 7.480138872236379e-06,
-        "path_independence": 2.476736092950386e-07,
-        "nabla_j": 1.3907533002921843e-06,
-        "nijenhuis": 1.3247808938312862e-06,
-        "d_omega": 0.00016128975719394145,
-        "d_omega_refined": 4.109077540209727e-05,
+        "fixedness": 7.480138872248142e-06,
+        "path_independence": 2.476736093809256e-07,
+        "nabla_j": 1.3907533001493024e-06,
+        "nijenhuis": 1.3247808924857782e-06,
+        "d_omega": 0.00016128975719556515,
+        "d_omega_refined": 4.109077540184747e-05,
     }, rel=REL, abs=0.0)
-    assert v.orbit_report.max_distance == pytest.approx(0.6260786234214781, rel=REL, abs=0.0)
+    assert v.orbit_report.max_distance == pytest.approx(0.6260786234214778, rel=REL, abs=0.0)
     assert acs.distance(v.mean_result.mean, J_fs) == pytest.approx(
-        4.569406336073873e-06, rel=REL, abs=0.0)
+        4.569406336094273e-06, rel=REL, abs=0.0)
 
 
 def test_fs_witness_seed0_outcome(delta4):
