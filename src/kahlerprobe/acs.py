@@ -4,7 +4,7 @@ A point is a real 2n x 2n matrix J with J^2 = -I and J^T J = I.  The set of
 all such J is a compact homogeneous space: the orthogonal group acts
 transitively by conjugation, and the stabilizer of a point is a unitary
 group.  Tangent vectors at J are matrices phi with phi J = -J phi and
-phi^T = -phi, carrying the inner product tr(phi psi^T).
+phi^T = -phi, carrying the inner product tr(phi psi^T), held as arrays.
 
 Geodesics are one-parameter conjugation orbits: writing X = -phi J / 2
 (a skew matrix anticommuting with J), the geodesic through J with initial
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BasePointMismatch,
     ComponentMismatch,
     CutLocusError,
     DegeneratePlane,
@@ -72,25 +71,6 @@ class OrthoComplexStructure:
     def n(self) -> int:
         return self.dim // 2
 
-    def same_point(self, other: "OrthoComplexStructure") -> bool:
-        return self.dim == other.dim and _maxabs(self.mat - other.mat) <= TOL_ALG
-
-
-@dataclass(frozen=True, eq=False)
-class TangentPhi:
-    """A tangent vector at ``base``: skew and anticommuting with base.mat."""
-
-    base: OrthoComplexStructure
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", np.array(self.mat, dtype=float))
-        self.mat.setflags(write=False)
-
-    def norm(self) -> float:
-        """Riemannian norm sqrt(tr(phi phi^T)) = Frobenius norm."""
-        return float(np.linalg.norm(self.mat))
-
 
 def canonical_j(n: int) -> OrthoComplexStructure:
     """Block-diagonal J0 with n copies of [[0, -1], [1, 0]]."""
@@ -115,31 +95,24 @@ def validate_j(mat: np.ndarray, tol: float = TOL_ALG) -> OrthoComplexStructure:
     return OrthoComplexStructure(mat)
 
 
-def metric_inner(phi: TangentPhi, psi: TangentPhi) -> float:
-    """Inner product tr(phi psi^T) of two tangents at the same base point."""
-    if not phi.base.same_point(psi.base):
-        raise BasePointMismatch("tangents live at different base points")
-    return float(np.sum(phi.mat * psi.mat))
+def metric_inner(phi: np.ndarray, psi: np.ndarray) -> float:
+    """Inner product tr(phi psi^T) of two tangents at one base point."""
+    return float(np.sum(phi * psi))
 
 
-def project_tangent(J: OrthoComplexStructure, A: np.ndarray) -> TangentPhi:
-    """Frobenius-orthogonal projection of an arbitrary matrix onto T_J.
+def project_tangent(J: OrthoComplexStructure, A) -> np.ndarray:
+    """Frobenius-orthogonal projection of a (d, d) or (N, d, d) array onto T_J.
 
     Skew-symmetrize, then keep the J-anticommuting half.
     """
     A = np.asarray(A, dtype=float)
-    if A.shape != J.mat.shape:
+    if A.shape[-2:] != J.mat.shape:
         raise OddDimension(f"shape mismatch: {A.shape} vs {J.mat.shape}")
-    return TangentPhi(J, _project(J, A))
-
-
-def _project(J: OrthoComplexStructure, A: np.ndarray) -> np.ndarray:
-    """The projection of project_tangent on a (d, d) or (N, d, d) array."""
     S = 0.5 * (A - A.swapaxes(-1, -2))
     return 0.5 * (S + J.mat @ S @ J.mat)
 
 
-def exp_maps(J: OrthoComplexStructure, phi: TangentPhi, ts) -> np.ndarray:
+def exp_maps(J: OrthoComplexStructure, phi, ts) -> np.ndarray:
     """Stacked exp_map: the geodesic e^{tX} J e^{-tX}, X = -phi J / 2, at
     every time in ``ts``, as an (N, d, d) array (slice k is exp_map(J, phi, ts[k])).
 
@@ -147,9 +120,7 @@ def exp_maps(J: OrthoComplexStructure, phi: TangentPhi, ts) -> np.ndarray:
     eigenvalues omega^2 on an eigenbasis Q, and e^{tX} = Q diag(cos t omega)
     Q^T + Q diag(sin(t omega) / omega) Q^T X, with t where omega = 0: one
     real symmetric eigh for every time."""
-    if not phi.base.same_point(J):
-        raise BasePointMismatch("tangent is not based at J")
-    M = phi.mat @ J.mat
+    M = phi @ J.mat
     X = 0.25 * (M.T - M)  # the skew part of -phi J / 2
     mu, Q = np.linalg.eigh(X.T @ X)
     w = np.sqrt(np.maximum(mu, 0.0))
@@ -161,8 +132,8 @@ def exp_maps(J: OrthoComplexStructure, phi: TangentPhi, ts) -> np.ndarray:
     return E @ J.mat @ E.transpose(0, 2, 1)
 
 
-def exp_map(J: OrthoComplexStructure, phi: TangentPhi, t: float = 1.0) -> OrthoComplexStructure:
-    """Geodesic e^{tX} J e^{-tX} with X = -phi J / 2."""
+def exp_map(J: OrthoComplexStructure, phi, t: float = 1.0) -> OrthoComplexStructure:
+    """Geodesic e^{tX} J e^{-tX} with X = -phi J / 2, phi read as a tangent at J."""
     return OrthoComplexStructure(exp_maps(J, phi, (t,))[0])
 
 
@@ -377,7 +348,7 @@ def random_tangents(J: OrthoComplexStructure, seeds, norm: float = 1.0) -> np.nd
     A = np.empty((len(seeds), d, d))
     for k, seed in enumerate(seeds):
         A[k] = np.random.default_rng(seed).standard_normal((d, d))
-    phis = _project(J, A)
+    phis = project_tangent(J, A)
     flat = phis.reshape(len(A), d * d)
     nrms = np.sqrt(np.vecdot(flat, flat))  # the bits of np.linalg.norm per slice
     if not np.all(nrms > 1e-12):
@@ -387,7 +358,7 @@ def random_tangents(J: OrthoComplexStructure, seeds, norm: float = 1.0) -> np.nd
     return (norm / nrms)[:, None, None] * phis
 
 
-def random_tangent(J: OrthoComplexStructure, seed: int, norm: float = 1.0) -> TangentPhi:
-    """Seeded random tangent at J rescaled to the requested norm (the
+def random_tangent(J: OrthoComplexStructure, seed: int, norm: float = 1.0) -> np.ndarray:
+    """Seeded random (d, d) tangent at J rescaled to the requested norm (the
     single-seed case of random_tangents)."""
-    return TangentPhi(J, random_tangents(J, (seed,), norm)[0])
+    return random_tangents(J, (seed,), norm)[0]

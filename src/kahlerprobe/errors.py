@@ -29,10 +29,6 @@ class NotOrthogonalGroupElement(KahlerProbeError):
     code = "not_orthogonal_group_element"
 
 
-class BasePointMismatch(KahlerProbeError):
-    code = "base_point_mismatch"
-
-
 class CutLocusError(KahlerProbeError):
     """Principal matrix log undefined: an eigenvalue sits at -1."""
 

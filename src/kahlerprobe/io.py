@@ -30,11 +30,15 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
         raise DimensionMismatch('expected a {"dim": ..., "rows": ...} object')
+    d, rows = obj["dim"], obj["rows"]
+    # type(), not isinstance: a bool is an int to isinstance
+    if not (type(d) is int and isinstance(rows, list) and all(
+            isinstance(r, list) and all(type(x) in (int, float) for x in r) for r in rows)):
+        raise MalformedInput("dim is not an integer, or rows are not arrays of numbers")
     try:
-        mat = np.array(obj["rows"], dtype=float)
-        d = int(obj["dim"])
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"matrix entries are not numbers: {exc}") from exc
+        mat = np.array(rows, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise MalformedInput(f"matrix rows are not a table of floats: {exc}") from exc
     if mat.shape != (d, d):
         raise DimensionMismatch(f"rows have shape {mat.shape}, dim says {d}")
     return mat
@@ -57,6 +61,8 @@ def sample_set_from_json(obj: dict) -> WeightedSampleSet:
         matrices, weights = obj, None
     else:
         raise MalformedInput('expected an array of matrices or {"points": [...]}')
+    if not isinstance(matrices, list):
+        raise MalformedInput('"points" is not an array of matrices')
     try:
         points = tuple(structure_from_json(m) for m in matrices)
         if weights is None:

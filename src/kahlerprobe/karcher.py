@@ -11,12 +11,13 @@ discretizes the Haar measure)."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import acs
-from .acs import OrthoComplexStructure, TangentPhi
+from .acs import OrthoComplexStructure
 from .constants import DeltaConstant
 from .errors import (ComponentMismatch, ConvexityViolation, IterationLimitTooSmall,
                      ToleranceTooSmall)
@@ -33,7 +34,7 @@ class WeightedSampleSet:
 
     ``points`` is one read-only (N, d, d) stack, built from a stack, a list
     of matrices or a list of structures; ``weights`` holds one finite,
-    nonnegative weight per point."""
+    nonnegative real number per point (not a bool or a string)."""
 
     points: np.ndarray
     weights: tuple
@@ -44,6 +45,8 @@ class WeightedSampleSet:
                 and pts.shape[1] % 2 == 0):
             raise ValueError(f"need a nonempty stack of even-sized square "
                              f"matrices, got shape {pts.shape}")
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in self.weights):
+            raise ValueError(f"weights must be real numbers, got {self.weights!r}")
         w = tuple(float(x) for x in self.weights)
         if len(w) != len(pts) or not all(0.0 <= x < math.inf for x in w):
             raise ValueError("weights must be finite and nonnegative, one per point")
@@ -70,10 +73,9 @@ class MeanResult:
 @dataclass(frozen=True)
 class ConvexityReport:
     ok: bool
-    ball_radius: float      # max distance from the best-centered sample
-    diameter: float
+    ball_radius: float      # bound on the max distance from the best-centered sample
+    diameter: float         # bound on the diameter
     diameter_bound: float
-    bounds: bool = False    # ball_radius and diameter are upper bounds, not exact
 
 
 def karcher_terms(y: OrthoComplexStructure, s: WeightedSampleSet):
@@ -88,7 +90,7 @@ def karcher_terms(y: OrthoComplexStructure, s: WeightedSampleSet):
     # subtract.reduce subtracts in slice order, as a loop of g -= w_i log_i would
     g = np.subtract.reduce(np.concatenate([np.zeros((1,) + y.mat.shape), w * logs]))
     energy = 0.5 * sum(s.weights[i] * d ** 2 for i, d in zip(used, dists))
-    return energy, TangentPhi(y, g), dists
+    return energy, g, dists
 
 
 def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
@@ -106,7 +108,7 @@ def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
          if start is None else start)
     energy, grad, _ = karcher_terms(y, s) if terms is None else terms
     for it in range(1, max_iter + 1):
-        gn = grad.norm()
+        gn = float(np.linalg.norm(grad))
         if gn < tol:
             return MeanResult(y, it, gn, energy, True)
         step = 1.0
@@ -119,52 +121,40 @@ def karcher_mean(s: WeightedSampleSet, tol: float = DEFAULT_TOL,
                 continue
             # near the optimum the energy plateaus at machine precision;
             # accept the step if it still shrinks the gradient norm
-            if e_new < energy or g_new.norm() < gn:
+            if e_new < energy or np.linalg.norm(g_new) < gn:
                 y, energy, grad = y_new, e_new, g_new
                 break
             step *= 0.5
         else:
             # no acceptable step found; gradient norm is the honest residual
             return MeanResult(y, it, gn, energy, gn < tol)
-    gn = grad.norm()
+    gn = float(np.linalg.norm(grad))
     return MeanResult(y, max_iter, gn, energy, gn < tol)
 
 
 def check_convexity(s: WeightedSampleSet, delta: DeltaConstant,
-                    distances=None) -> ConvexityReport:
-    """Diagnostic for the center-of-mass hypothesis.
+                    distances) -> ConvexityReport:
+    """Diagnostic for the center-of-mass hypothesis, from the samples'
+    ``distances`` d_i to one common base point.
 
     (a) some sample point is within 2*delta of every other sample (ball
     containment proxy) and (b) the set's diameter is at most
-    pi / (2 sqrt(eps)).
-
-    Given the samples' ``distances`` d_i to one base point, the diameter is
-    at most 2 max d_i and the radius at most min d_i + max d_i (triangle
-    inequality); when these bounds pass, the report is ok and carries them.
-    Otherwise, or without distances, every pair is measured."""
+    pi / (2 sqrt(eps)).  By the triangle inequality the radius is at most
+    min d_i + max d_i and the diameter at most 2 max d_i; the report
+    carries these bounds and is ok when they pass."""
+    if len(distances) != len(s.points):
+        raise ValueError(f"{len(distances)} distances for {len(s.points)} samples")
     bound = math.pi / (2.0 * math.sqrt(delta.epsilon_used))
-    if distances is not None:
-        if len(distances) != len(s.points):
-            raise ValueError(f"{len(distances)} distances for {len(s.points)} samples")
-        radius = min(distances) + max(distances)
-        diameter = 2.0 * max(distances)
-        if radius <= 2.0 * delta.delta and diameter <= bound:
-            return ConvexityReport(ok=True, ball_radius=radius, diameter=diameter,
-                                   diameter_bound=bound, bounds=True)
-    P, m = s.points, len(s.points)
-    dmat = np.zeros((m, m))
-    for i in range(m - 1):
-        dmat[i, i + 1:] = dmat[i + 1:, i] = acs.distance_or_inf(P[i], P[i + 1:])
-    radius = float(np.min(np.max(dmat, axis=1))) if m > 1 else 0.0
-    diameter = float(np.max(dmat))
+    radius = min(distances) + max(distances)
+    diameter = 2.0 * max(distances)
     return ConvexityReport(ok=radius <= 2.0 * delta.delta and diameter <= bound,
                            ball_radius=radius, diameter=diameter, diameter_bound=bound)
 
 
-def karcher_mean_checked(s: WeightedSampleSet, delta: DeltaConstant,
-                         tol: float = DEFAULT_TOL, distances=None) -> MeanResult:
-    """karcher_mean preceded by the convexity diagnostic (hard failure),
-    which reads the samples' ``distances`` to a common base when given."""
+def karcher_mean_checked(s: WeightedSampleSet, delta: DeltaConstant, distances,
+                         tol: float = DEFAULT_TOL) -> MeanResult:
+    """karcher_mean preceded by the convexity diagnostic (hard failure) on
+    the samples' ``distances`` to a common base."""
     report = check_convexity(s, delta, distances)
     if not report.ok:
         raise ConvexityViolation(

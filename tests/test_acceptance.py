@@ -33,7 +33,7 @@ def test_criterion_01_exp_log_roundtrip():
             phi = acs.random_tangent(J1, seed + 1000,
                                      0.05 + 0.4 * (seed % 10) / 10.0)
             J2 = acs.exp_map(J1, phi, 1.0)
-            J2_back = acs.exp_map(J1, acs.TangentPhi(J1, acs.log_map(J1, J2)[0]), 1.0)
+            J2_back = acs.exp_map(J1, acs.log_map(J1, J2)[0], 1.0)
             worst = max(worst, maxabs(J2_back.mat - J2.mat))
     assert worst < 1e-9
 
@@ -87,7 +87,7 @@ def test_criterion_03_geodesic_criterion():
         g0 = acs.exp_map(J, phi, t)
         gp = acs.exp_map(J, phi, t + h).mat
         acc = (gp - 2.0 * g0.mat + gm) / h ** 2
-        assert acs.project_tangent(g0, acc).norm() < 1e-5
+        assert np.linalg.norm(acs.project_tangent(g0, acc)) < 1e-5
 
 
 def test_criterion_04_karcher_fixed_point():

@@ -455,6 +455,17 @@ def test_point_of_the_wrong_length_is_a_dimension_mismatch(capsys, command):
 
 _ONE_POINT = io.dump_json([io.structure_to_json(acs.canonical_j(2))])
 _TWO_POINTS = io.dump_json([io.structure_to_json(acs.canonical_j(2))] * 2)
+# values that float() or int() would read as numbers, and a "points" that is
+# not an array: each is malformed input
+_NOT_NUMBERS = {
+    "weights_string": '{"points": %s, "weights": "01"}' % _TWO_POINTS,
+    "weights_bool": '{"points": %s, "weights": [true]}' % _ONE_POINT,
+    "dim_fraction": '[{"dim": 2.9, "rows": [[0.0, -1.0], [1.0, 0.0]]}]',
+    "dim_bool": '[{"dim": true, "rows": [[0.0, -1.0]]}]',
+    "entries_strings": '[{"dim": 2, "rows": [["0", "-1"], ["1", "0"]]}]',
+    "entries_bools": '[{"dim": 2, "rows": [[false, -1.0], [true, false]]}]',
+    "points_object": '{"points": {"a": %s}}' % _ONE_POINT,
+}
 
 
 @pytest.mark.parametrize("argv,files,status", [
@@ -475,6 +486,8 @@ _TWO_POINTS = io.dump_json([io.structure_to_json(acs.canonical_j(2))] * 2)
       "--mean-tol", "1e-20"], {}, 1),
     (["mean", "--input", "nan.json"],
      {"nan.json": '{"points": %s, "weights": [NaN, 1.0]}' % _TWO_POINTS}, 2),
+    *[(["mean", "--input", f"{name}.json"], {f"{name}.json": text}, 2)
+      for name, text in _NOT_NUMBERS.items()],
     (["transport", "--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5",
       "--loops", "1", "--word-length", "1", "--out", "missing/x.json"], {}, 2),
     (["orbit", "--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5",

@@ -6,12 +6,15 @@ tests keep that claim in the suite: the verdict, failing stage and witness
 word exactly, and every certificate, the orbit's largest distance, the
 witness distance and the pull-back distance as literals within 1e-12
 relative.  A change with a stated bound updates the literals in the same
-commit and says why in CHANGES.md.
+commit and says why in CHANGES.md.  Two values that refactors claim to
+keep bit for bit are pinned by the sha256 of their bytes.
 """
+
+import hashlib
 
 import pytest
 
-from kahlerprobe import acs, holonomy, prober
+from kahlerprobe import acs, holonomy, karcher, prober
 
 ORIGIN = [0.0] * 4
 REL = 1e-12
@@ -112,3 +115,20 @@ def test_default_probe_outcome(chart, delta4):
     assert len(v.orbit_report.samples) == samples
     assert v.orbit_report.max_distance == 0.0
     assert v.certificates == pytest.approx(certificates, rel=REL, abs=0.0)
+
+
+def test_fs_perturbed_structure_and_a_mean_keep_their_bytes(delta4):
+    """The sha256 of the bytes of ``fs_perturbed``'s J_p, and of the Karcher
+    mean of five points around the canonical structure, with that mean's
+    iteration count, gradient norm and energy bit for bit."""
+    J_fs = prober.default_structure(holonomy.catalog("fubini_study_cp2"), ORIGIN)
+    J_p = acs.exp_map(J_fs, acs.random_tangent(J_fs, 42, delta4.delta / 4.0), 1.0)
+    assert hashlib.sha256(J_p.mat.tobytes()).hexdigest() == \
+        "14151d7054eebc1a897ce4343271f3caf1bf1a01016be28eaf53ba96d42ab68c"
+    J = acs.canonical_j(2)
+    pts = [acs.exp_map(J, acs.random_tangent(J, k, 0.4), 1.0) for k in range(5)]
+    res = karcher.karcher_mean(karcher.WeightedSampleSet.uniform(pts))
+    assert hashlib.sha256(res.mean.mat.tobytes()).hexdigest() == \
+        "735e9ef5ba84b2591004982c3bc97c15b1e4fc9bd8375d795eae5ea7cbdbf90c"
+    assert (res.iterations, res.final_grad_norm.hex(), res.energy.hex(), res.converged) == \
+        (6, "0x1.0eaf21a5c5489p-37", "0x1.23eae013d7584p-4", True)

@@ -59,7 +59,7 @@ def test_every_private_definition_is_referenced(path):
 
 # public names no package module reads: the paper's acceptance criteria in
 # tests/test_acceptance.py are stated through them
-ACCEPTANCE_ONLY = {"curve", "metric_inner", "project_tangent", "random_j"}
+ACCEPTANCE_ONLY = {"curve", "metric_inner", "random_j"}
 
 
 def test_every_public_definition_is_read_by_the_package():
