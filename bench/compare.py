@@ -43,7 +43,8 @@ runs, in order:
 * ``same_answers``: ``fs_perturbed`` and ``fs_witness`` at seeds 0-9
   (perfbench's configs), criteria 08 and 09 at their full configs (with
   ``product_s2_s2`` beside criterion 08's three charts), and the
-  ``--no-timestamp`` output of every CLI command, on both sides, plus
+  ``--no-timestamp`` output of every CLI command (``transport`` at word
+  lengths 3 and 4, to ``--out`` and to standard output), on both sides, plus
   ``sphere_obstruction`` at seeds 0-9.  Verdicts, failing stages, details,
   witness loops and words, Karcher iteration counts and convergence are
   compared exactly (``exact_fields_that_differ``).  The numbers (every
@@ -436,6 +437,16 @@ def _cli_runs(side, tmp, name):
         "transport": ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
                       "--loops", str(workloads.SPHERE_LOOPS),
                       "--out", where.format("transport.json")],
+        "transport_word_length_4": ["transport", "--manifold", "round_sphere_4",
+                                    "--point", "0,0,0,0", "--loops", str(workloads.SPHERE_LOOPS),
+                                    "--word-length", "4",
+                                    "--out", where.format("transport.json")],
+        "transport_stdout": ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
+                             "--loops", str(workloads.SPHERE_LOOPS)],
+        "transport_stdout_word_length_4": ["transport", "--manifold", "round_sphere_4",
+                                           "--point", "0,0,0,0",
+                                           "--loops", str(workloads.SPHERE_LOOPS),
+                                           "--word-length", "4"],
         "transport_fourier": ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
                               "--loop-kind", "fourier_random",
                               "--out", where.format("transport.json")],

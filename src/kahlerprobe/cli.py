@@ -9,13 +9,15 @@ Every output is a JSON document with a reproducibility header: the fully
 resolved configuration and an optional timestamp (``--no-timestamp`` for
 byte-stable output).  Domain errors exit with status 2 and a
 ``{"error": code, "detail": ...}`` payload; usage errors exit 1.  Output
-paths are checked before the command runs.
+paths are checked before the command runs, and a failed write to standard
+output is the domain error ``output_not_writable`` as well.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import os
 import sys
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from . import holonomy, io, karcher, prober
 from .constants import (DEFAULT_SAMPLES, MAX_RESOLUTION, MIN_RESOLUTION,
                         MIN_SAMPLES, compute_delta)
-from .errors import KahlerProbeError, MalformedInput, OddDimension
+from .errors import KahlerProbeError, MalformedInput, OddDimension, OutputNotWritable
 
 _DEFAULT = prober.ProbeConfig()
 
@@ -155,9 +157,29 @@ def _emit(args, result: dict) -> None:
     if not args.no_timestamp:
         doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if args.out is None:
-        io.write_json(doc, sys.stdout)
+        try:
+            io.write_json(doc, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            _drop_stdout()
+            raise OutputNotWritable(f"cannot write standard output: {exc}") from exc
     else:
         io.dump_json(doc, args.out)
+
+
+def _drop_stdout() -> None:
+    """Point standard output's descriptor at os.devnull, so that the
+    interpreter's exit-time flush of what stdout still buffers succeeds
+    and prints nothing; a stdout with no descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _structure_for(args, chart, p):

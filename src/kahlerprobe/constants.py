@@ -38,7 +38,7 @@ DEFAULT_SAMPLES = 300  # random planes estimate_epsilon draws by default
 MIN_RESOLUTION = 1e-3  # finest march step estimate_injectivity accepts
 MAX_RESOLUTION = 0.01  # coarsest march step estimate_injectivity accepts, and its default
 MARCH_DIRECTIONS = 8  # random geodesics the injectivity march follows
-MARCH_CHUNK = 32  # geodesic times evaluated per stacked step of the injectivity march
+MARCH_CHUNK = 256  # geodesic times evaluated per stacked step of the injectivity march
 MARCH_T_MAX = 20.0  # the march stops here when no direction breaks before
 DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".kahlerprobe_delta_cache.json")
 

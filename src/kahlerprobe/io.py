@@ -3,9 +3,12 @@
 The single matrix schema is ``{"dim": 2n, "rows": [[...], ...]}`` with
 row-major 64-bit floats.  Everything the CLI emits can be read back by the
 subcommand that consumes that artifact type.  ``dump_json`` writes the bytes
-of ``json.dumps(obj, sort_keys=True, indent=1)``; ``write_json`` streams the
-same encoding into an open file (standard output, or the file at
-``dump_json``'s path) in chunks, so the whole text is never held in memory.
+of ``json.dumps(obj, sort_keys=True, indent=1, default=np.ndarray.tolist)``,
+so a numpy array in a document is written as its ``tolist()``: a holonomy
+sample's document holds the sample's own base point and matrix, not copies.
+``write_json`` streams the same encoding into an open file (standard
+output, or the file at ``dump_json``'s path) in chunks, so the whole text is
+never held in memory.
 """
 
 from __future__ import annotations
@@ -73,8 +76,11 @@ def sample_set_from_json(obj: dict) -> WeightedSampleSet:
 
 
 def holonomy_sample_to_json(sample) -> dict:
-    return {"base_point": np.asarray(sample.base_point, dtype=float).tolist(),
-            "matrix": matrix_to_json(sample.matrix),
+    """The sample's document; its base point and matrix are the sample's own
+    float arrays (no copy), which the writer encodes as their ``tolist()``."""
+    mat = np.asarray(sample.matrix, dtype=float)
+    return {"base_point": np.asarray(sample.base_point, dtype=float),
+            "matrix": {"dim": int(mat.shape[0]), "rows": mat},
             "ode_steps": int(sample.ode_steps),
             "orthogonality_defect": float(sample.orthogonality_defect),
             "word": list(sample.word),
@@ -118,21 +124,25 @@ def write_text(path: str, text: str) -> None:
         raise OutputNotWritable(f"cannot write {path}: {exc}") from exc
 
 
-FLUSH_PIECES = 8192  # encoded pieces held before they are written out
+FLUSH_PIECES = 2048  # encoded pieces held before they are written out
+SHARED_KEYS = ("of", "parts")  # keys under which a loop description holds shared ones
 
 
-def _encode(o, depth, out, memo, fh):
-    """Append the text of ``json.dumps(o, sort_keys=True, indent=1)`` at
-    nesting depth ``depth`` to the list ``out``, piece by piece, for dicts
-    with string keys, lists, tuples, strings, ints, floats, bools and None.
-    When ``fh`` is a file, ``out`` is written to it and emptied whenever a
-    container ends with FLUSH_PIECES pieces or more held.
+def _encode(o, depth, out, memo, fh, shared=False):
+    """Append the text of ``json.dumps(o, sort_keys=True, indent=1,
+    default=np.ndarray.tolist)`` at nesting depth ``depth`` to the list
+    ``out``, piece by piece, for dicts with string keys, lists, tuples, numpy
+    arrays, strings, ints, floats, bools and None.  When ``fh`` is a file,
+    ``out`` is written to it and emptied whenever a container ends with
+    FLUSH_PIECES pieces or more held.
 
-    A list of finite floats is one join.  A dict met a second time at one
-    depth (a product loop's description holds its generators' descriptions)
-    is encoded to a string once and reused after that; ``memo`` is keyed on
-    (id, depth) and each record holds the dict, so no other object can take
-    its id."""
+    An array is written as its ``tolist()``, and a list of finite floats is
+    one join.  A shared dict, the value of a key in SHARED_KEYS or an item
+    of a list there (a product loop's description holds its generators'),
+    is encoded to a string once per depth and reused after that; ``memo``
+    records only these, keyed on (id, depth), and each record holds the
+    dict, so no other object can take its id.  Any other dict is streamed
+    and leaves no record."""
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif o is None or o is True or o is False:
@@ -162,23 +172,26 @@ def _encode(o, depth, out, memo, fh):
         for i, v in enumerate(o):
             if i:
                 out.append(sep)
-            _encode(v, depth + 1, out, memo, fh)
+            _encode(v, depth + 1, out, memo, fh, shared)
         out.append(ind + "]")
     elif isinstance(o, dict):
         if not o:
             out.append("{}")
             return
-        key = id(o), depth
-        if key not in memo:  # met first here: streamed
-            memo[key] = (o, None)
-            _encode_items(o, depth, out, memo, fh)
-        else:
-            if memo[key][1] is None:  # met again: encoded to a string once
-                text = []
-                _encode_items(o, depth, text, memo, None)
-                memo[key] = (o, "".join(text))
-            out.append(memo[key][1])
-            return
+        if shared:
+            key = id(o), depth
+            if key in memo:
+                if memo[key][1] is None:  # met again: encoded to a string once
+                    text = []
+                    _encode_items(o, depth, text, memo, None)
+                    memo[key] = (o, "".join(text))
+                out.append(memo[key][1])
+                return
+            memo[key] = (o, None)  # met first here: streamed
+        _encode_items(o, depth, out, memo, fh)
+    elif isinstance(o, np.ndarray):
+        _encode(o.tolist(), depth, out, memo, fh)
+        return
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
     if fh is not None and len(out) >= FLUSH_PIECES:
@@ -193,7 +206,7 @@ def _encode_items(o, depth, out, memo, fh):
     lead = "{" + ind + " "
     for k, v in sorted(o.items()):
         out.append(lead + encode_basestring_ascii(k) + ": ")
-        _encode(v, depth + 1, out, memo, fh)
+        _encode(v, depth + 1, out, memo, fh, k in SHARED_KEYS)
         lead = "," + ind + " "
     out.append(ind + "}")
 
@@ -210,7 +223,8 @@ def write_json(obj, fh) -> None:
 
 def dump_json(obj, path: str | None = None) -> str | None:
     """Deterministic serialization, the text of ``json.dumps(obj,
-    sort_keys=True, indent=1)`` byte for byte.  Without a path, the text;
+    sort_keys=True, indent=1, default=np.ndarray.tolist)`` byte for byte:
+    a numpy array is written as its ``tolist()``.  Without a path, the text;
     with one, write_json into the file at path and None;
     OutputNotWritable when it cannot be written."""
     if path is None:

@@ -1,12 +1,14 @@
 """Tests for the JSON exchange helpers and the command-line interface."""
 
 import contextlib
+import errno
 import gc
 import hashlib
 import json
 import math
 import os
 import signal
+import subprocess
 import sys
 import tracemalloc
 from io import StringIO
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kahlerprobe import acs, cli, holonomy, io
 from kahlerprobe.errors import DimensionMismatch, MalformedInput, OutputNotWritable
@@ -80,20 +83,31 @@ class _Chunks(list):
 
     write = list.append
 
+    def flush(self):
+        pass
+
 
 def test_file_writer_matches_json_dumps(tmp_path):
-    """A document streamed to a file is json.dumps(sort_keys=True, indent=1)
-    and a newline, across several flushes, with one dict reached at several
-    depths and many times at one, and float lists holding NaN, +-inf, -0.0,
-    numpy floats or an item that is not a float."""
+    """A document streamed to a file is json.dumps(sort_keys=True, indent=1,
+    default=np.ndarray.tolist) and a newline, across several flushes, with
+    one dict reached at several depths and many times at one, also where the
+    writer shares it ("of", "parts"), float lists holding NaN, +-inf, -0.0,
+    numpy floats or an item that is not a float, and float, int and bool
+    arrays, 1-D and 2-D, empty, views, and holding NaN, +-inf and -0.0."""
     shared = {"kind": "rectangle", "base": [0.5, -0.0], "axes": [0, 1]}
     floats = [[1.0, math.nan], [math.inf, 2.0], [-math.inf], [-0.0, 0.1],
               [np.float64(0.1), 1e-300, 5e-324], (0.25, 0.5), [1.0, 2, 3.0],
               [1.0, True], [0.5, None], [0.5, "x"], [0.5, [1.0]]]
+    arrays = [np.array([1.0, math.nan, -math.inf, math.inf, -0.0, 5e-324]),
+              np.array([[0.1, -0.0], [math.nan, 2.0]]), np.eye(3)[1:], np.zeros(0),
+              np.zeros((0, 3)), np.zeros((2, 0)), np.arange(-3, 3), np.arange(6).reshape(2, 3),
+              np.array([True, False]), np.array([[False], [True]]), np.zeros((0,), dtype=bool)]
     doc = {"shared": [shared, {"deeper": shared}, shared], "floats": floats,
-           "many": [{"i": i, "row": [i / 7.0] * 3, "loop": shared}
+           "arrays": arrays, "of": shared, "parts": [shared, {"of": shared}, shared],
+           "many": [{"i": i, "row": [i / 7.0] * 3, "loop": shared,
+                     "mat": np.full((2, 2), i / 3.0), "parts": [shared]}
                     for i in range(io.FLUSH_PIECES)]}
-    text = json.dumps(doc, sort_keys=True, indent=1)
+    text = json.dumps(doc, sort_keys=True, indent=1, default=np.ndarray.tolist)
     assert io.dump_json(doc, str(tmp_path / "doc.json")) is None
     assert (tmp_path / "doc.json").read_text() == text + "\n"
     assert io.dump_json(doc) == text
@@ -112,11 +126,18 @@ def test_writer_leaves_no_reference_cycle(tmp_path):
     assert gc.collect() == 0
 
 
+_FLOAT_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324])
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+_ARRAYS = (hnp.arrays(np.float64, _SHAPES,
+                      elements=st.floats(allow_nan=True, allow_infinity=True) | _FLOAT_EDGES)
+           | hnp.arrays(np.int64, _SHAPES, elements=st.integers(-2**62, 2**62))
+           | hnp.arrays(np.bool_, _SHAPES))
 _JSON_LEAVES = (st.none() | st.booleans()
                 | st.integers(-2**80, 2**80)
                 | st.floats(allow_nan=True, allow_infinity=True)
-                | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324])
-                | st.text())
+                | _FLOAT_EDGES
+                | st.text()
+                | _ARRAYS)
 _JSON_DOCS = st.recursive(
     _JSON_LEAVES,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
@@ -128,10 +149,13 @@ _JSON_DOCS = st.recursive(
 @given(doc=_JSON_DOCS)
 @example(doc={"\u00e9\x00\n": ["\u2603\t\x1f\"\\", (), {}, [], -0.0, 10**30]})
 def test_writer_matches_json_dumps(doc):
-    """dump_json writes json.dumps(sort_keys=True, indent=1) byte for byte,
-    also when one dict is reached at several depths and twice at one."""
-    for obj in (doc, {"doc": doc, "again": [doc, {"deeper": doc}, doc]}):
-        assert io.dump_json(obj) == json.dumps(obj, sort_keys=True, indent=1)
+    """dump_json writes json.dumps(sort_keys=True, indent=1,
+    default=np.ndarray.tolist) byte for byte, also when one dict is reached
+    at several depths and twice at one, where the writer shares it or not."""
+    for obj in (doc, {"doc": doc, "again": [doc, {"deeper": doc}, doc]},
+                {"of": doc, "parts": [doc, {"of": doc}, doc]}):
+        assert io.dump_json(obj) == json.dumps(obj, sort_keys=True, indent=1,
+                                               default=np.ndarray.tolist)
 
 
 @pytest.mark.parametrize("argv", [
@@ -162,7 +186,8 @@ def test_writer_matches_json_dumps_on_every_command(capsys, tmp_path, monkeypatc
         monkeypatch.setattr(io, name, recorded)
     code, out, err = run_cli(capsys, *[a.format(**files) for a in argv], "--no-timestamp")
     assert len(docs) == 1
-    assert (err if code else out) == json.dumps(docs[0], sort_keys=True, indent=1) + "\n"
+    assert (err if code else out) == json.dumps(docs[0], sort_keys=True, indent=1,
+                                                default=np.ndarray.tolist) + "\n"
 
 
 _SPHERE_TRANSPORT = ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
@@ -207,6 +232,118 @@ def test_stdout_holds_no_more_than_the_file_writer(tmp_path, monkeypatch):
             finally:
                 tracemalloc.stop()
     assert peaks[0] <= peaks[1] + size / 4
+
+
+def _sphere_samples(loops, word_length):
+    chart, p = holonomy.catalog("round_sphere_4"), np.zeros(4)
+    family = holonomy.loop_family(chart, p, "coordinate_rectangles", loops, 0.5)
+    return holonomy.holonomy_samples(chart, p, family, 400, word_length=word_length)
+
+
+def test_sample_document_holds_the_sample_arrays():
+    """A transport sample's document holds the sample's own base point and
+    matrix, no copy, and is written with the bytes of the same document
+    holding them as lists."""
+    for s in _sphere_samples(2, 2):
+        doc = io.holonomy_sample_to_json(s)
+        assert np.shares_memory(doc["matrix"]["rows"], s.matrix)
+        assert np.shares_memory(doc["base_point"], s.base_point)
+        as_lists = dict(doc, base_point=s.base_point.tolist(),
+                        matrix=io.matrix_to_json(s.matrix))
+        assert io.dump_json(doc) == json.dumps(as_lists, sort_keys=True, indent=1)
+
+
+def test_writer_memo_records_only_shared_loop_descriptions():
+    """Of a transport document, the writer's memo records only the loop
+    descriptions that products share with their generators: no sample or
+    matrix dict."""
+    samples = _sphere_samples(5, 3)
+    doc = {"samples": [io.holonomy_sample_to_json(s) for s in samples]}
+    memo = {}
+    io._encode(doc, 0, [], memo, None)
+    assert 0 < len(memo) < len(samples) / 4
+    assert all("kind" in o and not {"matrix", "rows"} & o.keys() for o, _ in memo.values())
+
+
+def test_default_transport_command_peak(monkeypatch):
+    """The default transport command printing its 1.1 MB document peaks at
+    most 2.0 MB above entry (tracemalloc) after a warm run."""
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        assert cli.main(_SPHERE_TRANSPORT) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            assert cli.main(_SPHERE_TRANSPORT) == 0
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2.0 * 2**20
+
+
+class _Unwritable:
+    """A stdout on a real descriptor whose every write raises exc."""
+
+    def __init__(self, exc, fd):
+        self.exc, self.fd = exc, fd
+
+    def write(self, text):
+        raise self.exc
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("exc", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                 OSError(errno.ENOSPC, "No space left on device")],
+                         ids=["epipe", "enospc"])
+def test_stdout_that_cannot_be_written_is_a_domain_error(capsys, tmp_path, monkeypatch,
+                                                          exc):
+    """A failed stdout write is output_not_writable, exit 2, and stdout's
+    descriptor then points at os.devnull."""
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _Unwritable(exc, fh.fileno()))
+        code = cli.main(_SPHERE_TRANSPORT)
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    error = json.loads(captured.err)
+    assert error["error"] == "output_not_writable"
+    assert os.strerror(exc.errno) in error["detail"]
+
+
+def _cli_process(stdout):
+    path = os.pathsep.join(filter(None, (os.path.dirname(os.path.dirname(io.__file__)),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.Popen([sys.executable, "-m", "kahlerprobe.cli", *_SPHERE_TRANSPORT],
+                            stdout=stdout, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("where", ["closed_pipe", "full_device"])
+def test_unwritable_stdout_process_prints_one_error_line(where):
+    """A process whose stdout is closed after 50 bytes, or is /dev/full,
+    exits 2 and prints only the output_not_writable payload to stderr: no
+    traceback and no exit-time flush message."""
+    if where == "closed_pipe":
+        proc = _cli_process(subprocess.PIPE)
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = _cli_process(full)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert json.loads(err)["error"] == "output_not_writable"
+    assert err == io.dump_json(json.loads(err)) + "\n"
 
 
 _J1 = io.structure_to_json(acs.canonical_j(1))

@@ -202,10 +202,11 @@ def _sequential_injectivity(n, num_directions=8, resolution=0.01, seed=0, t_max=
     return first_break - resolution
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_chunked_injectivity_march_matches_sequential(seed):
-    assert (repr(estimate_injectivity(2, seed=seed))
-            == repr(_sequential_injectivity(2, seed=seed)))
+@pytest.mark.parametrize("n,seed", [pytest.param(2, 0, id="0"), pytest.param(2, 1, id="1"),
+                                    pytest.param(2, 2, id="2"), pytest.param(3, 0, id="n3-0")])
+def test_chunked_injectivity_march_matches_sequential(n, seed):
+    assert (repr(estimate_injectivity(n, seed=seed))
+            == repr(_sequential_injectivity(n, seed=seed)))
 
 
 @pytest.mark.parametrize("seed,bits", [
