@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     ComponentMismatch,
     CutLocusError,
-    DegeneratePlane,
     NotAComplexStructure,
     NotOrthogonal,
     NotOrthogonalGroupElement,
@@ -291,38 +290,6 @@ def conjugate(Qs, J: OrthoComplexStructure) -> np.ndarray:
             f"Q^T Q - I has max-abs entry {defect[bad[0]]:.3e}")
     out = Qt @ J.mat @ Q
     return out[0] if single else out
-
-
-def sectional_curvatures(J: OrthoComplexStructure, phis, psis):
-    """Curvature of the 2-plane spanned by phis[k] and psis[k], for every
-    slice of two (N, d, d) stacks of tangents at J.
-
-    Uses the compact-type homogeneous-space formula on the generators
-    X = -phi J/2, Y = -psi J/2 with the inner product Q(A, B) = 4 tr(A B^T),
-    which matches the tangent metric under phi <-> X:
-
-        sec = Q([X, Y], [X, Y]) / (Q(X,X) Q(Y,Y) - Q(X,Y)^2)
-
-    Returns the (N,) curvatures, NaN where a slice is degenerate, and a
-    list of N entries, each None or the DegeneratePlane of that slice.
-    """
-    X = -0.5 * np.asarray(phis, dtype=float) @ J.mat
-    Y = -0.5 * np.asarray(psis, dtype=float) @ J.mat
-    N, d = len(X), J.dim
-
-    def q(A, B):  # 4 tr(A B^T) per slice, each summed as np.sum sums one (d, d) array
-        return 4.0 * (A * B).reshape(N, d * d).sum(axis=1)
-
-    qxy = q(X, Y)
-    gram = q(X, X) * q(Y, Y) - qxy * qxy
-    degenerate = gram < 1e-14
-    B = X @ Y - Y @ X
-    curvatures = q(B, B) / np.where(degenerate, 1.0, gram)
-    curvatures[degenerate] = math.nan
-    errors = [None] * N
-    for k in np.flatnonzero(degenerate):
-        errors[k] = DegeneratePlane(f"Gram determinant {gram[k]:.3e} below threshold")
-    return curvatures, errors
 
 
 def random_j(n: int, seed: int) -> OrthoComplexStructure:

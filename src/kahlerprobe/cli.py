@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: ``delta`` (dichotomy-constant estimation), ``mean`` (Karcher
+Subcommands: ``delta`` (the dichotomy constant), ``mean`` (Karcher
 mean of a JSON sample set), ``transport`` (holonomy samples of a loop
 family), ``orbit`` (conjugation orbit of a structure under sampled
 holonomy), and ``probe`` (the full dichotomy pipeline).
@@ -8,9 +8,11 @@ holonomy), and ``probe`` (the full dichotomy pipeline).
 Every output is a JSON document with a reproducibility header: the fully
 resolved configuration and an optional timestamp (``--no-timestamp`` for
 byte-stable output).  Domain errors exit with status 2 and a
-``{"error": code, "detail": ...}`` payload; usage errors exit 1.  Output
-paths are checked before the command runs, and a failed write to standard
-output is the domain error ``output_not_writable`` as well.
+``{"error": code, "detail": ...}`` payload on stderr, also when stderr is
+closed or cannot be written and the payload is lost; usage errors exit 1.
+Output paths, and standard output when it is the output, are checked before
+the command runs, and a failed write to standard output is the domain error
+``output_not_writable`` as well.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import sys
 import numpy as np
 
 from . import holonomy, io, karcher, prober
-from .constants import (DEFAULT_SAMPLES, MAX_RESOLUTION, MIN_RESOLUTION,
-                        MIN_SAMPLES, compute_delta)
+from .constants import compute_delta
 from .errors import KahlerProbeError, MalformedInput, OddDimension, OutputNotWritable
 
 _DEFAULT = prober.ProbeConfig()
@@ -62,10 +63,6 @@ def _add_common(sub):
                      help="omit the timestamp field (byte-stable output)")
 
 
-def _add_seed(sub):
-    sub.add_argument("--seed", type=_bounded(int, lo=0), default=_DEFAULT.seed)
-
-
 def _add_loop_flags(sub):
     sub.add_argument("--manifold", required=True,
                      choices=holonomy.CATALOG_NAMES)
@@ -78,7 +75,7 @@ def _add_loop_flags(sub):
     sub.add_argument("--ode-steps", type=int, default=_DEFAULT.ode_steps)
     sub.add_argument("--word-length", type=_bounded(int, lo=1),
                      default=_DEFAULT.word_length)
-    _add_seed(sub)
+    sub.add_argument("--seed", type=_bounded(int, lo=0), default=_DEFAULT.seed)
 
 
 def build_parser():
@@ -90,17 +87,10 @@ def build_parser():
     by_name = {}
 
     p = subs.add_parser("delta",
-                        help="estimate the dichotomy constant")
+                        help="the dichotomy constant")
     p.add_argument("--dim", type=_bounded(int, lo=2), default=4, help="ambient dimension 2n")
-    p.add_argument("--samples", type=_bounded(int, lo=MIN_SAMPLES),
-                   default=DEFAULT_SAMPLES)
-    p.add_argument("--resolution",
-                   type=_bounded(float, lo=MIN_RESOLUTION, hi=MAX_RESOLUTION),
-                   default=MAX_RESOLUTION)
     p.add_argument("--epsilon-override", default=None,
                    type=_bounded(float, lo=np.finfo(float).tiny, hi=np.finfo(float).max))
-    p.add_argument("--no-cache", action="store_true")
-    _add_seed(p)
     _add_common(p)
     by_name["delta"] = p
 
@@ -161,18 +151,31 @@ def _emit(args, result: dict) -> None:
             io.write_json(doc, sys.stdout)
             sys.stdout.flush()
         except OSError as exc:
-            _drop_stdout()
+            _drop(sys.stdout)
             raise OutputNotWritable(f"cannot write standard output: {exc}") from exc
     else:
         io.dump_json(doc, args.out)
 
 
-def _drop_stdout() -> None:
-    """Point standard output's descriptor at os.devnull, so that the
-    interpreter's exit-time flush of what stdout still buffers succeeds
-    and prints nothing; a stdout with no descriptor is left as it is."""
+def _report(exc: KahlerProbeError) -> None:
+    """Print the error's payload to standard error.  A closed stderr
+    (None) gets nothing, so the payload never falls through to stdout, and
+    one that cannot be written is dropped; the exit status stays 2."""
+    if sys.stderr is None:
+        return
     try:
-        fd = sys.stdout.fileno()
+        print(io.dump_json({"error": exc.code, "detail": str(exc)}), file=sys.stderr,
+              flush=True)
+    except OSError:
+        _drop(sys.stderr)
+
+
+def _drop(stream) -> None:
+    """Point a standard stream's descriptor at os.devnull, so that the
+    interpreter's exit-time flush of what the stream still buffers succeeds
+    and prints nothing; a stream with no descriptor is left as it is."""
+    try:
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -206,10 +209,7 @@ def _delta_json(delta) -> dict:
 def _cmd_delta(args) -> dict:
     if args.dim % 2:
         raise OddDimension(f"dimension {args.dim} is odd; a complex structure needs 2n")
-    delta = compute_delta(args.dim // 2, num_samples=args.samples,
-                          resolution=args.resolution, seed=args.seed,
-                          epsilon_override=args.epsilon_override,
-                          use_cache=not args.no_cache)
+    delta = compute_delta(args.dim // 2, args.epsilon_override)
     return _delta_json(delta)
 
 
@@ -248,7 +248,7 @@ def _cmd_probe(args) -> dict:
     p = chart.coords(args.point)
     J_p = None if args.j == "auto" else io.structure_from_json(io.load_json(args.j))
     holonomy.check_loop_family(args.loop_kind, args.loops, args.loop_scale)
-    delta = compute_delta(chart.dim // 2, seed=args.seed)
+    delta = compute_delta(chart.dim // 2)
     config = prober.ProbeConfig(loop_kind=args.loop_kind, loops=args.loops,
                                 loop_scale=args.loop_scale,
                                 ode_steps=args.ode_steps,
@@ -324,13 +324,14 @@ def main(argv=None) -> int:
             argv = argv[:1] + _config_flags(sub, path) + argv[1:]
     args = parser.parse_args(argv)
     try:
+        if args.out is None and sys.stdout is None:
+            raise OutputNotWritable("standard output is closed")
         for path in (args.out, getattr(args, "csv", None)):
             if path is not None:
                 io.check_writable(path)
         _emit(args, _COMMANDS[args.subcommand](args))
     except KahlerProbeError as exc:
-        print(io.dump_json({"error": exc.code, "detail": str(exc)}),
-              file=sys.stderr)
+        _report(exc)
         return 2
     return 0
 

@@ -1,46 +1,51 @@
-"""Estimation of the dichotomy constant delta = min(inj/2, pi/(4 sqrt(eps))).
+"""The dichotomy constant delta = min(inj/2, pi/(4 sqrt(eps))), in closed form.
 
-``eps`` is an upper bound on the sectional curvature of the structure space,
-estimated by sampling 2-planes at the canonical base point (homogeneity makes
-one point sufficient) and refining the best candidates by local ascent.
-The injectivity radius is estimated by marching along random unit-speed
-geodesics until the geodesic stops minimizing or the log map fails.  eps is
-conservative in the direction that keeps the dichotomy sound: a too-large
-eps only shrinks delta.  The inj estimate is not a lower bound: it can read
-up to two resolution steps late, and past the true radius 2 pi from n = 4
-on (see ``estimate_injectivity``).  The two
-estimators return plain floats; ``DeltaConstant`` is the one record of
-delta and the one check on its inputs, whether eps is estimated, a user's
-override or read from the cache.  A cache entry that does not rebuild its
-own delta is a miss.  The cache file is replaced atomically, so a failed or concurrent
-write never leaves it torn, and each write re-reads it under a lock, so
-concurrent writers keep each other's entries.
+Each component of the structure space is SO(2n)/U(n), a compact, simply
+connected symmetric space (Helgason, *Differential Geometry, Lie Groups,
+and Symmetric Spaces*, ch. VII and X).  For every n >= 2 its sectional
+curvature is at most 1/4, with equality on one plane, and its injectivity
+radius is 2 pi.  O(2n) acts transitively by isometries, so it suffices to
+prove this at the canonical J; write R^{2n} = C^n with J = i.
+
+Curvature.  A tangent phi at J corresponds to X = -phi J / 2, a skew matrix
+that anticommutes with J, and |phi|^2 = Q(X, X) with Q(A, B) = 4 tr(A B^T),
+an ad-invariant inner product.  For Q-orthonormal X and Y the
+symmetric-space formula gives K(X, Y) = Q([X, Y], [X, Y]) = Q(R_X Y, Y)
+with R_X = -ad_X^2, which is Q-symmetric, so K(X, Y) is at most the largest
+eigenvalue of R_X.  As a map of C^n, X is v -> A conj(v) for a complex
+antisymmetric A, Q(X, X) = 8 |A|^2, and R_X takes B to
+2 A conj(B) A - A conj(A) B - B conj(A) A.  The stabilizer U(n) acts by
+A -> U A U^T, which brings A to diag(a_1 E, ..., a_m E, 0) with
+E = [[0, 1], [-1, 0]], a_k >= 0 and m = floor(n/2) (Youla, Canad. J. Math.
+13, 1961): X lies in the maximal abelian subspace of block-diagonal 4x4
+real blocks.  On the 2x2 blocks B_jk of B, R_X has the restricted-root
+eigenvalues (2 a_j)^2 and 0 on B_jj = b E (the imaginary and real part of
+b), (a_j + a_k)^2 and (a_j - a_k)^2 on B_jk for j != k, and a_j^2 on the
+last row when n is odd.  Q(X, X) = 16 sum a_k^2 = 1, and
+(a_j + a_k)^2 <= 2 (a_j^2 + a_k^2), so each is at most
+4 sum a_k^2 = 1/4.  Equality needs one a_j = 1/4 and B = i b E in block j:
+the plane of the n = 2 space in one 4x4 block, whose curvature is 1/4.
+
+Injectivity.  Along a unit geodesic in direction X the first conjugate
+point lies at pi / sqrt(lambda_max(R_X)) >= 2 pi, with equality in that
+plane.  In a compact, simply connected symmetric space the cut locus is the
+first conjugate locus (Crittenden, Canad. J. Math. 14, 1962), so inj = 2 pi.
+
+``SAFETY_FACTOR`` stays on eps: it only shrinks delta, and without it delta
+would be pi/2 instead of pi/(2 sqrt(1.05)), so an orbit whose largest
+distance lies between the two would change verdict.
+``DeltaConstant`` is the one record of delta and the one check on its
+inputs, whether eps is the closed form or a user's override.
 """
 
 from __future__ import annotations
 
-import contextlib
-import fcntl
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import acs
 from .errors import DimensionTooSmall
 
 SAFETY_FACTOR = 1.05
-MIN_SAMPLES = 100      # fewest random planes estimate_epsilon accepts
-DEFAULT_SAMPLES = 300  # random planes estimate_epsilon draws by default
-MIN_RESOLUTION = 1e-3  # finest march step estimate_injectivity accepts
-MAX_RESOLUTION = 0.01  # coarsest march step estimate_injectivity accepts, and its default
-MARCH_DIRECTIONS = 8  # random geodesics the injectivity march follows
-MARCH_CHUNK = 256  # geodesic times evaluated per stacked step of the injectivity march
-MARCH_T_MAX = 20.0  # the march stops here when no direction breaks before
-DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".kahlerprobe_delta_cache.json")
 
 
 @dataclass(frozen=True)
@@ -66,194 +71,27 @@ class DeltaConstant:
             self.inj_used / 2.0, math.pi / (4.0 * math.sqrt(self.epsilon_used))))
 
 
-def estimate_epsilon(n: int, num_samples: int = DEFAULT_SAMPLES,
-                     seed: int = 0) -> float:
-    """Sampled upper bound on sectional curvature: the safety factor times
-    the highest curvature reached by local ascent from the ten best sampled
-    planes.
-
-    Plane k is spanned by the random unit tangent of seed s_k and the unit
-    part of the tangent of seed s_k + 500_009 orthogonal to it; a plane
-    whose orthogonal part is shorter than 1e-8 is skipped.  All planes are
-    measured in one stacked call.  Each ascent round draws 40 seeds and
-    measures its 20 trial planes (the current plane plus a perturbation of
-    size ``step``) in one call; the first trial that beats the current
-    curvature by more than 1e-10 becomes the current plane, and the trials
-    after it are measured again from there, so the result is that of
-    trying the 20 trials one after another.  A round without a gain halves
-    the step.
-    """
+def estimate_epsilon(n: int) -> float:
+    """The curvature bound: the safety factor times the largest sectional
+    curvature, 1/4."""
     if n < 2:
         raise DimensionTooSmall("no 2-planes for n = 1")
-    if num_samples < MIN_SAMPLES:
-        raise ValueError(f"num_samples must be >= {MIN_SAMPLES}")
-    J = acs.canonical_j(n)
-    rng = np.random.default_rng(seed)
-    plane_seeds = rng.integers(0, 2**31 - 1, size=num_samples).tolist()
-    tangents = acs.random_tangents(J, plane_seeds + [s + 500_009 for s in plane_seeds])
-    phis, psis = tangents[:num_samples], tangents[num_samples:]
-    d2 = J.dim ** 2
-    inner = (phis * psis).reshape(num_samples, d2).sum(axis=1)  # metric_inner per slice
-    psis = psis - inner[:, None, None] * phis
-    flat = psis.reshape(num_samples, d2)
-    nrms = np.sqrt(np.vecdot(flat, flat))  # the bits of np.linalg.norm per slice
-    kept = ~(nrms < 1e-8)
-    phis, psis = phis[kept], (1.0 / nrms[kept])[:, None, None] * psis[kept]
-    curvatures, errors = acs.sectional_curvatures(J, phis, psis)
-    degenerate = [exc for exc in errors if exc is not None]
-    if degenerate:
-        raise degenerate[0]
-    best = -math.inf
-    for i in sorted(range(len(phis)), key=lambda i: -curvatures[i])[:10]:
-        cur, phi, psi = float(curvatures[i]), phis[i], psis[i]
-        step = 0.2
-        while step > 1e-6:
-            steps = acs.random_tangents(
-                J, rng.integers(0, 2**31 - 1, size=40).tolist(), step)
-            dphis, dpsis = steps[0::2], steps[1::2]
-            improved = False
-            while len(dphis):
-                a, b = phi + dphis, psi + dpsis
-                # a degenerate trial reads NaN and is never taken
-                ks = acs.sectional_curvatures(J, a, b)[0]
-                gains = np.flatnonzero(ks > cur + 1e-10)
-                if not gains.size:
-                    break
-                j = gains[0]
-                cur, phi, psi = float(ks[j]), a[j], b[j]
-                improved = True
-                dphis, dpsis = dphis[j + 1:], dpsis[j + 1:]
-            if not improved:
-                step *= 0.5
-        best = max(best, cur)
-    return SAFETY_FACTOR * best
+    return SAFETY_FACTOR * 0.25
 
 
-def estimate_injectivity(n: int, resolution: float = MAX_RESOLUTION,
-                         seed: int = 0) -> float:
-    """Estimate of the injectivity radius by a geodesic-minimality march:
-    the first break on any sampled direction, less one resolution step.
-
-    Not a lower bound.  The break test d < t - 2 resolution can see a break
-    up to two steps late, and from n = 4 on random directions meet their
-    conjugate points past 2 pi, the true radius: seed 0 gives 6.29 at n = 2
-    and 3 and 6.43 at n = 4."""
+def estimate_injectivity(n: int) -> float:
+    """The injectivity radius, 2 pi."""
     if n < 2:
         raise DimensionTooSmall("zero-dimensional tangent space for n = 1")
-    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
-    J = acs.canonical_j(n)
-    rng = np.random.default_rng(seed)
-    first_break = MARCH_T_MAX
-    for seed_k in rng.integers(0, 2**31 - 1, size=MARCH_DIRECTIONS).tolist():
-        phi = acs.random_tangent(J, seed_k)
-        t = resolution
-        while t < first_break:  # later breaks cannot lower the minimum
-            ts = []
-            while t < first_break and len(ts) < MARCH_CHUNK:
-                ts.append(t)
-                t += resolution
-            dists = acs.distance_or_inf(J.mat, acs.exp_maps(J, phi, ts))
-            # past the cut locus (inf) or no longer minimizing
-            broken = [tk for tk, d in zip(ts, dists.tolist())
-                      if d == math.inf or d < tk - 2.0 * resolution]
-            if broken:
-                first_break = min(first_break, broken[0])
-                break
-    return first_break - resolution
+    return 2.0 * math.pi
 
 
-# -- cached end-to-end computation -------------------------------------------
-
-def cache_path() -> str:
-    return os.environ.get("KAHLER_PROBE_CACHE", DEFAULT_CACHE)
-
-
-def compute_delta(n: int, num_samples: int = DEFAULT_SAMPLES,
-                  resolution: float = MAX_RESOLUTION, seed: int = 0,
-                  epsilon_override: float | None = None,
-                  use_cache: bool = True) -> DeltaConstant:
-    """Delta constant with JSON file caching keyed by parameters.  A cached
-    entry is a hit only when ``DeltaConstant`` accepts its epsilon and
-    inj_lower and rebuilds its delta; anything else is estimated again and
-    its entry overwritten.  ``DeltaConstant`` also rejects an
-    ``epsilon_override`` that is not finite and positive, with a
-    ValueError."""
-    key = f"n={n};seed={seed};ns={num_samples};res={resolution}"
-    if epsilon_override is not None:
-        key += f";eps={epsilon_override!r}"
-    path = cache_path()
-    if use_cache:
-        try:
-            rec = _read_cache(path)[key]
-            delta = DeltaConstant(n, rec["epsilon"], rec["inj_lower"])
-            if delta.delta == rec["delta"]:
-                return delta
-        except (KeyError, OverflowError, TypeError, ValueError):
-            pass
-    eps = (estimate_epsilon(n, num_samples=num_samples, seed=seed)
-           if epsilon_override is None else epsilon_override)
-    delta = DeltaConstant(n, eps, estimate_injectivity(n, resolution=resolution,
-                                                       seed=seed))
-    if use_cache:
-        _write_cache(path, key, {"epsilon": delta.epsilon_used,
-                                 "inj_lower": delta.inj_used, "delta": delta.delta})
-    return delta
-
-
-def _read_cache(path: str) -> dict:
-    """The cache file's entries; empty when the file is missing, unreadable
-    or not a JSON object."""
-    try:
-        with open(path) as fh:
-            cache = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    return cache if isinstance(cache, dict) else {}
-
-
-@contextlib.contextmanager
-def _cache_lock(path: str):
-    """Hold an exclusive flock on the sibling file ``<path>.lock`` and remove
-    that file on release.  A process that got the lock of a file another
-    process has since removed retries on the current one, so one writer at
-    a time holds the lock."""
-    lock = path + ".lock"
-    while True:
-        with open(lock, "a") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
-                current = os.path.samestat(os.stat(lock), os.fstat(fh.fileno()))
-            except FileNotFoundError:
-                current = False
-            if current:
-                try:
-                    yield
-                finally:
-                    with contextlib.suppress(OSError):
-                        os.unlink(lock)
-                return
-
-
-def _write_cache(path: str, key: str, record: dict) -> None:
-    """Add one entry to the cache file.  Under the cache lock the file is
-    re-read, so entries that other processes wrote since this one read it
-    survive, and then replaced atomically: dump to a temp file in the same
-    directory, then rename it over the cache.  A failed write leaves the
-    previous file as it was and no temp file behind; an OSError is ignored,
-    since the cache is only an optimization."""
-    try:
-        with _cache_lock(path):
-            cache = _read_cache(path)
-            cache[key] = record
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".delta_cache_", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(cache, fh, indent=1, sort_keys=True)
-                os.replace(tmp, path)
-            finally:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(tmp)
-    except OSError:
-        pass
+def compute_delta(n: int, epsilon_override: float | None = None, *,
+                  seed: int | None = None) -> DeltaConstant:
+    """Delta for the structure space of R^{2n}, from the closed-form eps
+    (or ``epsilon_override``) and inj.  delta depends on n alone: ``seed``
+    is ignored, and accepted only because perfbench and bench/compare.py
+    still pass it.  ``DeltaConstant`` rejects an ``epsilon_override`` that
+    is not finite and positive, with a ValueError."""
+    eps = estimate_epsilon(n) if epsilon_override is None else epsilon_override
+    return DeltaConstant(n, eps, estimate_injectivity(n))

@@ -41,10 +41,6 @@ class ComponentMismatch(KahlerProbeError):
     code = "component_mismatch"
 
 
-class DegeneratePlane(KahlerProbeError):
-    code = "degenerate_plane"
-
-
 class ZeroProjection(KahlerProbeError):
     code = "zero_projection"
 

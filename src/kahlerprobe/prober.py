@@ -336,7 +336,7 @@ def probe(chart: holonomy.ManifoldChart, p, J_p=None,
     stage = "compute_delta"
     try:
         if delta is None:
-            delta = compute_delta(chart.dim // 2, seed=config.seed)
+            delta = compute_delta(chart.dim // 2)
 
         stage = "default_structure"
         if J_p is None:

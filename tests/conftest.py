@@ -1,21 +1,14 @@
-"""Shared fixtures: an isolated delta-constant cache and the n=2 constant."""
-
-import os
-import tempfile
+"""Shared fixtures: the n=2 constant and the criterion 09 orbit."""
 
 import pytest
 
-# isolate the delta cache from the user's home before the package reads it
-_CACHE_DIR = tempfile.mkdtemp(prefix="kahlerprobe_test_")
-os.environ["KAHLER_PROBE_CACHE"] = os.path.join(_CACHE_DIR, "delta_cache.json")
-
-from kahlerprobe.constants import compute_delta  # noqa: E402
+from kahlerprobe.constants import compute_delta
 
 
 @pytest.fixture(scope="session")
 def delta4():
-    """The dichotomy constant for n = 2 (dimension 4), computed once."""
-    return compute_delta(2, seed=0)
+    """The dichotomy constant for n = 2 (dimension 4)."""
+    return compute_delta(2)
 
 
 @pytest.fixture(scope="session")

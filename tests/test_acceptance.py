@@ -17,6 +17,7 @@ from kahlerprobe.karcher import (
     karcher_mean,
     karcher_terms,
 )
+from sampled_delta import sampled_delta
 
 
 def maxabs(a):
@@ -134,12 +135,14 @@ def test_criterion_05_gradient_check():
 
 
 def test_criterion_06_delta4_stability(delta4):
-    """Two independent seeds agree within 5% relative, and the constant
-    satisfies both convexity-compatibility inequalities."""
-    d0 = compute_delta(2, seed=0, use_cache=False)
-    d1 = compute_delta(2, seed=1, use_cache=False)
-    assert abs(d0.delta - d1.delta) / d0.delta < 0.05
-    for d in (d0, d1, delta4):
+    """The closed-form constant and the sampled estimate at two independent
+    seeds agree within 5% relative, and each satisfies both
+    convexity-compatibility inequalities."""
+    d0 = compute_delta(2)
+    sampled = [sampled_delta(2, seed) for seed in (0, 1)]
+    for d1 in sampled:
+        assert abs(d0.delta - d1.delta) / d0.delta < 0.05
+    for d in (d0, *sampled, delta4):
         r_convex = min(d.inj_used / 2.0,
                        math.pi / (2.0 * math.sqrt(d.epsilon_used)))
         assert d.delta <= r_convex + 1e-12
@@ -281,8 +284,7 @@ def test_criterion_10_negative_controls(capsys, tmp_path):
 
     outputs = []
     for _ in range(2):
-        code = cli.main(["delta", "--dim", "4", "--seed", "7",
-                         "--no-timestamp"])
+        code = cli.main(["delta", "--dim", "4", "--no-timestamp"])
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]

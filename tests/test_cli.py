@@ -317,12 +317,16 @@ def test_stdout_that_cannot_be_written_is_a_domain_error(capsys, tmp_path, monke
     assert os.strerror(exc.errno) in error["detail"]
 
 
-def _cli_process(stdout):
+def _child_env():
+    """This environment, with the package's source first on PYTHONPATH."""
     path = os.pathsep.join(filter(None, (os.path.dirname(os.path.dirname(io.__file__)),
                                          os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _cli_process(stdout):
     return subprocess.Popen([sys.executable, "-m", "kahlerprobe.cli", *_SPHERE_TRANSPORT],
-                            stdout=stdout, stderr=subprocess.PIPE,
-                            env=dict(os.environ, PYTHONPATH=path))
+                            stdout=stdout, stderr=subprocess.PIPE, env=_child_env())
 
 
 @pytest.mark.parametrize("where", ["closed_pipe", "full_device"])
@@ -344,6 +348,34 @@ def test_unwritable_stdout_process_prints_one_error_line(where):
     assert proc.wait(timeout=120) == 2
     assert json.loads(err)["error"] == "output_not_writable"
     assert err == io.dump_json(json.loads(err)) + "\n"
+
+
+def _cli_in_shell(redirect, *argv):
+    """The CLI in a child process that sh starts with a redirection of its
+    standard streams, as a shell user would."""
+    return subprocess.run(["sh", "-c", f'exec "$0" -m kahlerprobe.cli "$@" {redirect}',
+                           sys.executable, *argv], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+
+
+def test_closed_stdout_is_output_not_writable():
+    """A process started with standard output closed (sys.stdout is None)
+    exits 2 with output_not_writable, before any transport."""
+    run = _cli_in_shell(">&-", "transport", "--manifold", "round_sphere_4",
+                        "--point", "0,0,0,0", "--loops", "1", "--word-length", "1",
+                        "--no-timestamp")
+    assert run.returncode == 2
+    assert json.loads(run.stderr) == {"error": "output_not_writable",
+                                      "detail": "standard output is closed"}
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read_only"])
+def test_domain_error_keeps_its_status_when_stderr_cannot_be_written(redirect):
+    """With stderr closed (sys.stderr is None) or open read-only, a domain
+    error still exits 2, and its payload never reaches stdout."""
+    run = _cli_in_shell(redirect, "transport", "--manifold", "round_sphere_4",
+                        "--point", "0,0,0,0", "--loops", "0", "--no-timestamp")
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "")
 
 
 _J1 = io.structure_to_json(acs.canonical_j(1))
@@ -369,10 +401,8 @@ def test_mean_input_that_is_not_one_stack(capsys, tmp_path, points, error):
 # -- cli ----------------------------------------------------------------------
 
 def test_delta_output_is_byte_deterministic(capsys):
-    c1, out1, _ = run_cli(capsys, "delta", "--dim", "4", "--seed", "7",
-                          "--no-timestamp")
-    c2, out2, _ = run_cli(capsys, "delta", "--dim", "4", "--seed", "7",
-                          "--no-timestamp")
+    c1, out1, _ = run_cli(capsys, "delta", "--dim", "4", "--no-timestamp")
+    c2, out2, _ = run_cli(capsys, "delta", "--dim", "4", "--no-timestamp")
     assert c1 == c2 == 0
     assert out1 == out2
 
@@ -385,6 +415,41 @@ def test_delta_reports_reproducibility_header(capsys):
     assert doc["config"]["subcommand"] == "delta"
     assert "timestamp" not in doc
     assert doc["result"]["delta"] > 0.0
+
+
+@pytest.mark.parametrize("dim", ["4", "6", "8"])
+def test_delta_command_prints_the_closed_forms(capsys, dim):
+    """eps = 1.05 / 4 and inj = 2 pi at every dimension; the sampled
+    estimate printed an inj of 6.29 or 6.43, past the true radius."""
+    code, out, _ = run_cli(capsys, "delta", "--dim", dim, "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["result"] == {"n": int(dim) // 2, "delta": 1.5329402499064273,
+                                         "epsilon_used": 0.2625,
+                                         "inj_used": 6.283185307179586}
+
+
+def test_small_epsilon_override_takes_the_injectivity_branch(capsys):
+    """With eps = 0.01 the curvature branch gives 5 pi / 2, so delta is
+    inj / 2 = pi exactly."""
+    code, out, _ = run_cli(capsys, "delta", "--epsilon-override", "0.01", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["result"]["delta"] == math.pi
+
+
+@pytest.mark.parametrize("flag,value", [("samples", 300), ("resolution", 0.01),
+                                        ("no_cache", True), ("seed", 0)])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_removed_delta_settings_are_usage_errors(capsys, tmp_path, flag, value, where):
+    """delta takes no sample count, march step, cache switch or seed, from
+    the command line or from a config file."""
+    if where == "flag":
+        argv = ["--" + flag.replace("_", "-")] + ([] if value is True else [str(value)])
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({flag: value}))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli_exit(capsys, "delta", *argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
 
 
 def test_probe_flat_torus_via_cli(capsys, tmp_path):
@@ -425,15 +490,15 @@ def test_mean_rejects_invalid_structure(capsys, tmp_path):
 
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dim": 4, "seed": 7}))
+    cfg.write_text(json.dumps({"dim": 4, "epsilon_override": 1.0}))
     code, out, _ = run_cli(capsys, "delta", "--config", str(cfg),
                            "--no-timestamp")
     assert code == 0
-    assert json.loads(out)["config"]["seed"] == 7
+    assert json.loads(out)["config"]["epsilon_override"] == 1.0
     # explicit flag beats the config value
     code, out, _ = run_cli(capsys, "delta", "--config", str(cfg),
-                           "--seed", "0", "--no-timestamp")
-    assert json.loads(out)["config"]["seed"] == 0
+                           "--epsilon-override", "0.5", "--no-timestamp")
+    assert json.loads(out)["config"]["epsilon_override"] == 0.5
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
@@ -467,8 +532,7 @@ def test_config_header_keys(capsys, tmp_path):
     small = ["--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5",
              "--loops", "2", "--word-length", "1", "--ode-steps", "100"]
     cases = {
-        "delta": ([], {"dim", "samples", "resolution", "epsilon_override",
-                       "no_cache", "seed"}),
+        "delta": ([], {"dim", "epsilon_override"}),
         "mean": (["--input", str(src)], {"input", "tol", "max_iter"}),
         "transport": (small, loop),
         "orbit": (small, loop | {"j", "csv"}),
@@ -613,8 +677,8 @@ _NOT_NUMBERS = {
     (["orbit", "--manifold", "round_sphere_4", "--point", "0,0,0,0", "--loops", "1",
       "--word-length", "1", "--j", "j.json"],
      {"j.json": '{"dim": 2, "rows": [[0.0, "x"], [1.0, 0.0]]}'}, 2),
-    (["delta", "--samples", "5"], {}, 1),
-    (["delta", "--resolution", "0.1"], {}, 1),
+    (["delta", "--dim", "1"], {}, 1),
+    (["delta", "--epsilon-override", "0"], {}, 1),
     (["mean", "--input", "points.json", "--tol", "1e-20"], {}, 1),
     (["mean", "--input", "points.json", "--max-iter", "-1", "--no-timestamp"],
      {"points.json": _ONE_POINT}, 1),
@@ -693,10 +757,10 @@ def test_transport_loop_descriptions_are_pinned(capsys):
 
 def test_config_values_go_through_the_flag_checks(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"samples": 5}))
-    code, out, err = run_cli_exit(capsys, "delta", "--config", str(cfg), "--no-cache")
+    cfg.write_text(json.dumps({"epsilon_override": 0}))
+    code, out, err = run_cli_exit(capsys, "delta", "--config", str(cfg))
     assert (code, out) == (1, "")
-    assert "argument --samples: 5 is outside [100, inf]" in err
+    assert "argument --epsilon-override: 0 is outside [" in err
     assert "Traceback" not in err
 
 
@@ -717,15 +781,15 @@ def test_config_can_supply_required_keys(capsys, tmp_path, form):
 
 
 @pytest.mark.parametrize("argv", [
-    ["delta", "--resolution", "0", "--no-cache"],
-    ["delta", "--resolution", "1e-4", "--no-cache"],
-    ["delta", "--epsilon-override", "nan", "--no-cache"],
-    ["delta", "--epsilon-override", "inf", "--no-cache"],
-    ["delta", "--epsilon-override", "0", "--no-cache"],
-    ["delta", "--epsilon-override", "-1", "--no-cache"],
-    ["delta", "--seed", "-1"],
-    ["delta", "--dim", "0", "--no-cache"],
-    ["delta", "--dim", "-4", "--no-cache"],
+    ["delta", "--dim", "1"],
+    ["delta", "--epsilon-override", "1e-400"],
+    ["delta", "--epsilon-override", "nan"],
+    ["delta", "--epsilon-override", "inf"],
+    ["delta", "--epsilon-override", "0"],
+    ["delta", "--epsilon-override", "-1"],
+    ["delta", "--epsilon-override", "1e309"],
+    ["delta", "--dim", "0"],
+    ["delta", "--dim", "-4"],
     ["probe", "--manifold", "flat_torus_4", "--point", "0.5,0.5,0.5,0.5", "--seed", "-1"],
     ["transport", "--manifold", "round_sphere_4", "--point", "0,0,0,0",
      "--loop-kind", "fourier_random", "--seed", "-1"],
@@ -744,7 +808,7 @@ def test_out_of_range_delta_and_seed_inputs_are_usage_errors(capsys, argv):
 def test_delta_dim_from_a_config_goes_through_the_bound(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dim": 0}))
-    code, out, err = run_cli_exit(capsys, "delta", "--config", str(cfg), "--no-cache")
+    code, out, err = run_cli_exit(capsys, "delta", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert "argument --dim: 0 is outside [2, inf]" in err
 
@@ -752,11 +816,11 @@ def test_delta_dim_from_a_config_goes_through_the_bound(capsys, tmp_path):
 @pytest.mark.parametrize("dim,error", [("5", "odd_dimension"), ("3", "odd_dimension"),
                                        ("2", "dimension_too_small")])
 def test_odd_or_n1_delta_dim_is_a_dimension_error(capsys, monkeypatch, dim, error):
-    """An odd --dim is rejected before any estimate; --dim 2 reaches the
-    estimator, which has no 2-planes to sample for n = 1."""
+    """An odd --dim is rejected before delta is computed; --dim 2 reaches
+    the curvature bound, which has no 2-planes for n = 1."""
     if error == "odd_dimension":
-        monkeypatch.setattr(cli, "compute_delta", lambda *a, **kw: pytest.fail("estimated"))
-    code, out, err = run_cli_exit(capsys, "delta", "--dim", dim, "--no-cache")
+        monkeypatch.setattr(cli, "compute_delta", lambda *a, **kw: pytest.fail("computed"))
+    code, out, err = run_cli_exit(capsys, "delta", "--dim", dim)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == error
 
@@ -786,8 +850,7 @@ _FUZZ = {
     "probe": ({**_LOOP_BASE, "grid": 9, "field_steps": 100, "probe_points": 1},
               _LOOP_KEYS | {"mean_tol"}),
     "mean": ({"no_timestamp": True}, {"tol", "max_iter", "no_timestamp"}),
-    "delta": ({"no_timestamp": True}, {"dim", "seed", "samples", "resolution",
-                                       "epsilon_override", "no_timestamp"}),
+    "delta": ({"no_timestamp": True}, {"dim", "epsilon_override", "no_timestamp"}),
 }
 _VALUES = {"loop_kind": _values("coordinate_rectangles", "fourier_random"),
            "loops": _values(-1, 0, 1, 2),
@@ -801,8 +864,6 @@ _VALUES = {"loop_kind": _values("coordinate_rectangles", "fourier_random"),
            "tol": _values(1e-20, 1e-10, math.nan),
            "max_iter": _values(-1, 0, 5),
            "dim": _values(2, 4),
-           "samples": _values(5, 100),
-           "resolution": _values(0.0, 1e-4),
            "epsilon_override": _values(-1.0, 0.0, math.nan, math.inf)}
 
 
@@ -825,7 +886,7 @@ def _as_flags(key, value) -> list:
        in_config=st.sets(st.sampled_from(sorted(_VALUES) + ["manifold"])))
 @example(command="transport", values={"loop_kind": "fourier_random", "seed": -1},
          in_config=set())
-@example(command="delta", values={"samples": 5}, in_config={"samples"})
+@example(command="delta", values={"dim": 2}, in_config={"dim"})
 @example(command="delta", values={"epsilon_override": -1.0}, in_config=set())
 def test_cli_fuzz_ends_in_an_exit_status(tmp_path_factory, command, values, in_config):
     """Flags, or the same keys from a --config file, end within 20 s in

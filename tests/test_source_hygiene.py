@@ -2,8 +2,9 @@
 
 Read with ``ast``: every import is used, every module-level private
 function or class is referenced in its module, every public one and every
-public method is read by some package module, and no module reads another
-package module's private name.  Read off the loaded
+public method is read by some package module, no module reads another
+package module's private name, and none reads the environment or the home
+directory.  Read off the loaded
 classes: every domain error declares its own stable ``code``; the CLI
 prints these codes, so two errors must never share one.  Run in a fresh
 interpreter: the package needs numpy alone.
@@ -58,8 +59,9 @@ def test_every_private_definition_is_referenced(path):
 
 
 # public names no package module reads: the paper's acceptance criteria in
-# tests/test_acceptance.py are stated through them
-ACCEPTANCE_ONLY = {"curve", "metric_inner", "random_j"}
+# tests/test_acceptance.py (and perfbench's perturbed structure, for
+# random_tangent) are stated through them
+ACCEPTANCE_ONLY = {"curve", "metric_inner", "random_j", "random_tangent"}
 
 
 def test_every_public_definition_is_read_by_the_package():
@@ -100,6 +102,19 @@ def test_no_module_reads_another_modules_private_name(path):
     assert reads == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment_or_home(path):
+    """No ``os.environ``, ``os.getenv`` or ``expanduser``, by attribute or
+    by name: what the package computes depends on its arguments alone."""
+    banned = {"environ", "environb", "getenv", "getenvb", "expanduser"}
+    tree = _tree(path)
+    reads = [node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in banned]
+    reads += [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for a in node.names if a.name in banned]
+    assert reads == []
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -116,14 +131,14 @@ def test_every_error_declares_its_own_code():
 
 
 def test_the_package_runs_without_scipy():
-    """A fresh interpreter that imports the CLI, estimates delta for n = 2
+    """A fresh interpreter that imports the CLI, computes delta for n = 2
     and makes one log map and one exp map has not imported scipy, which is
     in the ``test`` extra only."""
     code = (
         "import sys\n"
         "import kahlerprobe.cli\n"
         "from kahlerprobe import acs, constants\n"
-        "constants.compute_delta(2, use_cache=False)\n"
+        "constants.compute_delta(2)\n"
         "J = acs.random_j(2, 0)\n"
         "K = acs.exp_map(J, acs.random_tangent(J, 1, 0.5), 1.0)\n"
         "acs.log_map(J, K)\n"
